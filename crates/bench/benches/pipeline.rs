@@ -7,7 +7,7 @@ use gcln_bench::mixed::{
     mixed_jobs, profile_job, replay_job_granularity, replay_stage_graph, JobProfile,
 };
 use gcln_sched::{Granularity, SchedConfig, Scheduler, SubmitOptions};
-use gcln::model::{train_equality_gcln, train_equality_gcln_batch, GclnConfig};
+use gcln::model::{train_equality_gcln, GclnConfig};
 use gcln::pipeline::{infer_invariants, PipelineConfig};
 use gcln::terms::{growth_filter, TermSpace};
 use gcln_checker::{check, Candidate, CheckerConfig};
@@ -41,73 +41,6 @@ fn bench_training_epochs(c: &mut Criterion) {
             train_equality_gcln(&columns, &cfg)
         })
     });
-}
-
-/// Amortized per-attempt cost of the lane-batched trainer at several
-/// lane widths, on the same ps2 workload as
-/// `gcln_training_100_epochs_ps2`. Recorded via `record_external` so
-/// the amortization (one batched call ÷ attempts) is explicit:
-///
-/// - `training_batched_ps2` — the headline row, 4 attempts in one
-///   4-lane pass.
-/// - `training_batched_ps2_lanes{1,4,8}` — the lane-width sweep backing
-///   the `train_chunk_size` default in EXPERIMENTS.md (lanes = 1 is the
-///   compact scalar tape per attempt, the pipeline default).
-fn bench_training_batched(c: &mut Criterion) {
-    let row_names =
-        ["training_batched_ps2", "training_batched_ps2_lanes1", "training_batched_ps2_lanes4", "training_batched_ps2_lanes8"];
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    if filter.is_some_and(|f| row_names.iter().all(|n| !n.contains(f.as_str()))) {
-        return;
-    }
-    let problem = nla_problem("ps2").unwrap();
-    let points = collect_loop_states(&problem, 0, 40, 1);
-    let space = TermSpace::enumerate(problem.extended_names(), 2);
-    let keep = growth_filter(&space, &points, 1e10);
-    let space = space.select(&keep);
-    let ds = Dataset::from_points(points, &space, Some(10.0));
-    let columns = ds.columns();
-    let attempts = 4usize;
-    // Per-attempt seeds mirror the staged pipeline's derivation so the
-    // batch is representative of a real multi-attempt Train chunk.
-    let configs: Vec<GclnConfig> = (0..attempts)
-        .map(|a| {
-            let base = GclnConfig { max_epochs: 100, ..GclnConfig::default() };
-            GclnConfig { seed: base.seed.wrapping_add(a as u64 * 7919), ..base }
-        })
-        .collect();
-    for lanes in [1usize, 4, 8] {
-        train_equality_gcln_batch(&columns, &configs, lanes); // warm-up
-        let samples = 9usize;
-        let mut per_attempt: Vec<f64> = (0..samples)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                train_equality_gcln_batch(&columns, &configs, lanes);
-                t0.elapsed().as_nanos() as f64 / attempts as f64
-            })
-            .collect();
-        per_attempt.sort_by(f64::total_cmp);
-        let median = per_attempt[samples / 2];
-        let mean = per_attempt.iter().sum::<f64>() / samples as f64;
-        let var = per_attempt.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-            / samples as f64;
-        let row = |name: String| Estimate {
-            name,
-            mean_ns: mean,
-            median_ns: median,
-            stddev_ns: var.sqrt(),
-            samples,
-            iters_per_sample: 1,
-        };
-        c.record_external(row(format!("training_batched_ps2_lanes{lanes}")));
-        if lanes == attempts {
-            c.record_external(row("training_batched_ps2".to_string()));
-        }
-        println!(
-            "training_batched_ps2 lanes={lanes}: {:.3}ms/attempt (median, {attempts} attempts)",
-            median / 1e6
-        );
-    }
 }
 
 /// cohencu's consecution system over (n, x, y, z).
@@ -276,7 +209,6 @@ criterion_group!(
     benches,
     bench_trace_collection,
     bench_training_epochs,
-    bench_training_batched,
     bench_groebner,
     bench_checker,
     bench_end_to_end,

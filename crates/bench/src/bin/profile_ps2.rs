@@ -1,8 +1,6 @@
-//! Ad-hoc: coarse stage timing for the ps2 end-to-end pipeline, plus a
-//! lane-width sweep of the batched multi-attempt trainer (the data
-//! behind the `train_chunk_size` default; see EXPERIMENTS.md).
+//! Ad-hoc: coarse stage timing for the ps2 end-to-end pipeline.
 use gcln::data::{collect_loop_states, Dataset};
-use gcln::model::{train_equality_gcln, train_equality_gcln_batch, GclnConfig};
+use gcln::model::{train_equality_gcln, GclnConfig};
 use gcln::pipeline::{infer_invariants, PipelineConfig};
 use gcln::terms::{growth_filter, TermSpace};
 use gcln_checker::{check, Candidate, CheckerConfig};
@@ -65,35 +63,4 @@ fn main() {
         println!("loop {}: {}", l.loop_id, l.formula.display(&names));
     }
 
-    // Lane-width sweep: 4 pipeline-shaped attempts (staged seed
-    // derivation) through the batched trainer at several lane widths,
-    // reported per attempt. Results are bit-identical across widths, so
-    // this table is pure throughput — the basis for the
-    // `train_chunk_size = 1` default on single-core hosts.
-    println!("== lane-width sweep (4 attempts x 100 epochs, per-attempt median of 5) ==");
-    let attempts = 4usize;
-    let configs: Vec<GclnConfig> = (0..attempts)
-        .map(|a| {
-            let base = GclnConfig { max_epochs: 100, ..GclnConfig::default() };
-            GclnConfig { seed: base.seed.wrapping_add(a as u64 * 7919), ..base }
-        })
-        .collect();
-    println!("{:>7} {:>14} {:>14}", "lanes", "ms/attempt", "vs lanes=1");
-    let mut base_ms = 0.0f64;
-    for lanes in [1usize, 4, 8] {
-        train_equality_gcln_batch(&columns, &configs, lanes); // warm-up
-        let mut ms: Vec<f64> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                train_equality_gcln_batch(&columns, &configs, lanes);
-                t0.elapsed().as_secs_f64() * 1e3 / attempts as f64
-            })
-            .collect();
-        ms.sort_by(f64::total_cmp);
-        let median = ms[ms.len() / 2];
-        if lanes == 1 {
-            base_ms = median;
-        }
-        println!("{lanes:>7} {median:>14.3} {:>13.2}x", base_ms / median);
-    }
 }

@@ -34,16 +34,15 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: gcln <run|suite|table1|table2|table3|table4|code2inv|fig|inspect|serve> [args]
   run <file.loop|name> [--fast] [--json] [--deadline S] [--steps N] [--max-degree D] [--range LO:HI ...]
-                       [--train-chunk N]
-  suite <nla|linear>   [--fast] [--json] [--limit N] [--expect N] [--workers N] [--train-chunk N] [name ...]
-  table2               [--fast] [--json] [--expect N] [--workers N] [--train-chunk N] [name ...]
+  suite <nla|linear>   [--fast] [--json] [--limit N] [--expect N] [--workers N] [name ...]
+  table2               [--fast] [--json] [--expect N] [--workers N] [name ...]
   table3               [--all | name ...]
   table4               [--runs N]
-  code2inv             [--limit N] [--json] [--expect N] [--workers N] [--train-chunk N]
+  code2inv             [--limit N] [--json] [--expect N] [--workers N]
   fig <1|2|4|6|7|8|10> [args]
   inspect <problem>    [--bounds]
   serve                [--port P] [--workers N] [--queue-cap N] [--journal PATH] [--rate-limit RPS]
-                       [--journal-fsync always|never] [--faults SPEC] [--train-chunk N]";
+                       [--journal-fsync always|never] [--faults SPEC]";
 
 /// Parsed common flags; non-flag arguments are collected in order.
 #[derive(Debug, Default)]
@@ -61,7 +60,6 @@ struct Flags {
     runs: Option<u64>,
     port: Option<u16>,
     workers: Option<usize>,
-    train_chunk: Option<usize>,
     queue_cap: Option<usize>,
     journal: Option<String>,
     rate_limit: Option<f64>,
@@ -125,15 +123,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.workers =
                     Some(num("--workers")?.parse().map_err(|_| "--workers needs an integer")?)
             }
-            "--train-chunk" => {
-                let n: usize = num("--train-chunk")?
-                    .parse()
-                    .map_err(|_| "--train-chunk needs an integer")?;
-                if n == 0 {
-                    return Err("--train-chunk needs at least 1 attempt per task".into());
-                }
-                f.train_chunk = Some(n);
-            }
             "--queue-cap" => {
                 f.queue_cap =
                     Some(num("--queue-cap")?.parse().map_err(|_| "--queue-cap needs an integer")?)
@@ -182,7 +171,6 @@ impl Flags {
             ("--runs", self.runs.is_some()),
             ("--port", self.port.is_some()),
             ("--workers", self.workers.is_some()),
-            ("--train-chunk", self.train_chunk.is_some()),
             ("--queue-cap", self.queue_cap.is_some()),
             ("--journal", self.journal.is_some()),
             ("--rate-limit", self.rate_limit.is_some()),
@@ -219,13 +207,12 @@ pub fn main_with_args(args: &[String]) -> i32 {
             "--steps",
             "--max-degree",
             "--range",
-            "--train-chunk",
         ],
-        "suite" => &["--fast", "--json", "--limit", "--expect", "--workers", "--train-chunk"],
-        "table2" => &["--fast", "--json", "--expect", "--workers", "--train-chunk"],
+        "suite" => &["--fast", "--json", "--limit", "--expect", "--workers"],
+        "table2" => &["--fast", "--json", "--expect", "--workers"],
         "table3" => &["--all"],
         "table4" => &["--runs"],
-        "code2inv" => &["--limit", "--json", "--expect", "--workers", "--train-chunk"],
+        "code2inv" => &["--limit", "--json", "--expect", "--workers"],
         "inspect" => &["--bounds"],
         "serve" => &[
             "--port",
@@ -235,7 +222,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
             "--rate-limit",
             "--journal-fsync",
             "--faults",
-            "--train-chunk",
         ],
         _ => &[],
     };
@@ -257,7 +243,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 flags.limit.unwrap_or(usize::MAX),
                 filter,
                 flags.workers,
-                flags.train_chunk,
             ) {
                 Some(summary) => expect_code(&summary, flags.expect),
                 None => {
@@ -272,7 +257,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 flags.fast,
                 flags.json,
                 flags.workers,
-                flags.train_chunk,
             );
             expect_code(&summary, flags.expect)
         }
@@ -293,7 +277,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 flags.limit.unwrap_or(usize::MAX),
                 flags.json,
                 flags.workers,
-                flags.train_chunk,
             );
             expect_code(&summary, flags.expect)
         }
@@ -396,10 +379,7 @@ fn cmd_run(flags: &Flags) -> i32 {
         }
     }
 
-    let mut config = if flags.fast { PipelineConfig::fast() } else { PipelineConfig::default() };
-    if let Some(chunk) = flags.train_chunk {
-        config.train_chunk_size = chunk;
-    }
+    let config = if flags.fast { PipelineConfig::fast() } else { PipelineConfig::default() };
     let mut job = Job::new(spec.clone()).with_config(config);
     if let Some(secs) = flags.deadline {
         match Duration::try_from_secs_f64(secs) {
@@ -514,7 +494,6 @@ fn cmd_serve(flags: &Flags) -> i32 {
         rate_limit: flags.rate_limit.map(gcln_serve::RateLimit::per_sec),
         journal_fsync,
         faults,
-        train_chunk_size: flags.train_chunk.unwrap_or(1),
         ..gcln_serve::ServeConfig::default()
     };
     let journal_note = match &config.journal {

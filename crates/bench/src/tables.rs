@@ -40,12 +40,8 @@ pub fn table2(
     fast: bool,
     json: bool,
     workers: Option<usize>,
-    train_chunk: Option<usize>,
 ) -> SuiteSummary {
-    let mut config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    if let Some(chunk) = train_chunk {
-        config.train_chunk_size = chunk;
-    }
+    let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
     let problems: Vec<Problem> = nla_suite()
         .into_iter()
         .filter(|p| filter.is_empty() || filter.contains(&p.name))
@@ -91,12 +87,10 @@ pub fn code2inv(
     limit: usize,
     json: bool,
     workers: Option<usize>,
-    train_chunk: Option<usize>,
 ) -> SuiteSummary {
     let config = PipelineConfig {
         gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
         max_attempts: 2,
-        train_chunk_size: train_chunk.unwrap_or(1),
         ..PipelineConfig::default()
     };
     let problems: Vec<Problem> = linear_suite().into_iter().take(limit).collect();
@@ -135,7 +129,6 @@ pub fn suite(
     limit: usize,
     filter: &[String],
     workers: Option<usize>,
-    train_chunk: Option<usize>,
 ) -> Option<SuiteSummary> {
     let problems: Vec<Problem> = gcln_problems::suite_by_name(which)?
 
@@ -143,10 +136,7 @@ pub fn suite(
         .filter(|p| filter.is_empty() || filter.contains(&p.name))
         .take(limit)
         .collect();
-    let mut config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    if let Some(chunk) = train_chunk {
-        config.train_chunk_size = chunk;
-    }
+    let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
     let summary = run_suite_with(which, &problems, &config, workers);
     if json {
         emit_json(&summary);

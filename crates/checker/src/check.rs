@@ -1,4 +1,4 @@
-//! Invariant checking: the reproduction's Z3 substitute (see DESIGN.md).
+//! Invariant checking: the reproduction's Z3 substitute.
 //!
 //! A candidate loop invariant is validated on three fronts, mirroring the
 //! Hoare conditions of §2.1:
@@ -114,7 +114,7 @@ pub struct CheckReport {
     /// own (the benchmark's documented invariants are inductive only
     /// relative to reachability structure such as "b is B·2^k", which
     /// plain mutation sampling cannot see) but are reported for
-    /// diagnostics. See DESIGN.md on the checker's soundness posture.
+    /// diagnostics. See the crate docs on the checker's soundness posture.
     pub warnings: Vec<Counterexample>,
     /// Equality conjuncts proven inductive symbolically.
     pub symbolically_proved: usize,

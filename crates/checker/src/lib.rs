@@ -12,7 +12,7 @@
 //! - [`implication`]: strength comparison against ground-truth invariants
 //!   (used by the Table 2 "solved" criterion).
 //!
-//! Soundness posture (documented in DESIGN.md): equality consecution is
+//! Soundness posture: equality consecution is
 //! *proved* when the Gröbner phase succeeds; everything else is bounded
 //! checking over sampled inputs, trace states, and mutations — the same
 //! counterexample-driven regime the paper gets from Z3, minus the

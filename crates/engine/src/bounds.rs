@@ -14,9 +14,8 @@ use crate::terms::TermSpace;
 use gcln_logic::relax::pbqu_ge;
 use gcln_logic::{Atom, Pred};
 use gcln_numeric::{Poly, Rat};
-use gcln_tensor::lanes::LaneKernel;
-use gcln_tensor::optim::{project_unit_l2, AdamLanes, OptimizerConfig};
-use gcln_tensor::tape::Tape;
+use gcln_tensor::fastmath::{fma64, reduce_blocked4, reduce_fma_blocked4};
+use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -203,16 +202,6 @@ fn train_directions(
     let k = subset.len();
     let mut draws = draws.iter().copied();
     let mut next_draw = move || draws.next().expect("draw plan covers all inits");
-    let mut tape = Tape::new();
-    let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
-    let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
-    let bias = tape.param(k);
-    let z = tape.affine(&ws, &xs, Some(bias));
-    // PBQU: select(z, c2²/(z²+c2²), c1²/(z²+c1²)); loss = mean(1 − act),
-    // fused into a single tape node.
-    let loss = tape.pbqu_loss(z, config.c1, config.c2);
-
-    let sub_columns: Vec<Vec<f64>> = subset.iter().map(|&t| columns[t].clone()).collect();
     // Restarts: every sign pattern up to global sign (canonical tight
     // directions), plus two random initializations.
     let mut inits: Vec<Vec<f64>> = Vec::new();
@@ -255,33 +244,47 @@ fn train_directions(
             out.push(w.iter().map(|x| -x).collect());
         }
     }
-    // All restarts share one topology and differ only in their parameter
-    // vectors — train them as lanes of one [`LaneKernel`] pass instead of
-    // sequential tape runs. Each lane's updates are bit-identical to the
-    // historical per-init loop (kernel ≡ scalar tape per lane; per-lane
-    // Adam states are independent), so learned directions are unchanged
-    // at any lane count. Bias draws keep the sequential stream order.
-    let num_inits = inits.len();
-    let np = k + 1;
-    let mut all_params: Vec<f64> = Vec::with_capacity(num_inits * np);
+    // Each restart trains one PBQU neuron `S(w·t + b ≥ 0)` to completion
+    // before the next starts. The arithmetic follows the scalar tape's
+    // `affine` → `pbqu_loss` graph operation for operation (see the
+    // `direct_directions_match_tape_reference` test), so the learned
+    // directions are bit-identical to training that graph.
+    let xs: Vec<&[f64]> = subset.iter().map(|&t| columns[t].as_slice()).collect();
+    let n = xs[0].len();
+    // ∂loss/∂act for `loss = mean(1 − act)`.
+    let g_act = -(1.0 / n as f64);
+    let (c1sq, c2sq) = (config.c1 * config.c1, config.c2 * config.c2);
+    let mut z = vec![0.0; n];
+    let mut gz = vec![0.0; n];
+    let mut grads = vec![0.0; k + 1];
     for init in &inits {
-        all_params.extend_from_slice(init);
-        all_params.push(next_draw() * 0.1);
-    }
-    let mut kernel = LaneKernel::compile(&tape, loss, num_inits);
-    kernel.bind_inputs(&sub_columns);
-    let mut adam = AdamLanes::new(num_inits, np, config.optimizer);
-    let mut grads = vec![0.0; num_inits * np];
-    for _ in 0..config.epochs {
-        kernel.forward_active(&all_params, num_inits);
-        kernel.backward_active(&mut grads, num_inits);
-        for l in 0..num_inits {
-            adam.step_lane(l, &mut all_params, &grads);
-            project_unit_l2(&mut all_params[l * np..l * np + k]);
+        let mut params = init.clone();
+        params.push(next_draw() * 0.1);
+        let mut adam = Adam::new(k + 1, config.optimizer);
+        for _ in 0..config.epochs {
+            z.fill(params[k]);
+            for (&w, x) in params.iter().zip(&xs) {
+                for (zj, &xj) in z.iter_mut().zip(*x) {
+                    *zj = fma64(w, xj, *zj);
+                }
+            }
+            // Adjoint of `mean(1 − act)` at `z`, in the tape's order
+            // (mean → sub → select → div → add → square).
+            for (g, &zj) in gz.iter_mut().zip(&z) {
+                let c = if zj >= 0.0 { c2sq } else { c1sq };
+                let d = zj * zj + c;
+                *g = 2.0 * (-g_act * c / (d * d)) * zj;
+            }
+            // `0.0 +` matches the tape, which accumulates parameter
+            // gradients into a zeroed buffer (so −0.0 reads as +0.0).
+            for (gw, x) in grads.iter_mut().zip(&xs) {
+                *gw = 0.0 + reduce_fma_blocked4(n, |j| (gz[j], x[j]));
+            }
+            grads[k] = 0.0 + reduce_blocked4(n, |j| gz[j]);
+            adam.step(&mut params, &grads);
+            project_unit_l2(&mut params[..k]);
         }
-    }
-    for l in 0..num_inits {
-        out.push(all_params[l * np..l * np + k].to_vec());
+        out.push(params[..k].to_vec());
     }
     out
 }
@@ -443,67 +446,79 @@ mod tests {
     }
 
     #[test]
-    fn lane_batched_directions_match_sequential_training() {
-        // Re-derive train_directions' learned directions with the
-        // historical one-init-at-a-time loop and require bitwise equality
-        // — the lane-batched trainer must be a pure reorganization.
-        use gcln_tensor::optim::Adam;
-        let space = TermSpace::enumerate(names(&["n", "a"]), 2);
-        let points = sqrt_points();
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let columns = ds.columns();
-        let config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
-        let subset = vec![0usize, 1];
-        let k = subset.len();
-        let num_inits = (1usize << k) + 2;
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
-        let batched = train_directions(&subset, &columns, &config, &draws);
+    fn direct_directions_match_tape_reference() {
+        // Re-derive train_directions' learned directions by training the
+        // scalar tape's `affine` → `pbqu_loss` graph, one Adam per init,
+        // and require bitwise equality. Two cases: a 2-term subset on 40
+        // samples, and a 3-term subset on 23 samples (not a multiple of
+        // 4, so the blocked reductions' tail is exercised).
+        use gcln_tensor::tape::Tape;
+        let sqrt_space = TermSpace::enumerate(names(&["n", "a"]), 2);
+        let triple_space = TermSpace::enumerate(names(&["x", "y", "z"]), 1);
+        let triple_points: Vec<Vec<f64>> = (0..23)
+            .map(|i| vec![i as f64, (i % 5) as f64, 30.0 - 2.0 * (i % 7) as f64])
+            .collect();
+        let deg1 = |space: &TermSpace| -> Vec<usize> {
+            (0..space.len()).filter(|&i| space.monomials[i].degree() == 1).collect()
+        };
+        let cases = [
+            (&sqrt_space, sqrt_points(), deg1(&sqrt_space)),
+            (&triple_space, triple_points, deg1(&triple_space)),
+        ];
+        for (space, points, subset) in cases {
+            let ds = Dataset::from_points(points, space, Some(10.0));
+            let columns = ds.columns();
+            let config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
+            let k = subset.len();
+            let num_inits = (1usize << k) + 2;
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
+            let direct = train_directions(&subset, &columns, &config, &draws);
 
-        // Sequential reference: same tape, same init construction, one
-        // Adam per init run to completion before the next starts.
-        let mut draws_it = draws.iter().copied();
-        let mut next_draw = move || draws_it.next().unwrap();
-        let mut tape = Tape::new();
-        let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
-        let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
-        let bias = tape.param(k);
-        let z = tape.affine(&ws, &xs, Some(bias));
-        let loss = tape.pbqu_loss(z, config.c1, config.c2);
-        let sub_columns: Vec<Vec<f64>> =
-            subset.iter().map(|&t| columns[t].clone()).collect();
-        let mut inits: Vec<Vec<f64>> = Vec::new();
-        for bits in 0..(1u32 << (k - 1)) {
-            let mut w: Vec<f64> = (0..k)
-                .map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 })
-                .collect();
-            project_unit_l2(&mut w);
-            inits.push(w.clone());
-            inits.push(w.iter().map(|x| -x).collect());
-        }
-        for _ in 0..2 {
-            let mut w: Vec<f64> = (0..k).map(|_| next_draw() * 2.0 - 1.0).collect();
-            project_unit_l2(&mut w);
-            inits.push(w);
-        }
-        let mut trained = Vec::new();
-        for init in inits {
-            let mut params: Vec<f64> = init;
-            params.push(next_draw() * 0.1);
-            let mut adam = Adam::new(k + 1, config.optimizer);
-            for _ in 0..config.epochs {
-                let (_, grads) = tape.eval_with_grad(loss, &sub_columns, &params);
-                adam.step(&mut params, &grads);
-                project_unit_l2(&mut params[..k]);
+            // Tape reference: same init construction, same draw order.
+            let mut draws_it = draws.iter().copied();
+            let mut next_draw = move || draws_it.next().unwrap();
+            let mut tape = Tape::new();
+            let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
+            let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
+            let bias = tape.param(k);
+            let z = tape.affine(&ws, &xs, Some(bias));
+            let loss = tape.pbqu_loss(z, config.c1, config.c2);
+            let sub_columns: Vec<Vec<f64>> =
+                subset.iter().map(|&t| columns[t].clone()).collect();
+            let mut inits: Vec<Vec<f64>> = Vec::new();
+            for bits in 0..(1u32 << (k - 1)) {
+                let mut w: Vec<f64> = (0..k)
+                    .map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 })
+                    .collect();
+                project_unit_l2(&mut w);
+                inits.push(w.clone());
+                inits.push(w.iter().map(|x| -x).collect());
             }
-            trained.push(params[..k].to_vec());
-        }
-        // Trained directions occupy the tail of the batched output (after
-        // the fixed canonical + small-integer-ratio candidates).
-        let tail = &batched[batched.len() - trained.len()..];
-        for (got, want) in tail.iter().zip(&trained) {
-            for (a, b) in got.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane-batched direction diverged");
+            for _ in 0..2 {
+                let mut w: Vec<f64> = (0..k).map(|_| next_draw() * 2.0 - 1.0).collect();
+                project_unit_l2(&mut w);
+                inits.push(w);
+            }
+            let mut trained = Vec::new();
+            for init in inits {
+                let mut params: Vec<f64> = init;
+                params.push(next_draw() * 0.1);
+                let mut adam = Adam::new(k + 1, config.optimizer);
+                for _ in 0..config.epochs {
+                    let (_, grads) = tape.eval_with_grad(loss, &sub_columns, &params);
+                    adam.step(&mut params, &grads);
+                    project_unit_l2(&mut params[..k]);
+                }
+                trained.push(params[..k].to_vec());
+            }
+            // Trained directions occupy the tail of the output (after the
+            // fixed canonical + small-integer-ratio candidates).
+            let tail = &direct[direct.len() - trained.len()..];
+            for (got, want) in tail.iter().zip(&trained) {
+                for (a, b) in got.iter().zip(want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k}: direct direction diverged");
+                }
             }
         }
     }

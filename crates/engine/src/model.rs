@@ -13,8 +13,7 @@
 //! `[0, 1]` after every step.
 
 use gcln_tensor::fastmath::l1_subgrad;
-use gcln_tensor::lanes::LaneKernel;
-use gcln_tensor::optim::{project_unit_l2, Adam, AdamLanes, OptimizerConfig};
+use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};
 use gcln_tensor::tape::{Tape, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,10 +154,9 @@ struct ClauseSlot {
 /// masks over the full term space.
 type KeptTerms = (Vec<Vec<Vec<usize>>>, Vec<Vec<Vec<bool>>>);
 
-/// Term-dropout draws (§5.1.3) — the **first RNG phase**. Shared verbatim
-/// by the scalar and lane-batched trainers so a given seed yields
-/// identical masks in both. Keeps at least two terms per literal so a
-/// constraint stays expressible.
+/// Term-dropout draws (§5.1.3) — the **first RNG phase**, before
+/// [`init_params`]. Keeps at least two terms per literal so a constraint
+/// stays expressible.
 fn draw_kept_terms(num_terms: usize, config: &GclnConfig, rng: &mut StdRng) -> KeptTerms {
     let mut masks =
         vec![vec![vec![false; num_terms]; config.literals_per_clause]; config.num_clauses];
@@ -186,9 +184,9 @@ fn draw_kept_terms(num_terms: usize, config: &GclnConfig, rng: &mut StdRng) -> K
     (kept_all, masks)
 }
 
-/// Compact parameter layout (the scalar trainer's): weight slots exist
-/// for kept terms only, allocated sequentially clause by clause, with σ
-/// in the last slot. Returns `(slots, num_params, sigma_slot)`.
+/// Parameter layout: weight slots exist for kept terms only, allocated
+/// sequentially clause by clause, with σ in the last slot. Returns
+/// `(slots, num_params, sigma_slot)`.
 fn compact_slots(kept: &[Vec<Vec<usize>>]) -> (Vec<ClauseSlot>, usize, usize) {
     let mut num_params = 0usize;
     let mut alloc = |n: usize| -> usize {
@@ -214,43 +212,9 @@ fn compact_slots(kept: &[Vec<Vec<usize>>]) -> (Vec<ClauseSlot>, usize, usize) {
     (clauses, num_params, sigma_slot)
 }
 
-/// Dense parameter layout (the lane-batched trainer's): every literal
-/// owns a weight slot for **every** term —
-/// `param(ci, li, t) = ci·(n·(T+1)+1) + li·(T+1) + t` — so one tape
-/// topology serves every dropout mask; dropped slots simply hold zero.
-/// The returned slots still list *kept* coordinates only, which is what
-/// makes every downstream helper (regularization, projection, read-back)
-/// work identically on either layout. `(slots, num_params, sigma_slot)`.
-fn dense_slots(kept: &[Vec<Vec<usize>>], num_terms: usize) -> (Vec<ClauseSlot>, usize, usize) {
-    let n = kept.first().map_or(0, Vec::len);
-    let lit_stride = num_terms + 1;
-    let clause_stride = n * lit_stride + 1;
-    let clauses = kept
-        .iter()
-        .enumerate()
-        .map(|(ci, clause_kept)| {
-            let base = ci * clause_stride;
-            let literals = clause_kept
-                .iter()
-                .enumerate()
-                .map(|(li, kept)| LiteralSlot {
-                    weight_params: kept.iter().map(|&t| base + li * lit_stride + t).collect(),
-                    kept_terms: kept.clone(),
-                    gate_param: base + li * lit_stride + num_terms,
-                })
-                .collect();
-            ClauseSlot { literals, gate_param: base + n * lit_stride }
-        })
-        .collect();
-    let num_params = kept.len() * clause_stride + 1;
-    (clauses, num_params, num_params - 1)
-}
-
 /// Records the G-CLN loss graph
 /// `mean(1 − Π_clauses(1 + g·(OR − 1)))` on a fresh tape. `wiring` gives
-/// each literal's `(weight param, term)` pairs — kept-only for the
-/// compact layout, all terms for the dense one; everything else is
-/// layout-independent.
+/// each literal's kept `(weight param, term)` pairs.
 fn build_loss_tape(num_terms: usize, wiring: &[ClauseSlot], sigma_slot: usize) -> (Tape, Var) {
     let mut tape = Tape::new();
     let term_inputs: Vec<Var> = (0..num_terms).map(|t| tape.input(t)).collect();
@@ -322,7 +286,7 @@ fn init_params(params: &mut [f64], clauses: &[ClauseSlot], rng: &mut StdRng) {
 /// The L1 term uses the zero-at-zero subgradient ([`l1_subgrad`]) rather
 /// than `signum` — `signum(±0) = ±1` would turn the sign of a zero (the
 /// one bit IEEE lets equivalent computations disagree on) into a ±2λ
-/// gradient difference between the scalar and lane-batched paths.
+/// gradient difference between otherwise bit-identical evaluations.
 fn apply_gate_weight_reg(
     grads: &mut [f64],
     params: &[f64],
@@ -378,8 +342,7 @@ fn apply_diversity(
 }
 
 /// Post-step projections: gates clamped to `[0, 1]`, kept weights
-/// projected to the unit L2 sphere (gather → project → scatter, so the
-/// dense layout's zero-filled dropped slots never enter the norm count).
+/// projected to the unit L2 sphere (gather → project → scatter).
 fn apply_projections(params: &mut [f64], clauses: &[ClauseSlot], weight_reg: bool) {
     for clause in clauses {
         params[clause.gate_param] = params[clause.gate_param].clamp(0.0, 1.0);
@@ -447,10 +410,6 @@ fn read_back(
 /// `columns[t]` is the batch vector of term `t` over all samples (use
 /// [`crate::data::Dataset::columns`]).
 ///
-/// This is the scalar reference path; [`train_equality_gcln_batch`]
-/// trains several attempts per pass and is bit-identical to calling this
-/// once per attempt.
-///
 /// # Panics
 ///
 /// Panics if `columns` is empty or the columns are ragged.
@@ -506,195 +465,6 @@ pub fn train_equality_gcln(columns: &[Vec<f64>], config: &GclnConfig) -> Trained
     params[sigma_slot] = config.sigma;
     let final_loss = tape.forward(loss, columns, &params);
     read_back(&params, &clauses, masks, num_terms, config, final_loss, epochs_run)
-}
-
-/// The subset of [`GclnConfig`] that may differ across a lane batch:
-/// seed and dropout rate vary per attempt; everything else (schedules,
-/// architecture, epoch budget) must be shared so one epoch loop can
-/// drive every lane.
-fn assert_batch_compatible(configs: &[GclnConfig]) {
-    let lambda_eq = |a: &LambdaSchedule, b: &LambdaSchedule| {
-        a.init == b.init && a.factor == b.factor && a.limit == b.limit
-    };
-    let a = &configs[0];
-    for b in &configs[1..] {
-        let same = a.num_clauses == b.num_clauses
-            && a.literals_per_clause == b.literals_per_clause
-            && a.sigma == b.sigma
-            && a.sigma_init == b.sigma_init
-            && a.anneal_fraction == b.anneal_fraction
-            && a.weight_l1 == b.weight_l1
-            && a.diversity == b.diversity
-            && a.weight_reg == b.weight_reg
-            && a.max_epochs == b.max_epochs
-            && a.loss_tol == b.loss_tol
-            && a.optimizer.learning_rate == b.optimizer.learning_rate
-            && a.optimizer.decay == b.optimizer.decay
-            && lambda_eq(&a.lambda1, &b.lambda1)
-            && lambda_eq(&a.lambda2, &b.lambda2);
-        assert!(same, "lane-batched attempts may differ only in seed and dropout_rate");
-    }
-}
-
-/// Per-attempt bookkeeping inside one lane chunk.
-struct AttemptState {
-    clauses: Vec<ClauseSlot>,
-    masks: Vec<Vec<Vec<bool>>>,
-    /// Dense weight coordinates *not* kept by this attempt's dropout:
-    /// their tape gradients are junk (the dense tape differentiates every
-    /// slot) and are zeroed before the optimizer sees them.
-    dropped: Vec<usize>,
-    epochs_run: usize,
-}
-
-/// Trains up to `lane_width` attempts per vectorized pass, bit-identical
-/// to running [`train_equality_gcln`] once per config.
-///
-/// All attempts in one call share a tape *topology* — the dense layout
-/// gives every literal a weight slot for every term, so differing
-/// dropout masks become differing zero patterns, not differing graphs.
-/// Attempts are processed in chunks of `lane_width`; within a chunk one
-/// [`LaneKernel`] forward/backward serves every live attempt, attempts
-/// that early-stop are repacked out of the active prefix (lane position
-/// does not affect a lane's arithmetic), and each attempt keeps its own
-/// Adam state, schedules, and stop decision. Configs may differ only in
-/// `seed` and `dropout_rate`.
-///
-/// # Panics
-///
-/// Panics if `columns` is empty or ragged, `lane_width` is zero, or the
-/// configs differ outside seed/dropout.
-pub fn train_equality_gcln_batch(
-    columns: &[Vec<f64>],
-    configs: &[GclnConfig],
-    lane_width: usize,
-) -> Vec<TrainedGcln> {
-    assert!(!columns.is_empty(), "need at least one term column");
-    assert!(lane_width > 0, "need at least one lane");
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    assert_batch_compatible(configs);
-    let num_terms = columns.len();
-    let shared = &configs[0];
-    let anneal_epochs = (shared.max_epochs as f64 * shared.anneal_fraction).max(1.0);
-
-    // One dense tape topology serves every chunk: all-terms wiring with a
-    // mask of `true` everywhere (the wiring ignores masks).
-    let full: Vec<Vec<Vec<usize>>> = vec![
-            vec![(0..num_terms).collect(); shared.literals_per_clause];
-            shared.num_clauses
-        ];
-    let (wiring, num_params, sigma_slot) = dense_slots(&full, num_terms);
-    let (tape, loss) = build_loss_tape(num_terms, &wiring, sigma_slot);
-
-    let mut results = Vec::with_capacity(configs.len());
-    for chunk in configs.chunks(lane_width) {
-        let lanes = chunk.len();
-        let mut kernel = LaneKernel::compile(&tape, loss, lanes);
-        kernel.bind_inputs(columns);
-
-        // Per-attempt topology and init — same two RNG phases, same
-        // draws, as the scalar path.
-        let mut attempts = Vec::with_capacity(lanes);
-        let mut all_params = vec![0.0; lanes * num_params];
-        for (a, cfg) in chunk.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let (kept, masks) = draw_kept_terms(num_terms, cfg, &mut rng);
-            let (clauses, np2, _) = dense_slots(&kept, num_terms);
-            debug_assert_eq!(np2, num_params);
-            init_params(&mut all_params[a * num_params..(a + 1) * num_params], &clauses, &mut rng);
-            let mut dropped = Vec::new();
-            for (ci, clause_kept) in kept.iter().enumerate() {
-                for (li, kept_terms) in clause_kept.iter().enumerate() {
-                    let mut it = kept_terms.iter().peekable();
-                    for t in 0..num_terms {
-                        if it.peek() == Some(&&t) {
-                            it.next();
-                        } else {
-                            dropped.push(wiring[ci].literals[li].weight_params[t]);
-                        }
-                    }
-                }
-            }
-            attempts.push(AttemptState { clauses, masks, dropped, epochs_run: 0 });
-        }
-
-        // Lane index into the optimizer stays the attempt's fixed chunk
-        // position, so each attempt's Adam trajectory matches a scalar
-        // Adam bit-for-bit regardless of how the active set shrinks.
-        let mut adam = AdamLanes::new(lanes, num_params, shared.optimizer);
-        let mut all_grads = vec![0.0; lanes * num_params];
-        let mut packed_params = vec![0.0; lanes * num_params];
-        let mut packed_grads = vec![0.0; lanes * num_params];
-        let mut active: Vec<usize> = (0..lanes).collect();
-        for epoch in 0..shared.max_epochs {
-            if active.is_empty() {
-                break;
-            }
-            let sig = sigma_at(shared, anneal_epochs, epoch);
-            for (l, &a) in active.iter().enumerate() {
-                attempts[a].epochs_run = epoch + 1;
-                all_params[a * num_params + sigma_slot] = sig;
-                packed_params[l * num_params..(l + 1) * num_params]
-                    .copy_from_slice(&all_params[a * num_params..(a + 1) * num_params]);
-            }
-            let losses = kernel.forward_active(&packed_params, active.len()).to_vec();
-            kernel.backward_active(&mut packed_grads, active.len());
-            let l1 = shared.lambda1.at(epoch);
-            let l2 = shared.lambda2.at(epoch);
-            let diversity =
-                shared.diversity * (1.0 - (epoch as f64 / anneal_epochs)).max(0.0);
-            for (l, &a) in active.iter().enumerate() {
-                let st = &attempts[a];
-                let params = &all_params[a * num_params..(a + 1) * num_params];
-                let grads = &mut all_grads[a * num_params..(a + 1) * num_params];
-                grads.copy_from_slice(&packed_grads[l * num_params..(l + 1) * num_params]);
-                grads[sigma_slot] = 0.0;
-                for &p in &st.dropped {
-                    grads[p] = 0.0;
-                }
-                apply_gate_weight_reg(grads, params, &st.clauses, l1, l2, shared.weight_l1);
-                if diversity > 0.0 {
-                    apply_diversity(grads, params, &st.clauses, num_terms, diversity);
-                }
-            }
-            let annealed = epoch as f64 >= anneal_epochs;
-            let mut still_active = Vec::with_capacity(active.len());
-            for (l, &a) in active.iter().enumerate() {
-                adam.step_lane(a, &mut all_params, &all_grads);
-                let params = &mut all_params[a * num_params..(a + 1) * num_params];
-                apply_projections(params, &attempts[a].clauses, shared.weight_reg);
-                let stop = annealed
-                    && losses[l] < shared.loss_tol
-                    && epoch > 100
-                    && gates_polar(params, &attempts[a].clauses);
-                if !stop {
-                    still_active.push(a);
-                }
-            }
-            active = still_active;
-        }
-
-        // Final loss for every attempt at the fully annealed σ, one
-        // all-lanes forward.
-        for a in 0..lanes {
-            all_params[a * num_params + sigma_slot] = shared.sigma;
-        }
-        let finals = kernel.forward_active(&all_params, lanes).to_vec();
-        for (a, st) in attempts.into_iter().enumerate() {
-            results.push(read_back(
-                &all_params[a * num_params..(a + 1) * num_params],
-                &st.clauses,
-                st.masks,
-                num_terms,
-                &chunk[a],
-                finals[a],
-                st.epochs_run,
-            ));
-        }
-    }
-    results
 }
 
 #[cfg(test)]
@@ -889,119 +659,5 @@ mod tests {
             }
         }
         assert!(success, "no seed learned the disjunction");
-    }
-
-    /// Bitwise comparison of two trained models — `assert_eq!` on f64
-    /// would let `-0.0` pass for `0.0`, so compare raw bits.
-    fn assert_models_bit_identical(a: &TrainedGcln, b: &TrainedGcln, ctx: &str) {
-        assert_eq!(a.epochs_run, b.epochs_run, "{ctx}: epochs_run");
-        assert_eq!(a.masks, b.masks, "{ctx}: masks");
-        assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits(), "{ctx}: final_loss");
-        for (ga, gb) in a.clause_gates.iter().zip(&b.clause_gates) {
-            assert_eq!(ga.to_bits(), gb.to_bits(), "{ctx}: clause gate");
-        }
-        for (la, lb) in a.literal_gates.iter().zip(&b.literal_gates) {
-            for (ga, gb) in la.iter().zip(lb) {
-                assert_eq!(ga.to_bits(), gb.to_bits(), "{ctx}: literal gate");
-            }
-        }
-        for (ca, cb) in a.weights.iter().zip(&b.weights) {
-            for (la, lb) in ca.iter().zip(cb) {
-                for (wa, wb) in la.iter().zip(lb) {
-                    assert_eq!(wa.to_bits(), wb.to_bits(), "{ctx}: weight {wa} vs {wb}");
-                }
-            }
-        }
-    }
-
-    /// Attempt configs the way the pipeline derives them: shared
-    /// hyperparameters, per-attempt seed offsets and dropout rates.
-    fn attempt_configs(n: usize, max_epochs: usize) -> Vec<GclnConfig> {
-        (0..n)
-            .map(|attempt| GclnConfig {
-                num_clauses: 3,
-                max_epochs,
-                seed: 7u64.wrapping_add(attempt as u64 * 7919),
-                dropout_rate: (0.3 - 0.1 * attempt as f64).max(0.0),
-                ..GclnConfig::default()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batch_trainer_matches_scalar_bitwise() {
-        // Mixed data: an exact relation (y = 2x + 1) over half the
-        // samples, noise over the rest, so gates move non-trivially and
-        // losses sit near the early-stop boundary.
-        let mut rng = StdRng::seed_from_u64(11);
-        let rows: Vec<Vec<f64>> = (0..14)
-            .map(|i| {
-                let x = i as f64 - 6.0;
-                let y = if i % 2 == 0 { 2.0 * x + 1.0 } else { rng.gen_range(-8.0..8.0) };
-                let mut r = vec![1.0, x, y, x * y];
-                crate::data::normalize_row(&mut r, 10.0);
-                r
-            })
-            .collect();
-        let cols = columns_from_rows(rows);
-        let configs = attempt_configs(5, 140);
-        let scalar: Vec<TrainedGcln> =
-            configs.iter().map(|c| train_equality_gcln(&cols, c)).collect();
-        // Lane width 4 over 5 attempts exercises a full chunk AND a
-        // ragged final chunk of one; widths 1 and 8 exercise the
-        // degenerate and the all-in-one-chunk packings.
-        for lane_width in [1usize, 4, 8] {
-            let batch = train_equality_gcln_batch(&cols, &configs, lane_width);
-            assert_eq!(batch.len(), scalar.len());
-            for (a, (b, s)) in batch.iter().zip(&scalar).enumerate() {
-                assert_models_bit_identical(b, s, &format!("lanes={lane_width} attempt={a}"));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_trainer_early_stop_matches_scalar() {
-        // Cleanly learnable data with a budget past the anneal window so
-        // attempts early-stop at *different* epochs — the repacking of
-        // finished lanes out of the active prefix must not perturb the
-        // survivors.
-        let rows: Vec<Vec<f64>> = (0..12)
-            .map(|i| {
-                let x = i as f64;
-                let mut r = vec![1.0, x, 2.0 * x + 3.0];
-                crate::data::normalize_row(&mut r, 10.0);
-                r
-            })
-            .collect();
-        let cols = columns_from_rows(rows);
-        let mut configs = attempt_configs(4, 400);
-        for c in &mut configs {
-            c.anneal_fraction = 0.25; // anneal ends at epoch 100
-        }
-        let scalar: Vec<TrainedGcln> =
-            configs.iter().map(|c| train_equality_gcln(&cols, c)).collect();
-        let batch = train_equality_gcln_batch(&cols, &configs, 4);
-        for (a, (b, s)) in batch.iter().zip(&scalar).enumerate() {
-            assert_models_bit_identical(b, s, &format!("early-stop attempt={a}"));
-        }
-    }
-
-    #[test]
-    fn batch_trainer_empty_and_single() {
-        let cols = vec![vec![1.0; 4], vec![0.5, 1.5, 2.5, 3.5]];
-        assert!(train_equality_gcln_batch(&cols, &[], 4).is_empty());
-        let cfg = GclnConfig { max_epochs: 30, ..GclnConfig::default() };
-        let one = train_equality_gcln_batch(&cols, std::slice::from_ref(&cfg), 8);
-        let solo = train_equality_gcln(&cols, &cfg);
-        assert_models_bit_identical(&one[0], &solo, "single");
-    }
-
-    #[test]
-    #[should_panic(expected = "seed and dropout_rate")]
-    fn batch_trainer_rejects_mismatched_configs() {
-        let cols = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let a = GclnConfig::default();
-        let b = GclnConfig { sigma: 0.5, ..GclnConfig::default() };
-        train_equality_gcln_batch(&cols, &[a, b], 4);
     }
 }

@@ -68,15 +68,6 @@ pub struct PipelineConfig {
     /// Training attempts per loop; dropout decays 0.3 → 0 across them
     /// (§6: "decrease by 0.1 after each failed attempt").
     pub max_attempts: usize,
-    /// Attempts trained per staged Train task (and per lane-batched
-    /// kernel pass). `1` = the scalar per-attempt path; results are
-    /// bit-identical at any value (see
-    /// [`crate::model::train_equality_gcln_batch`]), so this is purely a
-    /// batching/throughput knob. Defaults to 1: on single-core AVX2
-    /// hosts the compact scalar tape outruns the shared-topology dense
-    /// kernel (see EXPERIMENTS.md); raise it where fewer, larger tasks
-    /// amortize scheduling better.
-    pub train_chunk_size: usize,
     /// CEGIS rounds (counterexample feedback) after the first check.
     pub cegis_rounds: usize,
     /// Input-range widening factor for checking, so bounds overfitted to
@@ -120,7 +111,6 @@ impl Default for PipelineConfig {
             kernel_completion: true,
             magnitude_cap: 1e10,
             max_attempts: 4,
-            train_chunk_size: 1,
             cegis_rounds: 2,
             widen_factor: 2,
             max_samples_per_loop: 400,
@@ -246,7 +236,7 @@ impl InferenceOutcome {
 }
 
 /// The staged inference engine. The handle owns shared state that
-/// spans jobs: today an optional [`TraceCache`] (see [`crate::cache`]),
+/// spans jobs: today an optional [`crate::cache::TraceCache`],
 /// tomorrow worker pools and batch scheduling.
 #[derive(Clone, Debug, Default)]
 pub struct Engine {

@@ -41,7 +41,7 @@ use crate::events::{Event, Stage, StopReason};
 use crate::extract::extract_formula;
 use crate::fractional::FractionalConfig;
 use crate::kernel::kernel_equalities;
-use crate::model::{train_equality_gcln, train_equality_gcln_batch, GclnConfig, TrainedGcln};
+use crate::model::{train_equality_gcln, GclnConfig, TrainedGcln};
 use crate::run::{
     absorb, bound_direction, collect_trace, learn_fractional, prune_falsified_conjuncts,
     CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig, TraceCollection,
@@ -165,10 +165,9 @@ pub struct TaskOutput(Out);
 enum Out {
     Trace(TraceCollection),
     Setup { loop_id: usize, setup: LoopSetup },
-    /// One attempt-chunk's models, `models[i]` belonging to attempt
-    /// `first_attempt + i`. Merged by that key, so chunk arrival order
-    /// (and chunk size) never affects the outcome.
-    Train { loop_id: usize, first_attempt: usize, models: Vec<Option<Arc<TrainedGcln>>> },
+    /// One attempt's model (`None` if stopped before training). Merged
+    /// by `attempt`, so arrival order never affects the outcome.
+    Train { loop_id: usize, attempt: usize, model: Option<Arc<TrainedGcln>> },
     Extract { attempt: usize, formula: Formula },
     Kernel { atoms: Vec<Atom> },
     Bounds { atoms: Vec<Atom> },
@@ -429,10 +428,8 @@ impl StagedJob {
                         let lr = self.train[l].as_mut().expect("loop round present");
                         lr.scheduled = want;
                         lr.models = (0..granted).map(|_| None).collect();
-                        let chunk = self.config.train_chunk_size.max(1);
-                        for start in (0..granted).step_by(chunk) {
-                            let end = (start + chunk).min(granted);
-                            tasks.push(self.train_chunk_task(l, start..end, round));
+                        for attempt in 0..granted {
+                            tasks.push(self.train_task(l, attempt, round));
                         }
                     }
                     if tasks.is_empty() {
@@ -446,13 +443,11 @@ impl StagedJob {
                 }
                 Phase::TrainWait(round) => {
                     for done in std::mem::take(&mut self.inbox) {
-                        let Out::Train { loop_id, first_attempt, models } = done.output.0 else {
+                        let Out::Train { loop_id, attempt, model } = done.output.0 else {
                             unreachable!("train result")
                         };
-                        let lr = self.train[loop_id].as_mut().expect("trained loop");
-                        for (i, model) in models.into_iter().enumerate() {
-                            lr.models[first_attempt + i] = model;
-                        }
+                        self.train[loop_id].as_mut().expect("trained loop").models[attempt] =
+                            model;
                     }
                     self.stage_end(round, Stage::Train);
                     self.stage_begin(round, Stage::Extract);
@@ -821,62 +816,34 @@ impl StagedJob {
         })
     }
 
-    /// One Train task covering a contiguous chunk of attempts. Each
-    /// attempt keeps the exact per-attempt seed/dropout derivation of the
-    /// historical one-task-per-attempt fan-out; multi-attempt chunks go
-    /// through the lane-batched trainer, which is bit-identical to running
-    /// [`train_equality_gcln`] per attempt, so `train_chunk_size` is a pure
-    /// throughput knob with no effect on results.
-    fn train_chunk_task(
-        &mut self,
-        loop_id: usize,
-        attempts: std::ops::Range<usize>,
-        round: usize,
-    ) -> Task {
+    /// One Train task: trains `attempt` with its own seed and dropout
+    /// rate, derived from the attempt, loop and CEGIS round.
+    fn train_task(&mut self, loop_id: usize, attempt: usize, round: usize) -> Task {
         let config = self.config.clone();
         let cancel = self.cancel.clone();
         let deadline_at = self.deadline_at;
         let columns =
             self.train[loop_id].as_ref().expect("loop round present").setup.columns.clone();
         self.task(TaskKind::Train, move || {
-            let first_attempt = attempts.start;
             // Cooperative stop at the task boundary: already-running
-            // chunks finish, pending ones are skipped.
+            // attempts finish, pending ones are skipped.
             if cancel.is_cancelled() || deadline_at.is_some_and(|at| Instant::now() >= at) {
-                return Out::Train {
-                    loop_id,
-                    first_attempt,
-                    models: attempts.map(|_| None).collect(),
-                };
+                return Out::Train { loop_id, attempt, model: None };
             }
-            let configs: Vec<GclnConfig> = attempts
-                .map(|attempt| {
-                    let dropout = if config.enable_dropout {
-                        (0.3 - 0.1 * attempt as f64).max(0.0)
-                    } else {
-                        0.0
-                    };
-                    GclnConfig {
-                        dropout_rate: dropout,
-                        weight_reg: config.enable_weight_reg,
-                        seed: config
-                            .seed
-                            .wrapping_add((attempt as u64) * 7919)
-                            .wrapping_add((loop_id as u64) * 104_729)
-                            .wrapping_add((round as u64) * 15_485_863),
-                        ..config.gcln.clone()
-                    }
-                })
-                .collect();
-            let models = if configs.len() == 1 {
-                vec![Some(Arc::new(train_equality_gcln(&columns, &configs[0])))]
-            } else {
-                train_equality_gcln_batch(&columns, &configs, configs.len())
-                    .into_iter()
-                    .map(|m| Some(Arc::new(m)))
-                    .collect()
+            let dropout =
+                if config.enable_dropout { (0.3 - 0.1 * attempt as f64).max(0.0) } else { 0.0 };
+            let gcln = GclnConfig {
+                dropout_rate: dropout,
+                weight_reg: config.enable_weight_reg,
+                seed: config
+                    .seed
+                    .wrapping_add((attempt as u64) * 7919)
+                    .wrapping_add((loop_id as u64) * 104_729)
+                    .wrapping_add((round as u64) * 15_485_863),
+                ..config.gcln.clone()
             };
-            Out::Train { loop_id, first_attempt, models }
+            let model = Some(Arc::new(train_equality_gcln(&columns, &gcln)));
+            Out::Train { loop_id, attempt, model }
         })
     }
 
@@ -1068,56 +1035,6 @@ mod tests {
         };
         assert_eq!(strip_ms(&outcome.events), strip_ms(&solo.events));
         for (a, b) in outcome.loops.iter().zip(&solo.loops) {
-            assert_eq!(a.formula, b.formula);
-            assert_eq!(a.attempts, b.attempts);
-        }
-    }
-
-    /// `train_chunk_size` is a throughput knob only: running all attempts
-    /// in one lane-batched chunk must be bit-identical to one task per
-    /// attempt (the default), event stream included.
-    #[test]
-    fn chunked_training_is_bit_identical_to_per_attempt() {
-        let engine = Engine::new();
-        let run_with_chunk = |chunk: usize| {
-            let spec = ProblemSpec::from_registry("ps2").unwrap();
-            let job = Job::new(spec).with_config(PipelineConfig {
-                gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
-                max_inputs: 40,
-                max_attempts: 3,
-                cegis_rounds: 1,
-                train_chunk_size: chunk,
-                ..PipelineConfig::default()
-            });
-            let mut staged = StagedJob::new(&engine, &job);
-            loop {
-                match staged.advance() {
-                    Step::Run(tasks) => {
-                        for t in tasks {
-                            staged.complete(t.execute());
-                        }
-                    }
-                    Step::Done(outcome) => break *outcome,
-                }
-            }
-        };
-        let per_attempt = run_with_chunk(1);
-        let chunked = run_with_chunk(3);
-        assert_eq!(chunked.valid, per_attempt.valid);
-        let strip_ms = |events: &[Event]| -> Vec<String> {
-            events
-                .iter()
-                .map(|e| {
-                    let j = e.to_json();
-                    match j.find("\"ms\":") {
-                        Some(i) => j[..i].to_string(),
-                        None => j,
-                    }
-                })
-                .collect()
-        };
-        assert_eq!(strip_ms(&chunked.events), strip_ms(&per_attempt.events));
-        for (a, b) in chunked.loops.iter().zip(&per_attempt.loops) {
             assert_eq!(a.formula, b.formula);
             assert_eq!(a.attempts, b.attempts);
         }

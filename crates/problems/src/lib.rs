@@ -9,7 +9,7 @@
 //! - [`linear`]: a 124-problem **linear** suite shaped like the Code2Inv
 //!   benchmark (§6.4). The original C/SMT files are not redistributable
 //!   here; the suite regenerates the same scale from the benchmark's
-//!   template families with varied constants (see DESIGN.md).
+//!   template families with varied constants.
 //!
 //! A [`Problem`] bundles the program, sampling ranges, term-enumeration
 //! degree, extended (external-function) terms such as `gcd(x,y)`, and

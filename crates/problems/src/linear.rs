@@ -6,8 +6,7 @@
 //! here, so the suite is regenerated from the benchmark's recurring
 //! template families — guarded counters, lockstep linear relations,
 //! nondeterministic branch sums, converging pairs, nested counters — with
-//! varied constants, matching its scale and shape. See DESIGN.md
-//! (substitution table).
+//! varied constants, matching its scale and shape.
 //!
 //! Every problem carries a ground-truth linear invariant that is
 //! sufficient to prove its postcondition.

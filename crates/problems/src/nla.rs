@@ -7,7 +7,7 @@
 //! suite's tests verify every one of them against traces and the symbolic
 //! checker.
 //!
-//! Two transcription notes (also recorded in DESIGN.md):
+//! Two transcription notes:
 //!
 //! - `freire1`/`freire2` are real-valued algorithms in the original
 //!   benchmark; they are encoded here over integers by scaling the real

@@ -31,9 +31,6 @@ use std::fmt::Write;
 /// Server-side counter values rendered next to the scheduler snapshot.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeCounters {
-    /// Attempts trained per staged Train task (the server's configured
-    /// `train_chunk_size`; results are chunk-size-invariant).
-    pub train_chunk_size: u64,
     /// `POST /jobs` requests rejected with 429.
     pub rate_limited: u64,
     /// Journal rewrite passes performed.
@@ -89,9 +86,6 @@ pub fn render(
     let _ = writeln!(o, "gcln_sched_worker_utilization {:.6}", sched.utilization());
     let _ = writeln!(o, "# TYPE gcln_sched_workers gauge");
     let _ = writeln!(o, "gcln_sched_workers {}", sched.workers);
-    let _ = writeln!(o, "# HELP gcln_sched_train_chunk_size Attempts trained per Train task (lane-batched when > 1; results are chunk-size-invariant).");
-    let _ = writeln!(o, "# TYPE gcln_sched_train_chunk_size gauge");
-    let _ = writeln!(o, "gcln_sched_train_chunk_size {}", counters.train_chunk_size.max(1));
     let _ = writeln!(o, "# TYPE gcln_sched_uptime_seconds gauge");
     let _ = writeln!(o, "gcln_sched_uptime_seconds {:.3}", sched.uptime.as_secs_f64());
 
@@ -155,7 +149,6 @@ mod tests {
             CacheStats { hits: 3, misses: 1, entries: 1 },
             CacheStats { hits: 0, misses: 2, entries: 2 },
             ServeCounters {
-                train_chunk_size: 4,
                 rate_limited: 5,
                 journal_compactions: 1,
                 jobs_admitted: 9,
@@ -168,7 +161,6 @@ mod tests {
         assert!(text.contains("gcln_sched_queue_wait_seconds_bucket{le=\"+Inf\"} 0"));
         assert!(text.contains("gcln_sched_worker_utilization "));
         assert!(text.contains("gcln_serve_cache_requests_total{cache=\"spec\",result=\"hit\"} 3"));
-        assert!(text.contains("gcln_sched_train_chunk_size 4"));
         assert!(text.contains("gcln_serve_rate_limited_total 5"));
         assert!(text.contains("gcln_serve_journal_compactions_total 1"));
         assert!(text.contains("gcln_sched_task_retries_total 0"));

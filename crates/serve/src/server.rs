@@ -99,10 +99,6 @@ pub struct ServeConfig {
     /// (task panics), the journal (torn writes, bit flips), and the
     /// connection path (resets, stalls). Disabled by default.
     pub faults: Faults,
-    /// Attempts trained per staged Train task (lane-batched when > 1).
-    /// Results are bit-identical at any value — a pure throughput knob,
-    /// exposed on `/stats` and `/metrics` as `gcln_sched_train_chunk_size`.
-    pub train_chunk_size: usize,
 }
 
 impl Default for ServeConfig {
@@ -122,7 +118,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(10),
             journal_fsync: FsyncPolicy::Never,
             faults: Faults::disabled(),
-            train_chunk_size: 1,
         }
     }
 }
@@ -763,8 +758,7 @@ fn launch_job(
     deadline: Option<Duration>,
     step_budget: Option<u64>,
 ) {
-    let mut config = if fast { PipelineConfig::fast() } else { PipelineConfig::default() };
-    config.train_chunk_size = shared.cfg.train_chunk_size.max(1);
+    let config = if fast { PipelineConfig::fast() } else { PipelineConfig::default() };
     let ext_names = spec.problem.extended_names();
     let mut job = Job::new(spec).with_config(config);
     job.cancel = record.cancel.clone();
@@ -1023,11 +1017,10 @@ fn stats(shared: &Arc<Shared>) -> Response {
     Response::json(
         200,
         format!(
-            r#"{{"queue_depth":{},"queue_cap":{},"workers":{},"train_chunk_size":{},"busy_workers":{},"jobs":{{"total":{},"queued":{},"running":{},"done":{},"completed_this_process":{}}},"scheduler":{{"active_jobs":{},"tasks_executed":{},"tasks_retried":{},"tasks_panicked":{},"jobs_quarantined":{},"utilization":{:.3}}},"rate_limited":{},"spec_cache":{},"trace_cache":{},"journal":{}}}"#,
+            r#"{{"queue_depth":{},"queue_cap":{},"workers":{},"busy_workers":{},"jobs":{{"total":{},"queued":{},"running":{},"done":{},"completed_this_process":{}}},"scheduler":{{"active_jobs":{},"tasks_executed":{},"tasks_retried":{},"tasks_panicked":{},"jobs_quarantined":{},"utilization":{:.3}}},"rate_limited":{},"spec_cache":{},"trace_cache":{},"journal":{}}}"#,
             queue_depth,
             shared.cfg.queue_cap,
             shared.cfg.workers,
-            shared.cfg.train_chunk_size,
             busy_workers,
             total,
             queued,
@@ -1055,7 +1048,6 @@ fn metrics(shared: &Arc<Shared>) -> Response {
         shared.spec_cache.stats(),
         shared.trace_cache.stats(),
         crate::metrics::ServeCounters {
-            train_chunk_size: shared.cfg.train_chunk_size as u64,
             rate_limited: shared.rate_limited.load(Ordering::Relaxed),
             journal_compactions: shared.compactions.load(Ordering::Relaxed),
             jobs_admitted: shared.admitted.load(Ordering::Relaxed),

@@ -1,12 +1,12 @@
 //! Shared numeric kernels: a vectorizable `exp` and canonical blocked
 //! reductions.
 //!
-//! Every execution engine in this crate — the scalar arena ([`crate::tape`]),
-//! the lane-batched kernel ([`crate::lanes`]), and the per-op reference
-//! interpreter — routes the *same* floating-point operations through the
-//! *same* inlined helpers below. That single-source-of-truth is what makes
-//! the engines bit-identical to each other: there is exactly one `exp`
-//! implementation and exactly one summation order in the whole crate.
+//! Every execution engine that must agree bit for bit — the scalar arena
+//! ([`crate::tape`]) and the direct PBQU bound trainer in the engine crate
+//! — routes the *same* floating-point operations through the *same*
+//! inlined helpers below. That single source of truth is what makes them
+//! bit-identical to each other: there is exactly one `exp` implementation
+//! and exactly one summation order.
 //!
 //! # Why not `f64::exp`?
 //!
@@ -198,8 +198,8 @@ pub fn exp64(x: f64) -> f64 {
 /// Every batch reduction in this crate — `SumBatch`, `MeanBatch`, the
 /// fused PBQU loss, and the backward accumulation of a batch gradient
 /// into a broadcast scalar — uses exactly this order, in the scalar
-/// arena, the lane kernel, and the reference interpreter alike, so their
-/// results agree bit-for-bit.
+/// arena and the reference interpreter alike, so their results agree
+/// bit-for-bit.
 #[inline(always)]
 pub fn reduce_blocked4(n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
     let mut a0 = 0.0;

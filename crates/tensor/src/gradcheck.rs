@@ -315,31 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_batched_fused_factors_match_scalar() {
-        // The lane kernel's LitFactor/ClauseFactor arms must reproduce the
-        // scalar tape bit for bit on every lane.
-        use crate::lanes::LaneKernel;
-        let mut t = Tape::new();
-        let out = fused_clause_graph(&mut t);
-        let np = 10;
-        let columns = vec![vec![0.3, -0.9, 1.2, 0.7, -1.4], vec![1.1, 0.4, -0.6, -0.2, 0.8]];
-        let params: Vec<f64> = (0..4 * np).map(|i| ((i * 17) as f64 * 0.037 - 0.8).cos()).collect();
-        let mut k = LaneKernel::compile(&t, out, 4);
-        k.bind_inputs(&columns);
-        let vals = k.forward_active(&params, 4).to_vec();
-        let mut grads = vec![f64::NAN; 4 * np];
-        k.backward_active(&mut grads, 4);
-        for l in 0..4 {
-            let p = &params[l * np..(l + 1) * np];
-            let (v, g) = t.eval_with_grad(out, &columns, p);
-            assert_eq!(v.to_bits(), vals[l].to_bits(), "value lane {l}");
-            for (a, b) in grads[l * np..(l + 1) * np].iter().zip(&g) {
-                assert_eq!(a.to_bits(), b.to_bits(), "grad lane {l}");
-            }
-        }
-    }
-
-    #[test]
     fn checks_piecewise_graph_away_from_kink() {
         // PBQU-like: select(z, c2^2/(z^2+c2^2), c1^2/(z^2+c1^2))
         let mut t = Tape::new();

@@ -37,10 +37,8 @@
 
 pub mod fastmath;
 pub mod gradcheck;
-pub mod lanes;
 pub mod optim;
 pub mod tape;
 
-pub use lanes::LaneKernel;
-pub use optim::{Adam, AdamLanes, OptimizerConfig, Sgd};
+pub use optim::{Adam, OptimizerConfig, Sgd};
 pub use tape::{Tape, Var};

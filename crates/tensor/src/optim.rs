@@ -90,8 +90,8 @@ impl Adam {
             // The trailing `+ 0.0` canonicalizes a −0.0 result to +0.0
             // (exact for every other value): zero-sign is the one bit IEEE
             // lets otherwise-identical computations disagree on, and
-            // keeping parameters at a single canonical zero is part of the
-            // scalar/lane-batched bit-identity contract.
+            // keeping parameters at a single canonical zero keeps
+            // equivalent trainers bit-identical.
             params[i] = (params[i] - self.lr * m_hat / (v_hat.sqrt() + self.epsilon)) + 0.0;
         }
         self.lr *= self.config.decay;
@@ -103,72 +103,6 @@ impl Adam {
         self.v.iter_mut().for_each(|x| *x = 0.0);
         self.t = 0;
         self.lr = self.config.learning_rate;
-    }
-}
-
-/// Per-lane Adam over `[lane][param]`-flat buffers — the optimizer-side
-/// companion of [`crate::lanes::LaneKernel`].
-///
-/// Each lane owns an independent [`Adam`] (its own moments, step count,
-/// and decayed learning rate), and a lane's update is performed by that
-/// `Adam` on the lane's sub-slices — so lane `ℓ`'s parameter trajectory
-/// is bit-identical to a standalone scalar `Adam` fed the same gradients,
-/// no matter how many lanes advance together or in what order attempts
-/// are packed.
-///
-/// # Examples
-///
-/// ```
-/// use gcln_tensor::optim::{Adam, AdamLanes, OptimizerConfig};
-/// let cfg = OptimizerConfig::default();
-/// let mut batched = AdamLanes::new(2, 3, cfg);
-/// let mut flat = vec![1.0; 6];
-/// let grads = vec![0.5; 6];
-/// batched.step_active(&mut flat, &grads, 2);
-/// let mut solo = Adam::new(3, cfg);
-/// let mut p = vec![1.0; 3];
-/// solo.step(&mut p, &[0.5; 3]);
-/// assert_eq!(flat[..3], p[..]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct AdamLanes {
-    lanes: Vec<Adam>,
-    stride: usize,
-}
-
-impl AdamLanes {
-    /// Creates `lanes` independent Adam states of `stride` parameters
-    /// each.
-    pub fn new(lanes: usize, stride: usize, config: OptimizerConfig) -> AdamLanes {
-        AdamLanes { lanes: vec![Adam::new(stride, config); lanes], stride }
-    }
-
-    /// Parameters per lane.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Applies one Adam update to lane `lane`'s sub-slices of the flat
-    /// `[lane][param]` buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or the buffers don't cover it.
-    pub fn step_lane(&mut self, lane: usize, params: &mut [f64], grads: &[f64]) {
-        let at = lane * self.stride;
-        self.lanes[lane].step(&mut params[at..at + self.stride], &grads[at..at + self.stride]);
-    }
-
-    /// Applies one Adam update to the first `active` lanes.
-    pub fn step_active(&mut self, params: &mut [f64], grads: &[f64], active: usize) {
-        for lane in 0..active {
-            self.step_lane(lane, params, grads);
-        }
-    }
-
-    /// Resets every lane (see [`Adam::reset`]).
-    pub fn reset(&mut self) {
-        self.lanes.iter_mut().for_each(Adam::reset);
     }
 }
 
@@ -291,37 +225,6 @@ mod tests {
         let mut adam2 = Adam::new(1, OptimizerConfig { learning_rate: 0.0, decay: 1.0 });
         adam2.step(&mut q, &[0.0]); // zero update on −0.0
         assert!(q[0] == 0.0 && q[0].is_sign_positive(), "got {:?}", q[0]);
-    }
-
-    #[test]
-    fn adam_lanes_match_independent_adams_bitwise() {
-        let cfg = OptimizerConfig { learning_rate: 0.03, decay: 0.999 };
-        let stride = 5;
-        let lanes = 3;
-        let mut batched = AdamLanes::new(lanes, stride, cfg);
-        let mut flat: Vec<f64> = (0..lanes * stride).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut solo: Vec<(Adam, Vec<f64>)> = (0..lanes)
-            .map(|l| (Adam::new(stride, cfg), flat[l * stride..(l + 1) * stride].to_vec()))
-            .collect();
-        for step in 0..50 {
-            let grads: Vec<f64> = (0..lanes * stride)
-                .map(|i| ((i + step) as f64 * 0.31).cos())
-                .collect();
-            // Advance lanes in different orders/counts than the solo loop.
-            let active = 1 + (step % lanes);
-            batched.step_active(&mut flat, &grads, active);
-            for l in active..lanes {
-                batched.step_lane(l, &mut flat, &grads);
-            }
-            for (l, (adam, p)) in solo.iter_mut().enumerate() {
-                adam.step(p, &grads[l * stride..(l + 1) * stride]);
-            }
-        }
-        for (l, (_, p)) in solo.iter().enumerate() {
-            for (a, b) in flat[l * stride..(l + 1) * stride].iter().zip(p) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane {l}");
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   (length 1). Binary operations broadcast `1 × B → B`.
 //! - Graphs are built **once** per training attempt and then re-evaluated
 //!   every epoch with fresh parameter values ([`Tape::forward`] /
-//!   [`Tape::backward`]), so the graph size is `O(model)`, not
+//!   [`Tape::backward_into`]), so the graph size is `O(model)`, not
 //!   `O(model × epochs)`.
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
 //!   `exp`, powers, a piecewise selector for the PBQU activation, clamped
@@ -30,9 +30,9 @@
 //! touched instead of scanning gradient buffers for zeros.
 //!
 //! All transcendentals route through [`crate::fastmath::exp64`] and all
-//! batch reductions through [`crate::fastmath::reduce_blocked4`] — the
-//! same helpers the lane-batched kernel ([`crate::lanes`]) uses — so the
-//! scalar and batched engines are bit-identical by construction.
+//! batch reductions through [`crate::fastmath::reduce_blocked4`], so any
+//! trainer that replays a graph's arithmetic through the same helpers is
+//! bit-identical to the tape by construction.
 //!
 //! # Examples
 //!
@@ -190,20 +190,6 @@ impl Tape {
     /// Number of distinct parameters referenced.
     pub fn num_params(&self) -> usize {
         self.num_params
-    }
-
-    /// Internal views for the lane-batched kernel ([`crate::lanes`]),
-    /// which compiles its own execution plan from the recorded ops.
-    pub(crate) fn ops_slice(&self) -> &[Op] {
-        &self.ops
-    }
-
-    pub(crate) fn scalar_flags(&self) -> &[bool] {
-        &self.scalar
-    }
-
-    pub(crate) fn requires_grad_flags(&self) -> &[bool] {
-        &self.requires_grad
     }
 
     fn push(&mut self, op: Op) -> Var {
@@ -618,24 +604,10 @@ impl Tape {
     }
 
     /// Runs a backward pass from `output` (after [`Tape::forward`]),
-    /// returning `∂output/∂paramᵢ` for every parameter.
-    ///
-    /// Allocates the returned gradient vector every call; prefer
-    /// [`Tape::backward_into`] with a reused buffer on hot paths.
-    #[deprecated(note = "use backward_into with a caller-held buffer")]
-    pub fn backward(&mut self, output: Var) -> Vec<f64> {
-        let mut param_grads = vec![0.0; self.num_params];
-        self.backward_into(output, &mut param_grads);
-        param_grads
-    }
-
-    /// Runs a backward pass from `output` (after [`Tape::forward`]),
-    /// writing `∂output/∂paramᵢ` into `param_grads` — the zero-allocation
-    /// replacement for [`Tape::backward`].
+    /// writing `∂output/∂paramᵢ` into the caller-held `param_grads`.
     ///
     /// `param_grads[..num_params]` is overwritten (not accumulated into);
-    /// entries past `num_params` are left untouched, which lets a lane
-    /// kernel hand per-lane sub-slices of one flat buffer to this method.
+    /// entries past `num_params` are left untouched.
     /// Only nodes whose adjoint was actually touched are visited (no
     /// zero-scanning) and no heap allocation occurs.
     ///
@@ -1088,8 +1060,7 @@ impl Tape {
                     // with `reduce_fma_blocked4`; this oracle keeps the
                     // plain product form. The ≤1-ulp-per-step difference is
                     // far inside the property tests' 1e-12 tolerance (the
-                    // *bitwise* contract is arena ↔ lane kernel, not the
-                    // oracle).
+                    // oracle has no bitwise contract).
                     for (w, x) in weights.iter().zip(xs.iter()) {
                         let (wv, xv) = (values[w.0].clone(), values[x.0].clone());
                         acc(w, &|j, g| g * bget(&xv, j));

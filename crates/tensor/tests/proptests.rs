@@ -2,7 +2,6 @@
 //! randomly generated computation graphs.
 
 use gcln_tensor::gradcheck::check_gradients;
-use gcln_tensor::lanes::LaneKernel;
 use gcln_tensor::optim::project_unit_l2;
 use gcln_tensor::tape::{Tape, Var};
 use proptest::prelude::*;
@@ -184,45 +183,6 @@ proptest! {
             prop_assert!((v_fast - v_ref).abs() <= 1e-12 * v_ref.abs().max(1.0));
             for (a, b) in g_fast.iter().zip(&g_ref) {
                 prop_assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
-            }
-        }
-    }
-
-    /// The lane kernel is **bitwise** identical to the scalar arena on
-    /// arbitrary graphs (including fused and broadcast nodes), at any
-    /// lane width, for any ragged active-lane count, and for any batch
-    /// size — the contract that makes `train_chunk_size` a pure
-    /// throughput knob.
-    #[test]
-    fn lane_kernel_is_bitwise_identical_to_scalar(
-        ops in steps(16),
-        lanes in 1usize..6,
-        active_seed in 0usize..64,
-        params in proptest::collection::vec(-1.5f64..1.5, 12),
-        xs in proptest::collection::vec(-2.0f64..2.0, 1..6),
-    ) {
-        let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
-        let np = 2;
-        let active = active_seed % lanes + 1;
-        let mut kernel = LaneKernel::compile(&tape, out, lanes);
-        kernel.bind_inputs(std::slice::from_ref(&xs));
-        let vals = kernel.forward_active(&params[..lanes * np], active).to_vec();
-        let mut grads = vec![f64::NAN; active * np];
-        kernel.backward_active(&mut grads, active);
-        for l in 0..active {
-            let p = &params[l * np..(l + 1) * np];
-            let (v, g) = tape.eval_with_grad(out, std::slice::from_ref(&xs), p);
-            prop_assume!(v.is_finite());
-            prop_assert_eq!(
-                v.to_bits(), vals[l].to_bits(),
-                "value lane {}/{}: scalar {} vs kernel {}", l, lanes, v, vals[l]
-            );
-            for (a, b) in grads[l * np..(l + 1) * np].iter().zip(&g) {
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "grad lane {}/{}: kernel {} vs scalar {}", l, lanes, a, b
-                );
             }
         }
     }

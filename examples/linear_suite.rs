@@ -1,5 +1,6 @@
 //! Run the pipeline on a few problems of the 124-problem linear suite
-//! (the paper's §6.4 Code2Inv experiment, regenerated — see DESIGN.md).
+//! (the paper's §6.4 Code2Inv experiment, regenerated — see the
+//! `gcln_problems::linear` module docs).
 //!
 //! Run with `cargo run --release --example linear_suite`.
 

@@ -2,7 +2,7 @@
 //!
 //! Re-exports every crate in the workspace so examples and integration
 //! tests can use a single dependency. See the repository `README.md` for a
-//! tour and `DESIGN.md` for the system inventory.
+//! tour.
 //!
 //! The interesting entry points:
 //!
