@@ -2,6 +2,7 @@
 //! backing the timing claims in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion, Estimate};
+use gcln::bounds::{learn_bounds, BoundsConfig};
 use gcln::data::{collect_loop_states, Dataset};
 use gcln_bench::mixed::{
     mixed_jobs, profile_job, replay_job_granularity, replay_stage_graph, JobProfile,
@@ -41,6 +42,23 @@ fn bench_training_epochs(c: &mut Criterion) {
             train_equality_gcln(&columns, &cfg)
         })
     });
+}
+
+/// `learn_bounds` on loop 0 of egcd2, whose single-term subsets fill the
+/// bound cap, and of lcm2, which learns every subset.
+fn bench_bounds(c: &mut Criterion) {
+    for name in ["egcd2", "lcm2"] {
+        let problem = nla_problem(name).unwrap();
+        let points = collect_loop_states(&problem, 0, 120, 2);
+        let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
+        let keep = growth_filter(&space, &points, 1e10);
+        let space = space.select(&keep);
+        let columns = Dataset::from_points(points.clone(), &space, Some(10.0)).columns();
+        let config = BoundsConfig::default();
+        c.bench_function(&format!("bounds_{name}_loop0"), |b| {
+            b.iter(|| learn_bounds(&space, &points, &columns, &config))
+        });
+    }
 }
 
 /// cohencu's consecution system over (n, x, y, z).
@@ -209,6 +227,7 @@ criterion_group!(
     benches,
     bench_trace_collection,
     bench_training_epochs,
+    bench_bounds,
     bench_groebner,
     bench_checker,
     bench_end_to_end,

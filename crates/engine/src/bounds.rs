@@ -9,6 +9,11 @@
 //! the bias is recomputed exactly as the tightest valid value, and bounds
 //! whose mean PBQU activation falls below a threshold (loose fits,
 //! Fig. 10's dashed lines) are discarded.
+//!
+//! At most [`BoundsConfig::max_bounds`] bounds are kept, one subset's
+//! best at a time in subset order before any second bounds. Subsets are
+//! therefore learned in order and learning stops once the cap is full:
+//! on wide term spaces the single-term subsets alone fill it.
 
 use crate::terms::TermSpace;
 use gcln_logic::relax::pbqu_ge;
@@ -35,7 +40,9 @@ pub struct BoundsConfig {
     pub activation_threshold: f64,
     /// Denominator budgets for rounding weights.
     pub denominators: Vec<i128>,
-    /// Hard cap on emitted bounds (tightest kept first).
+    /// Hard cap on emitted bounds: each subset's tightest bound first, in
+    /// subset order, then each one's second, and so on (see
+    /// [`learn_bounds`]).
     pub max_bounds: usize,
     /// RNG seed for weight initialization.
     pub seed: u64,
@@ -70,6 +77,22 @@ pub struct LearnedBound {
 ///
 /// `points` are raw (unnormalized) term-space points; `columns` are the
 /// normalized per-term columns used for gradient training.
+///
+/// At most `config.max_bounds` bounds are returned, deduplicated by
+/// polynomial and allocated **round-robin across subsets**: every
+/// subset's best bound is admitted, in subset order, before any subset
+/// places its second. A global score-only cut would let large families
+/// of near-duplicate tight bounds crowd out structurally distinct ones
+/// (e.g. `n - a² >= 0`, whose slack grows with the data range).
+///
+/// Subsets are learned in order, a chunk at a time, and the first pass
+/// of the round-robin is taken as the chunks arrive, so learning stops
+/// at the subset that fills the cap. Wide term spaces fill it within
+/// their single-term subsets, which need no training; later subsets
+/// could only have contributed past the cap. Only when every subset has
+/// been learned without filling the cap does the round-robin go on to
+/// second and later bounds. The output equals learning every subset
+/// first (see the `early_stop_matches_full_round_robin` test).
 pub fn learn_bounds(
     space: &TermSpace,
     points: &[Vec<f64>],
@@ -79,104 +102,32 @@ pub fn learn_bounds(
     if points.is_empty() {
         return Vec::new();
     }
-    // Term indices by degree (excluding the constant term).
-    let deg1: Vec<usize> = (0..space.len())
-        .filter(|&i| space.monomials[i].degree() == 1)
-        .collect();
-    let deg12: Vec<usize> = (0..space.len())
-        .filter(|&i| (1..=2).contains(&space.monomials[i].degree()))
-        .collect();
-
-    // Candidate subsets.
-    let mut subsets: Vec<Vec<usize>> = Vec::new();
-    for &i in &deg12 {
-        subsets.push(vec![i]);
-    }
-    for (a, &i) in deg12.iter().enumerate() {
-        for &j in deg12.iter().skip(a + 1) {
-            if space.monomials[i].degree() + space.monomials[j].degree() <= 3 {
-                subsets.push(vec![i, j]);
-            }
-        }
-    }
-    for (a, &i) in deg1.iter().enumerate() {
-        for (b, &j) in deg1.iter().enumerate().skip(a + 1) {
-            for &k in deg1.iter().skip(b + 1) {
-                subsets.push(vec![i, j, k]);
-            }
-        }
-    }
-
-    // Random draws are taken up-front from one sequential stream (the
-    // exact order the historical per-subset loop consumed them), so the
-    // per-subset training below can fan out over rayon while staying
-    // bit-identical at any `RAYON_NUM_THREADS`. A trained subset of size
-    // `k` draws `2k` values for its two random inits plus one bias
-    // initialization per init (`2^k + 2` inits).
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let draw_plans: Vec<Vec<f64>> = subsets
-        .iter()
-        .map(|subset| {
-            let k = subset.len();
-            if k == 1 {
-                return Vec::new();
-            }
-            let num_inits = (1usize << k) + 2;
-            (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect()
-        })
-        .collect();
-
-    // Per-subset bound lists, each sorted tightest-first; merged in
-    // subset order.
-    let results: Vec<Vec<LearnedBound>> = (0..subsets.len())
-        .into_par_iter()
-        .map(|si| {
-            let subset = &subsets[si];
-            // Single terms admit the two fixed directions ±1 directly.
-            let directions: Vec<Vec<f64>> = if subset.len() == 1 {
-                vec![vec![1.0], vec![-1.0]]
-            } else {
-                train_directions(subset, columns, config, &draw_plans[si])
-            };
-            // Raw term columns for this subset, evaluated once — every
-            // direction × denominator rounding below reuses them.
-            let raw_cols: Vec<Vec<f64>> = subset
-                .iter()
-                .map(|&t| points.iter().map(|p| space.monomials[t].eval_f64(p)).collect())
-                .collect();
-            let mut subset_bounds: Vec<LearnedBound> = Vec::new();
-            for dir in directions {
-                if let Some(bound) = round_and_tighten(subset, &dir, &raw_cols, space, config) {
-                    if bound.score >= config.activation_threshold {
-                        subset_bounds.push(bound);
-                    }
+    let candidates = Candidates::new(space, points, columns, config);
+    let n = candidates.subsets.len();
+    let chunk = rayon::current_num_threads() * SUBSETS_PER_THREAD;
+    let mut out = Vec::new();
+    let mut learned: Vec<Vec<LearnedBound>> = Vec::with_capacity(n);
+    for start in (0..n).step_by(chunk) {
+        let chunk_results: Vec<Vec<LearnedBound>> = (start..n.min(start + chunk))
+            .into_par_iter()
+            .map(|si| candidates.learn(si))
+            .collect();
+        for subset_bounds in chunk_results {
+            if let Some(best) = subset_bounds.first() {
+                if admit(&mut out, best, config.max_bounds) {
+                    return out;
                 }
             }
-            subset_bounds
-                .sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
-            subset_bounds
-        })
-        .collect();
-
-    // Dedup by polynomial and allocate the cap **round-robin across
-    // subsets** (every subset's best bound is admitted before any subset
-    // places its second): a global score-only cut lets large families of
-    // near-duplicate tight bounds crowd out structurally distinct ones
-    // (e.g. `n - a² >= 0`, whose slack grows with the data range).
-    let mut seen: Vec<Poly> = Vec::new();
-    let mut out = Vec::new();
-    let mut rank = 0;
+            learned.push(subset_bounds);
+        }
+    }
+    let mut rank = 1;
     loop {
         let mut any = false;
-        for subset_bounds in &results {
+        for subset_bounds in &learned {
             let Some(b) = subset_bounds.get(rank) else { continue };
             any = true;
-            if seen.contains(&b.atom.poly) {
-                continue;
-            }
-            seen.push(b.atom.poly.clone());
-            out.push(b.atom.clone());
-            if out.len() >= config.max_bounds {
+            if admit(&mut out, b, config.max_bounds) {
                 return out;
             }
         }
@@ -187,11 +138,120 @@ pub fn learn_bounds(
     }
 }
 
+/// Subsets learned per rayon thread between two looks at the cap. Each
+/// chunk is one fan-out, which the rayon shim runs on freshly scoped
+/// threads; a few subsets per thread keep that cost and the wait for a
+/// chunk's slowest subset small next to the training, while a loop that
+/// fills the cap learns no more than the rest of the chunk that fills it.
+const SUBSETS_PER_THREAD: usize = 8;
+
+/// Appends `bound` unless an admitted bound has the same polynomial, and
+/// returns whether that filled the cap.
+fn admit(out: &mut Vec<Atom>, bound: &LearnedBound, max_bounds: usize) -> bool {
+    if out.iter().any(|a| a.poly == bound.atom.poly) {
+        return false;
+    }
+    out.push(bound.atom.clone());
+    out.len() >= max_bounds
+}
+
+/// The candidate term subsets of one [`learn_bounds`] call, each with its
+/// pre-drawn random values, and the data they are learned on.
+struct Candidates<'a> {
+    space: &'a TermSpace,
+    points: &'a [Vec<f64>],
+    columns: &'a [Vec<f64>],
+    config: &'a BoundsConfig,
+    subsets: Vec<Vec<usize>>,
+    draw_plans: Vec<Vec<f64>>,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(
+        space: &'a TermSpace,
+        points: &'a [Vec<f64>],
+        columns: &'a [Vec<f64>],
+        config: &'a BoundsConfig,
+    ) -> Self {
+        // Term indices by degree (excluding the constant term).
+        let deg1: Vec<usize> = (0..space.len())
+            .filter(|&i| space.monomials[i].degree() == 1)
+            .collect();
+        let deg12: Vec<usize> = (0..space.len())
+            .filter(|&i| (1..=2).contains(&space.monomials[i].degree()))
+            .collect();
+
+        let mut subsets: Vec<Vec<usize>> = Vec::new();
+        for &i in &deg12 {
+            subsets.push(vec![i]);
+        }
+        for (a, &i) in deg12.iter().enumerate() {
+            for &j in deg12.iter().skip(a + 1) {
+                if space.monomials[i].degree() + space.monomials[j].degree() <= 3 {
+                    subsets.push(vec![i, j]);
+                }
+            }
+        }
+        for (a, &i) in deg1.iter().enumerate() {
+            for (b, &j) in deg1.iter().enumerate().skip(a + 1) {
+                for &k in deg1.iter().skip(b + 1) {
+                    subsets.push(vec![i, j, k]);
+                }
+            }
+        }
+
+        // Random draws are taken up-front for every subset from one
+        // sequential stream (the exact order the historical per-subset
+        // loop consumed them), so a subset's draws depend neither on
+        // which thread learns it nor on where learning stops. A trained
+        // subset of size `k` draws `2k` values for its two random inits
+        // plus one bias initialization per init (`2^k + 2` inits).
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let draw_plans: Vec<Vec<f64>> = subsets
+            .iter()
+            .map(|subset| {
+                let k = subset.len();
+                if k == 1 {
+                    return Vec::new();
+                }
+                let num_inits = (1usize << k) + 2;
+                (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect()
+            })
+            .collect();
+        Candidates { space, points, columns, config, subsets, draw_plans }
+    }
+
+    /// Learns subset `si`'s bounds that pass the activation threshold,
+    /// tightest first.
+    fn learn(&self, si: usize) -> Vec<LearnedBound> {
+        let subset = &self.subsets[si];
+        // Single terms admit the two fixed directions ±1 directly.
+        let directions: Vec<Vec<f64>> = if subset.len() == 1 {
+            vec![vec![1.0], vec![-1.0]]
+        } else {
+            train_directions(subset, self.columns, self.config, &self.draw_plans[si])
+        };
+        // Raw term columns for this subset, evaluated once — every
+        // direction × denominator rounding below reuses them.
+        let raw_cols: Vec<Vec<f64>> = subset
+            .iter()
+            .map(|&t| self.points.iter().map(|p| self.space.monomials[t].eval_f64(p)).collect())
+            .collect();
+        let mut subset_bounds: Vec<LearnedBound> = directions
+            .iter()
+            .filter_map(|dir| round_and_tighten(subset, dir, &raw_cols, self.space, self.config))
+            .filter(|bound| bound.score >= self.config.activation_threshold)
+            .collect();
+        subset_bounds.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
+        subset_bounds
+    }
+}
+
 /// Trains PBQU neurons (a couple of restarts) on the subset's normalized
 /// columns and returns the learned weight directions.
 ///
 /// `draws` supplies the subset's pre-drawn random values (see
-/// [`learn_bounds`]) in the order the draws historically happened: two
+/// [`Candidates::new`]) in the order the draws historically happened: two
 /// random init vectors first, then one bias value per init.
 fn train_directions(
     subset: &[usize],
@@ -520,6 +580,87 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "k={k}: direct direction diverged");
                 }
             }
+        }
+    }
+
+    /// `learn_bounds` before the early stop: learn every subset, then run
+    /// the round-robin pass by pass. Also returns where the cap filled,
+    /// as `(pass, subset)`.
+    fn learn_bounds_reference(
+        space: &TermSpace,
+        points: &[Vec<f64>],
+        config: &BoundsConfig,
+    ) -> (Vec<Atom>, Option<(usize, usize)>) {
+        let ds = Dataset::from_points(points.to_vec(), space, Some(10.0));
+        let columns = ds.columns();
+        let candidates = Candidates::new(space, points, &columns, config);
+        let results: Vec<Vec<LearnedBound>> =
+            (0..candidates.subsets.len()).map(|si| candidates.learn(si)).collect();
+        let mut seen: Vec<Poly> = Vec::new();
+        let mut out = Vec::new();
+        let mut rank = 0;
+        loop {
+            let mut any = false;
+            for (si, subset_bounds) in results.iter().enumerate() {
+                let Some(b) = subset_bounds.get(rank) else { continue };
+                any = true;
+                if seen.contains(&b.atom.poly) {
+                    continue;
+                }
+                seen.push(b.atom.poly.clone());
+                out.push(b.atom.clone());
+                if out.len() >= config.max_bounds {
+                    return (out, Some((rank, si)));
+                }
+            }
+            if !any {
+                return (out, None);
+            }
+            rank += 1;
+        }
+    }
+
+    #[test]
+    fn early_stop_matches_full_round_robin() {
+        // Three variables of degree ≤ 2: 9 single-term subsets, then 21
+        // pairs and one triple.
+        let space = TermSpace::enumerate(names(&["x", "y", "z"]), 2);
+        let singles = 9;
+        let pairs_end = singles + 21;
+        let points: Vec<Vec<f64>> = (0..30)
+            .map(|i| {
+                let (x, y) = ((i % 6) as f64, (i / 6) as f64);
+                vec![x, y, x * y + 2.0 * x + 1.0]
+            })
+            .collect();
+        let with_cap =
+            |max_bounds| BoundsConfig { epochs: 40, max_bounds, ..BoundsConfig::default() };
+        let sqrt_config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
+        let sqrt_space = TermSpace::enumerate(names(&["n", "a"]), 2);
+        let cases = [
+            // The cap fills inside the single-term subsets.
+            ("singles", &space, points.clone(), with_cap(5)),
+            // It fills partway through the pairs.
+            ("pairs", &space, points.clone(), with_cap(singles + 6)),
+            // The sqrt1 data never fills the default cap on the first pass.
+            ("sqrt1", &sqrt_space, sqrt_points(), sqrt_config),
+            // The cap exceeds the number of bounds found.
+            ("uncapped", &space, points, with_cap(10_000)),
+        ];
+        for (name, space, points, config) in cases {
+            let (want, filled) = learn_bounds_reference(space, &points, &config);
+            match name {
+                "singles" => assert!(matches!(filled, Some((0, si)) if si < singles), "{filled:?}"),
+                "pairs" => assert!(
+                    matches!(filled, Some((0, si)) if (singles..pairs_end).contains(&si)),
+                    "{filled:?}"
+                ),
+                "sqrt1" => assert!(!matches!(filled, Some((0, _))), "{filled:?}"),
+                _ => assert!(filled.is_none() && want.len() < config.max_bounds),
+            }
+            let ds = Dataset::from_points(points.clone(), space, Some(10.0));
+            let got = learn_bounds(space, &points, &ds.columns(), &config);
+            assert_eq!(got, want, "{name}: early stop changed the bounds");
         }
     }
 

@@ -65,6 +65,10 @@
 //! priority raised one level every [`SchedConfig::aging_interval`] task
 //! pops it sits through without being served, so a stream of
 //! high-priority submissions cannot park a low-priority job forever.
+//! Reaching the served level alone would leave the job behind: the jobs
+//! it joins in round-robin were served all the while it climbed. So each
+//! level climbed also earns one task of credit, and a job holding credit
+//! is served ahead of its level's round-robin, one credit per task.
 //! Aging is keyed to pop counts, not wall clock, and only reorders
 //! *scheduling*; per-job outcomes remain bit-identical at any worker
 //! count.
@@ -228,6 +232,10 @@ struct JobQueue {
     /// growing once the job is being served regularly (service resets
     /// the aging *clock*, not the earned level).
     boost: u64,
+    /// Tasks still owed for the waiting that earned the boost: one per
+    /// level climbed, spent one per task popped. While it is positive
+    /// the job sits at the front of its ring rather than the back.
+    credit: u64,
     /// Pop tick at which the job entered the ring or was last served;
     /// aging measures waiting time from here.
     served_tick: u64,
@@ -537,9 +545,19 @@ fn enqueue(
         q.in_ring = true;
         q.ring_key = -i64::from(priority) - q.boost as i64;
         q.served_tick = tick;
-        st.ring.entry(q.ring_key).or_default().push_back(job_id);
+        join_ring(st.ring.entry(q.ring_key).or_default(), job_id, q.credit);
     }
     shared.cv.notify_all();
+}
+
+/// Queues a job in its level's ring: ahead of the round-robin while it
+/// holds aging credit, behind it otherwise.
+fn join_ring(ring: &mut VecDeque<u64>, job_id: u64, credit: u64) {
+    if credit > 0 {
+        ring.push_front(job_id);
+    } else {
+        ring.push_back(job_id);
+    }
 }
 
 /// Priority aging: every ring-resident job that has sat through
@@ -547,7 +565,9 @@ fn enqueue(
 /// served climbs one level. Jobs at the currently-served level are
 /// getting round-robin service, not starving — aging them too would
 /// inflate every contending job in lockstep and never close a relative
-/// gap. Driven by the pop tick — a deterministic function of scheduler
+/// gap. Each climb earns the job one task of credit (see
+/// [`JobQueue::credit`]), and the promoted job enters its new level at the
+/// front. Driven by the pop tick — a deterministic function of scheduler
 /// activity, not wall clock — so starvation relief does not depend on
 /// timing. Caller holds the state lock.
 fn age_ring(st: &mut PoolState, interval: u64, served_key: i64) {
@@ -558,6 +578,7 @@ fn age_ring(st: &mut PoolState, interval: u64, served_key: i64) {
             if tick.saturating_sub(q.served_tick) >= interval {
                 let from = q.ring_key;
                 q.boost += 1;
+                q.credit += 1;
                 q.ring_key -= 1; // BTreeMap keys are -priority: smaller = higher
                 q.served_tick = tick;
                 moves.push((job_id, from, q.ring_key));
@@ -575,7 +596,7 @@ fn age_ring(st: &mut PoolState, interval: u64, served_key: i64) {
                 st.ring.remove(&from);
             }
         }
-        st.ring.entry(to).or_default().push_back(job_id);
+        st.ring.entry(to).or_default().push_front(job_id);
     }
 }
 
@@ -599,10 +620,11 @@ fn pop_ready(st: &mut PoolState, aging: Option<u64>) -> Option<(Arc<JobRun>, Wor
     let q = st.queues.get_mut(&job_id).expect("queued job");
     let item = q.items.pop_front().expect("job in ring has work");
     q.served_tick = tick; // being popped is service: the aging clock resets
+    q.credit = q.credit.saturating_sub(1);
     if q.items.is_empty() {
         q.in_ring = false;
     } else {
-        st.ring.entry(key).or_default().push_back(job_id);
+        join_ring(st.ring.entry(key).or_default(), job_id, q.credit);
     }
     let job = st.jobs.get(&job_id).expect("live job").clone();
     Some((job, item))
@@ -1237,6 +1259,27 @@ mod tests {
     fn aging_prevents_starvation_under_a_high_priority_burst() {
         let cfg = SchedConfig { aging_interval: Some(2), ..SchedConfig::with_workers(1) };
         let sched = Scheduler::new(cfg);
+        // A gate job holds the single worker in its first event until the
+        // low-priority job and the whole burst are queued, so the pop
+        // sequence no longer depends on how the host schedules threads.
+        // It is cancelled before release, so it leaves one task behind.
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let gate_hold = StdMutex::new(Some((entered_tx, release_rx)));
+        let gate_job = quick_job("ps2");
+        let gate_cancel = gate_job.cancel_token();
+        let gate = sched.submit_with(
+            gate_job,
+            SubmitOptions::default(),
+            Some(Box::new(move |_| {
+                if let Some((entered, release)) = gate_hold.lock().unwrap().take() {
+                    entered.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            })),
+            None,
+        );
+        entered_rx.recv().unwrap();
         let order: Arc<StdMutex<Vec<String>>> = Arc::new(StdMutex::new(Vec::new()));
         let mut tickets = Vec::new();
         let lo_order = order.clone();
@@ -1255,6 +1298,9 @@ mod tests {
                 Some(Box::new(move |_, _| hi_order.lock().unwrap().push(format!("hi{i}")))),
             ));
         }
+        gate_cancel.cancel();
+        release_tx.send(()).unwrap();
+        gate.wait();
         for t in &tickets {
             t.wait();
         }
