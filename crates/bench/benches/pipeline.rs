@@ -42,6 +42,19 @@ fn bench_training_epochs(c: &mut Criterion) {
             train_equality_gcln(&columns, &cfg)
         })
     });
+
+    // Loop 0 of egcd2 at its own degree: a wide term space, where each
+    // literal keeps dozens of terms.
+    let problem = nla_problem("egcd2").unwrap();
+    let points = collect_loop_states(&problem, 0, 120, 2);
+    let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
+    let keep = growth_filter(&space, &points, 1e10);
+    let space = space.select(&keep);
+    let columns = Dataset::from_points(points, &space, Some(10.0)).columns();
+    let cfg = GclnConfig { max_epochs: 100, ..GclnConfig::default() };
+    c.bench_function("gcln_training_100_epochs_egcd2", |b| {
+        b.iter(|| train_equality_gcln(&columns, &cfg))
+    });
 }
 
 /// `learn_bounds` on loop 0 of egcd2, whose single-term subsets fill the

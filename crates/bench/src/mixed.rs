@@ -5,7 +5,7 @@
 //! see EXPERIMENTS.md "Mixed-workload scheduling"):
 //!
 //! 1. **Measured wall clock** — the real batch through the real
-//!    [`Scheduler`] at both granularities. On multi-core hardware this
+//!    [`Scheduler`](gcln_sched::Scheduler) at both granularities. On multi-core hardware this
 //!    shows the utilization win directly; on a single-core CI container
 //!    the two collapse toward parity (every CPU-bound schedule costs
 //!    total-work there), which is why measurement alone is not enough.

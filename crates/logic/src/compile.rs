@@ -8,7 +8,7 @@
 //!
 //! - a flat instruction sequence with short-circuit jumps that mirrors the
 //!   tree's left-to-right `&&`/`||` evaluation order exactly, and
-//! - one [`CompiledAtom`] per polynomial constraint, with coefficients
+//! - one `CompiledAtom` per polynomial constraint, with coefficients
 //!   scaled to a common denominator so evaluation is pure overflow-checked
 //!   `i128` arithmetic — no recursion, no per-call allocation.
 //!

@@ -11,7 +11,7 @@
 //! ## Architecture
 //!
 //! Each submitted [`Job`] is unfolded into a
-//! [`StagedJob`](gcln_engine::StagedJob) — the engine's stage-graph
+//! [`StagedJob`] — the engine's stage-graph
 //! state machine. The scheduler keeps one ready queue per job plus a
 //! priority-ordered ring of jobs with ready tasks:
 //!

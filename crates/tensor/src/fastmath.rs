@@ -2,11 +2,11 @@
 //! reductions.
 //!
 //! Every execution engine that must agree bit for bit — the scalar arena
-//! ([`crate::tape`]) and the direct PBQU bound trainer in the engine crate
-//! — routes the *same* floating-point operations through the *same*
-//! inlined helpers below. That single source of truth is what makes them
-//! bit-identical to each other: there is exactly one `exp` implementation
-//! and exactly one summation order.
+//! ([`crate::tape`]) and the engine crate's direct G-CLN equality kernel
+//! and PBQU bound trainer — routes the *same* floating-point operations
+//! through the *same* inlined helpers below. That single source of truth
+//! is what makes them bit-identical to each other: there is exactly one
+//! `exp` implementation and exactly one summation order.
 //!
 //! # Why not `f64::exp`?
 //!

@@ -219,11 +219,15 @@ mod tests {
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
 
-    /// Builds the two-literal, two-clause gated t-norm conjunction used
-    /// by model.rs, through the fused factor nodes.
-    fn fused_clause_graph(t: &mut Tape) -> Var {
+    #[test]
+    fn checks_gated_clause_graph() {
+        // Two clauses of two Gaussian literals each under the gated
+        // t-conorm/t-norm chain the G-CLN loss records:
+        // mean(1 − Π_c(1 + g_c·((1 − Π_l(1 − g_l·act_l)) − 1))).
+        let mut t = Tape::new();
         let x0 = t.input(0);
         let x1 = t.input(1);
+        let one = t.constant(1.0);
         let coeff = t.constant(-0.5 / (0.7 * 0.7));
         let mut clause_factors = Vec::new();
         let mut np = 0;
@@ -231,12 +235,12 @@ mod tests {
             let mut prod: Option<Var> = None;
             for x in [x0, x1] {
                 let w = t.param(np);
-                np += 1;
+                let gate = t.param(np + 1);
+                np += 2;
                 let z = t.affine(&[w], &[x], None);
                 let act = t.gaussian(z, coeff);
-                let gate = t.param(np);
-                np += 1;
-                let factor = t.lit_factor(gate, act);
+                let gated = t.mul(gate, act);
+                let factor = t.sub(one, gated);
                 prod = Some(match prod {
                     Some(p) => t.mul(p, factor),
                     None => factor,
@@ -244,74 +248,18 @@ mod tests {
             }
             let clause_gate = t.param(np);
             np += 1;
-            clause_factors.push(t.clause_factor(prod.unwrap(), clause_gate));
+            let or = t.sub(one, prod.unwrap());
+            let or_m1 = t.sub(or, one);
+            let gated = t.mul(clause_gate, or_m1);
+            clause_factors.push(t.add(one, gated));
         }
         let conj = t.mul(clause_factors[0], clause_factors[1]);
-        let one = t.constant(1.0);
         let dis = t.sub(one, conj);
-        t.mean_batch(dis)
-    }
-
-    #[test]
-    fn checks_fused_lit_and_clause_factors() {
-        let mut t = Tape::new();
-        let out = fused_clause_graph(&mut t);
+        let out = t.mean_batch(dis);
         let inputs = vec![vec![0.3, -0.9, 1.2, 0.7], vec![1.1, 0.4, -0.6, -0.2]];
         let params = [0.5, 0.8, -0.3, 0.6, 0.9, -0.7, 0.2, 0.4, 0.85, 0.35];
-        let report = check_gradients(&mut t, out, &inputs, &params[..10], 1e-5);
+        let report = check_gradients(&mut t, out, &inputs, &params, 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
-    }
-
-    #[test]
-    fn lit_and_clause_factors_match_unfused_chains() {
-        // The fused nodes must be bit-identical (values and gradients) to
-        // the mul/sub and sub/sub/mul/add chains they replace.
-        let columns = vec![vec![0.3, -0.9, 1.2, 0.7, -1.4], vec![1.1, 0.4, -0.6, -0.2, 0.8]];
-        let params = [0.5, 0.8, -0.3, 0.6, 0.9, -0.7, 0.2, 0.4, 0.85, 0.35];
-        let mut fused = Tape::new();
-        let lf = fused_clause_graph(&mut fused);
-        let mut unfused = Tape::new();
-        let lu = {
-            let t = &mut unfused;
-            let x0 = t.input(0);
-            let x1 = t.input(1);
-            let one = t.constant(1.0);
-            let coeff = t.constant(-0.5 / (0.7 * 0.7));
-            let mut clause_factors = Vec::new();
-            let mut np = 0;
-            for _ in 0..2 {
-                let mut prod: Option<Var> = None;
-                for x in [x0, x1] {
-                    let w = t.param(np);
-                    np += 1;
-                    let z = t.affine(&[w], &[x], None);
-                    let act = t.gaussian(z, coeff);
-                    let gate = t.param(np);
-                    np += 1;
-                    let gated = t.mul(gate, act);
-                    let factor = t.sub(one, gated);
-                    prod = Some(match prod {
-                        Some(p) => t.mul(p, factor),
-                        None => factor,
-                    });
-                }
-                let clause_gate = t.param(np);
-                np += 1;
-                let om = t.sub(one, prod.unwrap());
-                let om1 = t.sub(om, one);
-                let gm = t.mul(clause_gate, om1);
-                clause_factors.push(t.add(one, gm));
-            }
-            let conj = t.mul(clause_factors[0], clause_factors[1]);
-            let dis = t.sub(one, conj);
-            t.mean_batch(dis)
-        };
-        let (vf, gf) = fused.eval_with_grad(lf, &columns, &params);
-        let (vu, gu) = unfused.eval_with_grad(lu, &columns, &params);
-        assert_eq!(vf.to_bits(), vu.to_bits(), "forward values differ");
-        for (a, b) in gf.iter().zip(&gu) {
-            assert_eq!(a.to_bits(), b.to_bits(), "gradients differ: {gf:?} vs {gu:?}");
-        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! A batched, tape-based reverse-mode automatic differentiation engine
 //! with a zero-allocation execution core.
 //!
-//! This is the PyTorch substitute for the G-CLN reproduction. The design is
-//! specialized for CLN training:
+//! This is the PyTorch substitute for the G-CLN reproduction. It runs the
+//! CLN baseline (`gcln_baselines::cln`) and the gradient checks, and it is
+//! the reference that the engine's two direct trainers are tested
+//! against: G-CLN equality training (`gcln_engine::model`) and PBQU bound
+//! training (`gcln_engine::bounds`) each replay a graph recorded here
+//! operation for operation, and tests pin them to it bit for bit. The
+//! design is specialized for CLN graphs:
 //!
 //! - Every tape node carries a *batch vector* of values: either one value
 //!   per training sample (length `B`) or a single broadcast scalar
@@ -13,10 +18,10 @@
 //!   `O(model × epochs)`.
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
 //!   `exp`, powers, a piecewise selector for the PBQU activation, clamped
-//!   gates, and **fused nodes** for the two patterns G-CLN graphs build in
-//!   bulk: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one node instead of `2k`
-//!   mul/add nodes) and [`Tape::gaussian`] (`exp(c·z²)`, the equality
-//!   relaxation).
+//!   gates, and **fused nodes**: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one
+//!   node instead of `2k` mul/add nodes), [`Tape::gaussian`]
+//!   (`exp(c·z²)`, the equality relaxation) and [`Tape::pbqu_loss`] (the
+//!   mean PBQU tightness loss).
 //!
 //! # Execution model
 //!
@@ -112,14 +117,6 @@ pub(crate) enum Op {
     /// square → add/add → div/div → select → sub → mean chain that bound
     /// learning builds per candidate subset (paper §4.2).
     PbquLoss { z: Var, c1sq: f64, c2sq: f64 },
-    /// Fused gated t-conorm factor `1 − gate·act` (one node instead of the
-    /// mul → sub pair every G-CLN literal records). The arithmetic is the
-    /// chain's, operation for operation: `t = g·a`, then `1 − t`.
-    LitFactor { gate: Var, act: Var },
-    /// Fused gated t-norm factor `1 + gate·((1 − prod) − 1)` (one node
-    /// instead of the sub → sub → mul → add chain every G-CLN clause
-    /// records), computed in exactly the chain's operation order.
-    ClauseFactor { prod: Var, gate: Var },
 }
 
 /// A computation graph with batched reverse-mode differentiation over a
@@ -221,14 +218,6 @@ impl Tape {
                 self.requires_grad[z.0] || self.requires_grad[coeff.0],
             ),
             Op::PbquLoss { z, .. } => (true, self.requires_grad[z.0]),
-            Op::LitFactor { gate, act } => (
-                self.scalar[gate.0] && self.scalar[act.0],
-                self.requires_grad[gate.0] || self.requires_grad[act.0],
-            ),
-            Op::ClauseFactor { prod, gate } => (
-                self.scalar[prod.0] && self.scalar[gate.0],
-                self.requires_grad[prod.0] || self.requires_grad[gate.0],
-            ),
         };
         self.ops.push(op);
         self.scalar.push(scalar);
@@ -352,19 +341,6 @@ impl Tape {
         self.push(Op::PbquLoss { z, c1sq: c1 * c1, c2sq: c2 * c2 })
     }
 
-    /// Fused gated t-conorm factor `1 − gate·act` — bit-identical to the
-    /// `mul` + `sub` pair it replaces, in one node.
-    pub fn lit_factor(&mut self, gate: Var, act: Var) -> Var {
-        self.push(Op::LitFactor { gate, act })
-    }
-
-    /// Fused gated t-norm clause factor `1 + gate·((1 − prod) − 1)` —
-    /// bit-identical to the sub → sub → mul → add chain it replaces, in
-    /// one node.
-    pub fn clause_factor(&mut self, prod: Var, gate: Var) -> Var {
-        self.push(Op::ClauseFactor { prod, gate })
-    }
-
     /// (Re)computes the arena layout for `batch`, reusing existing arenas
     /// when neither the graph nor the batch size changed.
     fn ensure_plan(&mut self, batch: usize) {
@@ -432,14 +408,6 @@ impl Tape {
                     mark(coeff);
                 }
                 Op::PbquLoss { z, .. } => mark(z),
-                Op::LitFactor { gate, act } => {
-                    mark(gate);
-                    mark(act);
-                }
-                Op::ClauseFactor { prod, gate } => {
-                    mark(prod);
-                    mark(gate);
-                }
             }
         }
         self.live_root = output;
@@ -566,36 +534,6 @@ impl Tape {
                         1.0 - act
                     });
                     out[0] = sum / zv.len() as f64;
-                }
-                Op::LitFactor { gate, act } => {
-                    let (gv, av) = (slot(gate), slot(act));
-                    if gv.len() == 1 {
-                        let g0 = gv[0];
-                        for (o, &a) in out.iter_mut().zip(av) {
-                            *o = 1.0 - g0 * a;
-                        }
-                    } else {
-                        for (j, o) in out.iter_mut().enumerate() {
-                            *o = 1.0 - bget(gv, j) * bget(av, j);
-                        }
-                    }
-                }
-                Op::ClauseFactor { prod, gate } => {
-                    let (pv, gv) = (slot(prod), slot(gate));
-                    // Stepwise, matching the unfused chain bit-for-bit:
-                    // or = 1 − p; om1 = or − 1; out = 1 + g·om1.
-                    if gv.len() == 1 {
-                        let g0 = gv[0];
-                        for (o, &p) in out.iter_mut().zip(pv) {
-                            let om1 = (1.0 - p) - 1.0;
-                            *o = 1.0 + g0 * om1;
-                        }
-                    } else {
-                        for (j, o) in out.iter_mut().enumerate() {
-                            let om1 = (1.0 - bget(pv, j)) - 1.0;
-                            *o = 1.0 + bget(gv, j) * om1;
-                        }
-                    }
                 }
             }
         }
@@ -791,19 +729,6 @@ impl Tape {
                         acc!(b, |_, g| g);
                     }
                 }
-                Op::LitFactor { gate, act } => {
-                    let (gv, av) = (vslot(gate), vslot(act));
-                    acc!(act, |j, g| -g * bget(gv, j));
-                    acc!(gate, |j, g| -g * bget(av, j));
-                }
-                Op::ClauseFactor { prod, gate } => {
-                    let (pv, gv) = (vslot(prod), vslot(gate));
-                    acc!(prod, |j, g| -(g * bget(gv, j)));
-                    acc!(gate, |j, g| {
-                        let om1 = (1.0 - bget(pv, j)) - 1.0;
-                        g * om1
-                    });
-                }
                 Op::Gaussian { z, coeff } => {
                     let (zv, cv) = (vslot(z), vslot(coeff));
                     let out = &values[off..off + len];
@@ -954,21 +879,6 @@ impl Tape {
                     });
                     vec![sum / zv.len() as f64]
                 }
-                Op::LitFactor { gate, act } => {
-                    let (gv, av) = (v(gate), v(act));
-                    let len = gv.len().max(av.len());
-                    (0..len).map(|j| 1.0 - bget(gv, j) * bget(av, j)).collect()
-                }
-                Op::ClauseFactor { prod, gate } => {
-                    let (pv, gv) = (v(prod), v(gate));
-                    let len = pv.len().max(gv.len());
-                    (0..len)
-                        .map(|j| {
-                            let om1 = (1.0 - bget(pv, j)) - 1.0;
-                            1.0 + bget(gv, j) * om1
-                        })
-                        .collect()
-                }
             };
             values.push(value);
         }
@@ -1069,19 +979,6 @@ impl Tape {
                     if let Some(b) = bias {
                         acc(b, &|_, g| g);
                     }
-                }
-                Op::LitFactor { gate, act } => {
-                    let (gv, av) = (values[gate.0].clone(), values[act.0].clone());
-                    acc(act, &|j, g| -g * bget(&gv, j));
-                    acc(gate, &|j, g| -g * bget(&av, j));
-                }
-                Op::ClauseFactor { prod, gate } => {
-                    let (pv, gv) = (values[prod.0].clone(), values[gate.0].clone());
-                    acc(prod, &|j, g| -(g * bget(&gv, j)));
-                    acc(gate, &|j, g| {
-                        let om1 = (1.0 - bget(&pv, j)) - 1.0;
-                        g * om1
-                    });
                 }
                 Op::Gaussian { z, coeff } => {
                     let (zv, cv) = (values[z.0].clone(), values[coeff.0].clone());

@@ -20,10 +20,6 @@ enum Step {
     Affine(usize, usize, bool),
     /// Fused `exp(−z²·k)` with a fixed small positive curvature.
     Gaussian(usize),
-    /// Fused literal factor `1 − gate·act`.
-    LitFactor(usize, usize),
-    /// Fused clause factor `1 + gate·((1 − prod) − 1)`.
-    ClauseFactor(usize, usize),
 }
 
 fn steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
@@ -37,8 +33,6 @@ fn steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
             (0..n, 0..n).prop_map(|(a, b)| Step::DivSafe(a, b)),
             (0..n, 0..n, proptest::bool::ANY).prop_map(|(a, b, bias)| Step::Affine(a, b, bias)),
             (0..n).prop_map(Step::Gaussian),
-            (0..n, 0..n).prop_map(|(a, b)| Step::LitFactor(a, b)),
-            (0..n, 0..n).prop_map(|(a, b)| Step::ClauseFactor(a, b)),
         ],
         1..8,
     )
@@ -97,14 +91,6 @@ fn build(tape: &mut Tape, ops: &[Step]) -> Var {
                 let z = pick(a);
                 let coeff = tape.constant(-0.35);
                 tape.gaussian(z, coeff)
-            }
-            Step::LitFactor(a, b) => {
-                let (g, act) = (pick(a), pick(b));
-                tape.lit_factor(g, act)
-            }
-            Step::ClauseFactor(a, b) => {
-                let (p, g) = (pick(a), pick(b));
-                tape.clause_factor(p, g)
             }
         };
         nodes.push(v);
