@@ -7,10 +7,10 @@
 //! A run "converges" when every templated literal rounds to a valid atom
 //! (and, for disjunctions, the clause covers the data).
 
-use gcln::data::{collect_loop_states, Dataset};
-use gcln::extract::{extract_formula, ExtractConfig};
-use gcln::model::TrainedGcln;
-use gcln::terms::{growth_filter, TermSpace};
+use gcln_engine::data::{collect_loop_states, Dataset};
+use gcln_engine::extract::{extract_formula, ExtractConfig};
+use gcln_engine::model::TrainedGcln;
+use gcln_engine::terms::{growth_filter, TermSpace};
 use gcln_logic::Formula;
 use gcln_problems::Problem;
 use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};

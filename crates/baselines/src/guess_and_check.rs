@@ -4,9 +4,9 @@
 //! terms. Learns only equalities — no disjunctions, no inequalities —
 //! which is precisely the limitation Table 2's comparison turns on.
 
-use gcln::data::collect_loop_states;
-use gcln::kernel::kernel_equalities;
-use gcln::terms::{growth_filter_with_duplicates, TermSpace};
+use gcln_engine::data::collect_loop_states;
+use gcln_engine::kernel::kernel_equalities;
+use gcln_engine::terms::{growth_filter_with_duplicates, TermSpace};
 use gcln_logic::{Atom, Formula};
 use gcln_problems::Problem;
 

@@ -5,7 +5,7 @@
 //! inequalities the benchmark needs; this module reproduces exactly that
 //! expressiveness ceiling.
 
-use gcln::data::collect_loop_states;
+use gcln_engine::data::collect_loop_states;
 use gcln_logic::{Atom, Pred};
 use gcln_numeric::{Monomial, Poly, Rat};
 use gcln_problems::Problem;
@@ -55,11 +55,11 @@ mod tests {
         let problem = nla_problem("ps2").unwrap();
         let atoms = octahedral_bounds(&problem, 0);
         assert!(!atoms.is_empty());
-        let points = gcln::data::collect_loop_states(&problem, 0, 60, 1);
+        let points = gcln_engine::data::collect_loop_states(&problem, 0, 60, 1);
         for a in &atoms {
             assert!(a.poly.degree() <= 1, "octahedral bounds are linear");
             assert!(
-                gcln::extract::atom_fits(&a.poly, Pred::Ge, &points, 1e-9),
+                gcln_engine::extract::atom_fits(&a.poly, Pred::Ge, &points, 1e-9),
                 "bound violated on data"
             );
         }

@@ -5,9 +5,9 @@
 //! paper reports PIE timing out on every attempted NLA problem — and
 //! this reproduction exposes the same blow-up via its budget counter.
 
-use gcln::data::collect_loop_states;
-use gcln::extract::FitPoints;
-use gcln::terms::TermSpace;
+use gcln_engine::data::collect_loop_states;
+use gcln_engine::extract::FitPoints;
+use gcln_engine::terms::TermSpace;
 use gcln_logic::{Atom, Formula, Pred};
 use gcln_numeric::{Poly, Rat};
 use gcln_problems::Problem;

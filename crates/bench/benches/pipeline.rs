@@ -2,21 +2,21 @@
 //! backing the timing claims in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion, Estimate};
-use gcln::bounds::{learn_bounds, BoundsConfig};
-use gcln::data::{collect_loop_states, Dataset};
 use gcln_bench::mixed::{
     mixed_jobs, profile_job, replay_job_granularity, replay_stage_graph, JobProfile,
 };
-use gcln_sched::{Granularity, SchedConfig, Scheduler, SubmitOptions};
-use gcln::model::{train_equality_gcln, GclnConfig};
-use gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln::terms::{growth_filter, TermSpace};
 use gcln_checker::{check, Candidate, CheckerConfig};
+use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+use gcln_engine::data::{collect_loop_states, Dataset};
+use gcln_engine::model::{train_equality_gcln, GclnConfig};
+use gcln_engine::terms::{growth_filter, TermSpace};
+use gcln_engine::{Engine, Job, PipelineConfig};
 use gcln_lang::interp::{run_program, RunConfig};
 use gcln_logic::{parse_formula, CompiledFormula};
 use gcln_numeric::groebner::{groebner_basis, normal_form, GroebnerLimits};
 use gcln_numeric::Poly;
 use gcln_problems::nla::nla_problem;
+use gcln_sched::{SchedConfig, Scheduler};
 
 fn bench_trace_collection(c: &mut Criterion) {
     let problem = nla_problem("sqrt1").unwrap();
@@ -159,50 +159,36 @@ fn bench_end_to_end(c: &mut Criterion) {
         cegis_rounds: 1,
         ..PipelineConfig::default()
     };
+    let job = Job::new(problem).with_config(config);
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
-    group.bench_function("infer_ps2_end_to_end", |b| {
-        b.iter(|| infer_invariants(&problem, &config))
-    });
+    group.bench_function("infer_ps2_end_to_end", |b| b.iter(|| Engine::new().run(&job)));
     group.finish();
 }
 
 /// The mixed-workload scheduling bench (8 small + 2 large problems at
 /// 4 workers; see `gcln_bench::mixed`). Two kinds of rows:
 ///
-/// - `sched/mixed_{stage_graph,job_granularity}_4w` — measured wall
-///   clock of the real batch through the real scheduler. Meaningful on
-///   ≥ 4-core hardware; on a single-core container both collapse to
-///   total-work and read near parity.
+/// - `sched/mixed_stage_graph_4w` — measured wall clock of the real
+///   batch through the real scheduler. Meaningful on ≥ 4-core
+///   hardware; on a single-core container it collapses to total work.
 /// - `sched/mixed_makespan_{stage,whole}_4w` — deterministic makespan
 ///   replay over per-task durations profiled solo in this same run:
-///   the 4-worker wall clock the two policies produce when workers are
-///   real parallel resources. The stage/whole ratio here is the
-///   utilization win (gated ≥ 1.3× by the `mixed` module's tests).
+///   the 4-worker wall clock that stage-task and whole-job scheduling
+///   produce when workers are real parallel resources. The stage/whole
+///   ratio here is the utilization win (gated ≥ 1.3× by the `mixed`
+///   module's tests).
 fn bench_sched_mixed(c: &mut Criterion) {
-    let run_batch = |granularity: Granularity| {
+    let run_batch = || {
         let sched = Scheduler::new(SchedConfig::with_workers(4));
-        let tickets: Vec<_> = mixed_jobs()
-            .into_iter()
-            .map(|job| {
-                sched.submit_with(
-                    job,
-                    SubmitOptions { granularity, ..SubmitOptions::default() },
-                    None,
-                    None,
-                )
-            })
-            .collect();
+        let tickets: Vec<_> = mixed_jobs().into_iter().map(|job| sched.submit(job)).collect();
         let solved = tickets.iter().filter(|t| t.wait().valid).count();
         sched.shutdown();
         solved
     };
     let mut group = c.benchmark_group("sched");
     group.sample_size(5);
-    group.bench_function("mixed_job_granularity_4w", |b| {
-        b.iter(|| run_batch(Granularity::WholeJob))
-    });
-    group.bench_function("mixed_stage_graph_4w", |b| b.iter(|| run_batch(Granularity::Stage)));
+    group.bench_function("mixed_stage_graph_4w", |b| b.iter(run_batch));
     group.finish();
 
     // The profiling pass costs a full serial batch; skip it when a CLI
@@ -215,7 +201,7 @@ fn bench_sched_mixed(c: &mut Criterion) {
     }) {
         return;
     }
-    let engine = gcln_engine::Engine::new();
+    let engine = Engine::new();
     let profiles: Vec<JobProfile> =
         mixed_jobs().iter().map(|job| profile_job(&engine, job)).collect();
     let replay_row = |name: &str, seconds: f64| Estimate {

@@ -27,9 +27,8 @@
 
 use crate::driver::SuiteSummary;
 use crate::{figs, tables};
-use gcln::pipeline::PipelineConfig;
 use gcln_engine::events::json_string;
-use gcln_engine::{Engine, Event, Job, ProblemSpec};
+use gcln_engine::{Engine, Event, Job, PipelineConfig, ProblemSpec};
 use std::time::Duration;
 
 const USAGE: &str = "usage: gcln <run|suite|table1|table2|table3|table4|code2inv|fig|inspect|serve> [args]
@@ -368,7 +367,10 @@ fn cmd_run(flags: &Flags) -> i32 {
         return 1;
     };
     let mut spec = spec;
-    spec.apply_overrides(flags.max_degree, &flags.ranges);
+    if let Err(e) = spec.apply_overrides(flags.max_degree, &flags.ranges) {
+        eprintln!("error: {e}");
+        return 1;
+    }
     if flags.json {
         for note in &spec.derived {
             println!(r#"{{"event":"derived","note":{}}}"#, json_string(note));

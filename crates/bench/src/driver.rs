@@ -15,9 +15,8 @@
 //! timing figures vary with contention across workers.
 
 use crate::{secs, solve_status, SolveFailure};
-use gcln::pipeline::{InferenceOutcome, PipelineConfig};
 use gcln_engine::events::json_string;
-use gcln_engine::{Job, ProblemSpec};
+use gcln_engine::{InferenceOutcome, Job, PipelineConfig, ProblemSpec};
 use gcln_problems::Problem;
 use gcln_sched::{JobStats, SchedConfig, Scheduler, SubmitOptions};
 use std::sync::{Arc, Mutex};

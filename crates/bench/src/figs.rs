@@ -2,10 +2,10 @@
 //! former one-binary-per-figure zoo. Each function prints the same
 //! output its standalone binary did.
 
-use gcln::bounds::{learn_bounds, BoundsConfig};
-use gcln::data::{normalize_row, Dataset};
-use gcln::fractional::{fractional_points, FractionalConfig};
-use gcln::terms::TermSpace;
+use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+use gcln_engine::data::{normalize_row, Dataset};
+use gcln_engine::fractional::{fractional_points, FractionalConfig};
+use gcln_engine::terms::TermSpace;
 use gcln_lang::interp::{run_program, RunConfig};
 use gcln_logic::fuzzy::{gated_tconorm, gated_tnorm, TNorm};
 use gcln_logic::relax::{gaussian_eq, pbqu_ge, relax_formula, sigmoid_ge, RelaxKind};

@@ -6,8 +6,8 @@
 //! `gcln suite nla|linear` (generic suite runs), `gcln fig <n>` (figure
 //! data series), `gcln run <file.loop>` (arbitrary programs through the
 //! staged engine), and `gcln inspect` (single-problem diagnostics).
-//! Criterion benches live in `benches/`; `profile_ps2` is a separate
-//! stage-timing binary.
+//! Criterion benches live in `benches/`; per-stage timings come from the
+//! stage events of `gcln run <problem> --json`.
 //!
 //! The [`driver`] module owns the shared suite machinery (rayon
 //! fan-out, completion-order progress, tallying, JSON records); this
@@ -23,8 +23,8 @@ pub mod figs;
 pub mod mixed;
 pub mod tables;
 
-use gcln::pipeline::InferenceOutcome;
 use gcln_checker::{equalities_imply, equality_polys, implies_bounded};
+use gcln_engine::InferenceOutcome;
 use gcln_logic::Formula;
 use gcln_numeric::groebner::GroebnerLimits;
 use gcln_problems::Problem;

@@ -5,10 +5,10 @@
 //! see EXPERIMENTS.md "Mixed-workload scheduling"):
 //!
 //! 1. **Measured wall clock** — the real batch through the real
-//!    [`Scheduler`](gcln_sched::Scheduler) at both granularities. On multi-core hardware this
-//!    shows the utilization win directly; on a single-core CI container
-//!    the two collapse toward parity (every CPU-bound schedule costs
-//!    total-work there), which is why measurement alone is not enough.
+//!    [`Scheduler`](gcln_sched::Scheduler), which always schedules at
+//!    stage-task granularity. On a single-core CI container every
+//!    CPU-bound schedule costs total work, so this row alone cannot
+//!    show the utilization win.
 //! 2. **Makespan replay** — each job is profiled once (solo, serial,
 //!    uncontended) to get its true per-task durations and barrier
 //!    structure, then a deterministic discrete-event replay of the
@@ -22,10 +22,8 @@
 //! at 4 workers on 8 small + 2 large problems) is asserted by
 //! `makespan_replay_shows_the_stage_graph_win` below, so CI gates it.
 
-use gcln::pipeline::PipelineConfig;
-use gcln::GclnConfig;
 use gcln_engine::staged::{StagedJob, Step, Task};
-use gcln_engine::{Engine, Job, ProblemSpec};
+use gcln_engine::{Engine, GclnConfig, Job, PipelineConfig, ProblemSpec};
 use std::collections::VecDeque;
 use std::time::Instant;
 

@@ -4,9 +4,8 @@
 
 use crate::driver::{run_suite_with, SuiteSummary};
 use crate::{secs, solve_status};
-use gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln::GclnConfig;
 use gcln_baselines::cln::{train_template_cln, ClnTemplate};
+use gcln_engine::{Engine, GclnConfig, Job, PipelineConfig};
 use gcln_problems::linear::linear_suite;
 use gcln_problems::nla::{nla_problem, nla_suite};
 use gcln_problems::{find_problem, Problem};
@@ -24,7 +23,7 @@ pub fn emit_json(summary: &SuiteSummary) {
 /// The suite-level `--fast` profile, shared by `table2` and `suite` so
 /// the same flag means the same run on the same problems. (It differs
 /// deliberately from [`PipelineConfig::fast`], the cheaper
-/// single-program profile of `gcln run`/`invgen`.)
+/// single-program profile of `gcln run`.)
 fn fast_suite_config() -> PipelineConfig {
     PipelineConfig {
         gcln: GclnConfig { max_epochs: 1200, ..GclnConfig::default() },
@@ -209,7 +208,8 @@ pub fn table3(args: &[String]) {
         let problem = nla_problem(name).unwrap_or_else(|| panic!("unknown problem {name}"));
         let mut row = format!("{name:<10}");
         for ablation in ["full", "norm", "reg", "drop", "frac"] {
-            let outcome = infer_invariants(&problem, &config(ablation));
+            let outcome =
+                Engine::new().run(&Job::new(problem.clone()).with_config(config(ablation)));
             let ok = solve_status(&problem, &outcome).is_ok();
             let w = if ablation == "full" {
                 6
@@ -251,7 +251,7 @@ pub fn table4(runs: u64) {
                     seed,
                     ..PipelineConfig::default()
                 };
-                let outcome = infer_invariants(&problem, &config);
+                let outcome = Engine::new().run(&Job::new(problem.clone()).with_config(config));
                 (cln, solve_status(&problem, &outcome).is_ok())
             })
             .collect();
@@ -280,9 +280,9 @@ pub fn inspect(name: &str, bounds: bool) -> bool {
         return false;
     };
     if bounds {
-        use gcln::bounds::{learn_bounds, BoundsConfig};
-        use gcln::data::{collect_loop_states, Dataset};
-        use gcln::terms::{growth_filter, TermSpace};
+        use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+        use gcln_engine::data::{collect_loop_states, Dataset};
+        use gcln_engine::terms::{growth_filter, TermSpace};
         let points = collect_loop_states(&problem, 0, 120, 2);
         let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
         let keep = growth_filter(&space, &points, 1e10);
@@ -298,7 +298,7 @@ pub fn inspect(name: &str, bounds: bool) -> bool {
         }
         return true;
     }
-    let outcome = infer_invariants(&problem, &PipelineConfig::default());
+    let outcome = Engine::new().run(&Job::new(problem.clone()));
     let names = problem.extended_names();
     println!("valid: {}  cegis: {}  time: {}s", outcome.valid, outcome.cegis_rounds_used, secs(outcome.runtime));
     for li in &outcome.loops {

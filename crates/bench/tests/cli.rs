@@ -145,6 +145,34 @@ fn run_rejects_unknown_targets_and_bad_sources() {
 }
 
 #[test]
+fn run_rejects_surplus_and_empty_ranges() {
+    let file = fresh_program();
+    for ranges in [&["--range", "0:10", "--range", "5:6"][..], &["--range", "9:3"][..]] {
+        let mut args = vec!["run", file.as_str()];
+        args.extend_from_slice(ranges);
+        let out = gcln(&args);
+        assert_eq!(out.status.code(), Some(1), "{ranges:?} must be a usage error");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("error: "), "{ranges:?}: {stderr}");
+    }
+}
+
+#[test]
+fn run_overrides_replace_their_auto_notes() {
+    let file = fresh_program();
+    // A zero deadline stops before training: only the notes matter.
+    let args = ["run", file.as_str(), "--json", "--deadline", "0", "--range", "2:12"];
+    let out = gcln(&[&args[..], &["--max-degree", "3"]].concat());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains(r#""event":"derived""#), "overridden notes remain:\n{stdout}");
+    // Without overrides both notes are reported.
+    let out = gcln(&args[..5]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("range m in 2..=22 (from pre)"), "{stdout}");
+    assert!(stdout.contains(r#""note":"max_degree 2"#), "{stdout}");
+}
+
+#[test]
 fn suite_expect_threshold_gates_the_exit_code() {
     // Filtering to a nonexistent problem keeps this instant: 0 attempted
     // means any --expect N > 0 must fail with exit code 3.

@@ -4,15 +4,15 @@
 //!
 //! Run with `cargo run --release --example cube_invariant`.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln_checker::{equalities_imply, equality_polys};
-use gcln_repro::gcln_logic::parse_formula;
-use gcln_repro::gcln_numeric::groebner::GroebnerLimits;
-use gcln_repro::gcln_problems::nla::nla_problem;
+use gcln_checker::{equalities_imply, equality_polys};
+use gcln_engine::{Engine, Job};
+use gcln_logic::parse_formula;
+use gcln_numeric::groebner::GroebnerLimits;
+use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("cohencu").expect("cohencu in NLA suite");
-    let outcome = infer_invariants(&problem, &PipelineConfig::default());
+    let outcome = Engine::new().run(&Job::new(problem.clone()));
     let names = problem.extended_names();
     let formula = outcome.formula_for(0).expect("loop 0 learned");
     println!("learned:\n  {}", formula.display(&names));

@@ -5,8 +5,8 @@
 //!
 //! Run with `cargo run --release --example fractional_sampling`.
 
-use gcln_repro::gcln::fractional::{fractional_points, FractionalConfig};
-use gcln_repro::gcln_problems::nla::nla_problem;
+use gcln_engine::fractional::{fractional_points, FractionalConfig};
+use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("ps4").expect("ps4 in NLA suite");

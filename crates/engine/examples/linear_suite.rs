@@ -4,20 +4,17 @@
 //!
 //! Run with `cargo run --release --example linear_suite`.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln_problems::linear::linear_suite;
+use gcln_engine::{Engine, GclnConfig, Job, PipelineConfig};
+use gcln_problems::linear::linear_suite;
 
 fn main() {
     let config = PipelineConfig {
-        gcln: gcln_repro::gcln::GclnConfig {
-            max_epochs: 1000,
-            ..gcln_repro::gcln::GclnConfig::default()
-        },
+        gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
         max_attempts: 2,
         ..PipelineConfig::default()
     };
     for problem in linear_suite().into_iter().take(8) {
-        let outcome = infer_invariants(&problem, &config);
+        let outcome = Engine::new().run(&Job::new(problem.clone()).with_config(config.clone()));
         let names = problem.extended_names();
         println!(
             "{:<14} valid={} {}",

@@ -1,12 +1,12 @@
-//! Quickstart: infer a nonlinear loop invariant end to end with the
-//! staged engine — configuration auto-derived from the source, progress
+//! Quickstart: infer a nonlinear loop invariant end to end with
+//! `gcln-engine` — configuration auto-derived from the source, progress
 //! streamed as JSON-line events.
 //!
 //! Run with `cargo run --release --example quickstart`.
 //! (The same program ships as `examples/squares.loop` for the CLI:
 //! `gcln run examples/squares.loop --json`.)
 
-use gcln_repro::gcln_engine::{Engine, Job, ProblemSpec};
+use gcln_engine::{Engine, Job, ProblemSpec};
 
 fn main() {
     // Any loop program in the C-like surface syntax works; this one sums

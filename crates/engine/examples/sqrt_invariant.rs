@@ -3,13 +3,13 @@
 //!
 //! Run with `cargo run --release --example sqrt_invariant`.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln_problems::nla::nla_problem;
+use gcln_engine::{Engine, Job};
+use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("sqrt1").expect("sqrt1 in NLA suite");
     println!("program:\n{}\n", problem.source);
-    let outcome = infer_invariants(&problem, &PipelineConfig::default());
+    let outcome = Engine::new().run(&Job::new(problem.clone()));
     let names = problem.extended_names();
     let formula = outcome.formula_for(0).expect("loop 0 learned");
     println!("checker accepted: {}", outcome.valid);

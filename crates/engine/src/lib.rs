@@ -25,9 +25,12 @@
 //! file and auto-derives the configuration (term degree, input ranges,
 //! extended terms) that registry problems hand-tune.
 //!
-//! The legacy entry point `gcln::pipeline::infer_invariants` is now a
-//! thin compatibility wrapper over [`Engine::run`] with identical
-//! determinism guarantees.
+//! This crate is the one library entry point: the `gcln` CLI, the
+//! scheduler (`gcln-sched`), the HTTP service (`gcln-serve`), the
+//! baselines and the experiment harnesses all build [`Job`]s and drive
+//! the same [`StagedJob`] machine. [`Engine::run`] is the solo driver
+//! (`Engine::new().run(&Job::new(problem).with_config(cfg))` solves one
+//! problem); `gcln-sched` interleaves many jobs over a shared pool.
 //!
 //! # Examples
 //!

@@ -11,9 +11,8 @@
 //! Determinism: every training attempt's seed is a pure function of
 //! `(master seed, attempt, loop, round)` and stage results merge in
 //! attempt order, so outcomes are bit-identical at any
-//! `RAYON_NUM_THREADS` — exactly the guarantee the monolithic
-//! `gcln::pipeline::infer_invariants` had before it became a thin
-//! wrapper over this engine.
+//! `RAYON_NUM_THREADS`. [`Engine::run`] is also the reference the
+//! scheduler's determinism tests compare scheduled runs against.
 
 use crate::data::{collect_loop_states, Dataset};
 use crate::events::{Event, StopReason};
@@ -80,9 +79,9 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The quick profile shared by the `gcln run --fast` and `invgen
-    /// --fast` front ends: fewer epochs, two restart attempts, one
-    /// CEGIS round.
+    /// The quick single-program profile (`gcln run --fast`, and served
+    /// jobs that ask for `fast`): fewer epochs, two restart attempts,
+    /// one CEGIS round.
     pub fn fast() -> PipelineConfig {
         PipelineConfig {
             gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
@@ -543,6 +542,8 @@ fn widened_input_tuples(problem: &Problem, config: &PipelineConfig) -> Vec<Vec<i
 mod tests {
     use super::*;
     use crate::events::Stage;
+    use gcln_checker::{equalities_imply, equality_polys};
+    use gcln_numeric::groebner::GroebnerLimits;
     use gcln_problems::nla::nla_problem;
 
     fn quick_job(name: &str) -> Job {
@@ -554,6 +555,18 @@ mod tests {
             cegis_rounds: 1,
             ..PipelineConfig::default()
         })
+    }
+
+    /// A registry problem at the default attempt count, with smaller
+    /// training and sampling budgets than the defaults.
+    fn solve(name: &str) -> InferenceOutcome {
+        let spec = ProblemSpec::from_registry(name).unwrap();
+        Engine::new().run(&Job::new(spec).with_config(PipelineConfig {
+            gcln: GclnConfig { max_epochs: 1200, ..GclnConfig::default() },
+            max_inputs: 60,
+            cegis_rounds: 1,
+            ..PipelineConfig::default()
+        }))
     }
 
     #[test]
@@ -715,9 +728,20 @@ mod tests {
 
     #[test]
     fn unlimited_job_completes_and_reports_stages() {
-        let outcome = Engine::new().run(&quick_job("ps2"));
+        let job = quick_job("ps2");
+        let outcome = Engine::new().run(&job);
         assert_eq!(outcome.stopped, None);
-        assert!(outcome.valid);
+        assert!(outcome.valid, "checker rejected: {:?}", outcome.report.counterexamples.first());
+        // The learned equalities must imply 2x == y^2 + y.
+        let names = job.spec.problem.extended_names();
+        let formula = outcome.formula_for(0).unwrap();
+        let gt = gcln_logic::parse_formula("2 * x == y^2 + y", &names).unwrap();
+        assert_eq!(
+            equalities_imply(formula, &equality_polys(&gt), GroebnerLimits::default()),
+            Some(true),
+            "learned {} does not imply ground truth",
+            formula.display(&names)
+        );
         for stage in [Stage::Trace, Stage::Train, Stage::Extract, Stage::Check] {
             assert!(
                 outcome.events.iter().any(
@@ -734,5 +758,71 @@ mod tests {
         for e in &outcome.events {
             assert!(!e.to_json().contains('\n'));
         }
+    }
+
+    #[test]
+    fn infers_sqrt1_tight_bound() {
+        let outcome = solve("sqrt1");
+        assert!(outcome.valid, "checker rejected: {:?}", outcome.report.counterexamples.first());
+        let names = nla_problem("sqrt1").unwrap().extended_names();
+        let formula = outcome.formula_for(0).unwrap();
+        let text = formula.display(&names).to_string();
+        // Equalities t = 2a+1, s = (a+1)^2 implied; bound n >= a^2 present.
+        let gt_eq =
+            gcln_logic::parse_formula("t == 2 * a + 1 && s == a^2 + 2 * a + 1", &names).unwrap();
+        assert_eq!(
+            equalities_imply(formula, &equality_polys(&gt_eq), GroebnerLimits::default()),
+            Some(true),
+            "equalities missing from {text}"
+        );
+        let target = gcln_logic::parse_poly("n - a^2", &names).unwrap().normalize_content();
+        let has_bound = formula
+            .atoms()
+            .iter()
+            .any(|a| a.pred == Pred::Ge && a.poly.normalize_content() == target);
+        assert!(has_bound, "tight bound n - a^2 >= 0 missing from {text}");
+    }
+
+    #[test]
+    fn infers_linear_problem() {
+        let outcome = solve("lin-rel-03");
+        assert!(outcome.valid, "checker rejected: {:?}", outcome.report.counterexamples.first());
+        let names = gcln_problems::find_problem("lin-rel-03").unwrap().extended_names();
+        let gt = gcln_logic::parse_formula("y == 2 * x", &names).unwrap();
+        let formula = outcome.formula_for(0).unwrap();
+        assert_eq!(
+            equalities_imply(formula, &equality_polys(&gt), GroebnerLimits::default()),
+            Some(true),
+            "learned {}",
+            formula.display(&names)
+        );
+    }
+
+    /// The parallel attempt fan-out must not perturb results: seeds are
+    /// split per attempt and merges happen in attempt order, so two runs
+    /// (at any `RAYON_NUM_THREADS`) produce identical formulas.
+    #[test]
+    fn parallel_attempts_are_deterministic() {
+        let problem = nla_problem("ps2").unwrap();
+        let job = Job::new(problem.clone()).with_config(PipelineConfig {
+            gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
+            max_inputs: 40,
+            cegis_rounds: 1,
+            ..PipelineConfig::default()
+        });
+        let names = problem.extended_names();
+        // One serial run, one run at the ambient (usually parallel)
+        // width: the comparison fails if results ever depend on the
+        // worker count. The vendored rayon shim reads the env var per
+        // fan-out, so the override takes effect immediately.
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let a = Engine::new().run(&job);
+        std::env::remove_var("RAYON_NUM_THREADS");
+        let b = Engine::new().run(&job);
+        assert_eq!(
+            a.formula_for(0).unwrap().display(&names).to_string(),
+            b.formula_for(0).unwrap().display(&names).to_string(),
+            "serial and parallel runs of the same master seed must give identical invariants"
+        );
     }
 }

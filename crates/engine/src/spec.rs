@@ -40,6 +40,9 @@ pub enum SpecError {
     },
     /// The source failed to parse or resolve.
     Program(gcln_lang::ProgramError),
+    /// An override does not fit the program (see
+    /// [`ProblemSpec::apply_overrides`]).
+    Override(String),
 }
 
 impl fmt::Display for SpecError {
@@ -47,6 +50,7 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::Io { path, error } => write!(f, "cannot read `{path}`: {error}"),
             SpecError::Program(e) => write!(f, "{e}"),
+            SpecError::Override(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -154,17 +158,43 @@ impl ProblemSpec {
 
     /// Applies CLI-style overrides on top of the (auto-derived)
     /// configuration: an explicit term degree and per-input sampling
-    /// ranges in declaration order. Excess ranges are ignored — front
-    /// ends share this so the drop rule cannot diverge between them.
-    pub fn apply_overrides(&mut self, max_degree: Option<u32>, ranges: &[(i128, i128)]) {
+    /// ranges in declaration order. Each override drops the
+    /// [`derived`](ProblemSpec::derived) note of the setting it replaces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Override`], leaving the spec unchanged, when
+    /// there are more ranges than program inputs or a range is empty
+    /// (`lo > hi`).
+    pub fn apply_overrides(
+        &mut self,
+        max_degree: Option<u32>,
+        ranges: &[(i128, i128)],
+    ) -> Result<(), SpecError> {
+        let inputs = &self.problem.program.inputs;
+        if ranges.len() > inputs.len() {
+            return Err(SpecError::Override(format!(
+                "{} ranges given, but `{}` has {} input(s)",
+                ranges.len(),
+                self.problem.name,
+                inputs.len()
+            )));
+        }
+        if let Some((name, (lo, hi))) = inputs.iter().zip(ranges).find(|(_, (lo, hi))| lo > hi) {
+            return Err(SpecError::Override(format!(
+                "range {lo}:{hi} for input {name} is empty (LO > HI)"
+            )));
+        }
         if let Some(d) = max_degree {
             self.problem.max_degree = d;
+            self.derived.retain(|note| !note.starts_with("max_degree "));
         }
-        for (i, r) in ranges.iter().enumerate() {
-            if i < self.problem.input_ranges.len() {
-                self.problem.input_ranges[i] = *r;
-            }
+        for name in &inputs[..ranges.len()] {
+            let prefix = format!("range {name} in ");
+            self.derived.retain(|note| !note.starts_with(&prefix));
         }
+        self.problem.input_ranges[..ranges.len()].copy_from_slice(ranges);
+        Ok(())
     }
 }
 
@@ -479,6 +509,22 @@ mod tests {
         .unwrap();
         assert!(spec.derived.iter().any(|d| d.contains("range a in 3..=23 (from pre)")));
         assert!(spec.derived.iter().any(|d| d.contains("range b in 0..=20 (default)")));
+    }
+
+    #[test]
+    fn overrides_replace_their_notes_and_reject_bad_ranges() {
+        let source = "inputs a, b; pre a >= 3; post x >= 0; x = a + b;";
+        let mut spec = ProblemSpec::from_source_str("p", source).unwrap();
+        let before = spec.clone();
+        for bad in [&[(0, 1), (0, 1), (0, 1)][..], &[(0, 9), (9, 3)][..]] {
+            assert!(matches!(spec.apply_overrides(Some(4), bad), Err(SpecError::Override(_))));
+            assert_eq!(spec.problem.input_ranges, before.problem.input_ranges);
+            assert_eq!(spec.derived, before.derived);
+        }
+        spec.apply_overrides(Some(4), &[(5, 5)]).unwrap();
+        assert_eq!(spec.problem.max_degree, 4);
+        assert_eq!(spec.problem.input_ranges, vec![(5, 5), (0, 20)]);
+        assert_eq!(spec.derived, vec!["range b in 0..=20 (default)".to_string()]);
     }
 
     #[test]

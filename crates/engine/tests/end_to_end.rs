@@ -1,13 +1,13 @@
 //! Cross-crate integration tests: the full workflow of paper Fig. 3 on
 //! representative problems from both suites.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln::GclnConfig;
-use gcln_repro::gcln_checker::{check, equalities_imply, equality_polys, Candidate, CheckerConfig};
-use gcln_repro::gcln_engine::{Engine, Event, Job, ProblemSpec, Stage};
-use gcln_repro::gcln_logic::parse_formula;
-use gcln_repro::gcln_numeric::groebner::GroebnerLimits;
-use gcln_repro::gcln_problems::{find_problem, nla::nla_problem, sample_inputs};
+use gcln_checker::{check, equalities_imply, equality_polys, Candidate, CheckerConfig};
+use gcln_engine::{
+    Engine, Event, GclnConfig, InferenceOutcome, Job, PipelineConfig, ProblemSpec, Stage,
+};
+use gcln_logic::parse_formula;
+use gcln_numeric::groebner::GroebnerLimits;
+use gcln_problems::{find_problem, nla::nla_problem, sample_inputs, Problem};
 
 fn quick_config() -> PipelineConfig {
     PipelineConfig {
@@ -19,10 +19,14 @@ fn quick_config() -> PipelineConfig {
     }
 }
 
+fn solve(problem: &Problem) -> InferenceOutcome {
+    Engine::new().run(&Job::new(problem.clone()).with_config(quick_config()))
+}
+
 #[test]
 fn pipeline_solves_cohencu_end_to_end() {
     let problem = nla_problem("cohencu").unwrap();
-    let outcome = infer_invariants(&problem, &quick_config());
+    let outcome = solve(&problem);
     assert!(outcome.valid, "cex: {:?}", outcome.report.counterexamples.first());
     let names = problem.extended_names();
     let gt = parse_formula("x == n^3 && y == 3*n^2 + 3*n + 1 && z == 6*n + 6", &names).unwrap();
@@ -40,7 +44,7 @@ fn pipeline_solves_cohencu_end_to_end() {
 fn pipeline_solves_a_linear_problem_per_family() {
     for name in ["lin-up-03", "lin-acc-05", "lin-branch-02", "lin-nest-02"] {
         let problem = find_problem(name).unwrap();
-        let outcome = infer_invariants(&problem, &quick_config());
+        let outcome = solve(&problem);
         assert!(
             outcome.valid,
             "{name} rejected: {:?}",
@@ -54,7 +58,7 @@ fn learned_invariants_are_checkable_artifacts() {
     // The pipeline's output can be re-validated from scratch with the
     // public checker API (no hidden state).
     let problem = nla_problem("ps2").unwrap();
-    let outcome = infer_invariants(&problem, &quick_config());
+    let outcome = solve(&problem);
     let candidates: Vec<Candidate> = outcome
         .loops
         .iter()

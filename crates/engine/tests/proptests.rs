@@ -1,10 +1,10 @@
 //! Property tests for the G-CLN core: extraction round-trips, bound
 //! validity, normalization invariances, and term-space combinatorics.
 
-use gcln::bounds::{learn_bounds, BoundsConfig};
-use gcln::data::{normalize_row, Dataset};
-use gcln::extract::{atom_fits, round_equality, ExtractConfig};
-use gcln::terms::{growth_filter_with_duplicates, TermSpace};
+use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+use gcln_engine::data::{normalize_row, Dataset};
+use gcln_engine::extract::{atom_fits, round_equality, ExtractConfig};
+use gcln_engine::terms::{growth_filter_with_duplicates, TermSpace};
 use gcln_logic::Pred;
 use gcln_numeric::Rat;
 use proptest::prelude::*;

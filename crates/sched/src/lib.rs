@@ -45,8 +45,9 @@
 //!
 //! ## Fault tolerance
 //!
-//! Stage-task execution runs under `catch_unwind`: a panicking task
-//! fails *only its own job*, which completes with a partial outcome
+//! Every job runs as stage tasks, and each task executes under
+//! `catch_unwind`: a panicking task fails *only its own job*, which
+//! ends through [`StagedJob::abort`] with a partial outcome
 //! (`stopped: task_panicked`, events up to the panic intact) — the
 //! ticket always resolves and neighbor jobs stay bit-identical.
 //! Transient faults injected by a [`gcln_faults::Faults`] plan at the
@@ -57,7 +58,9 @@
 //! breaker quarantines specs whose jobs died panicking
 //! [`SchedConfig::quarantine_threshold`] times: further submissions
 //! carrying that [`SubmitOptions::fault_key`] fail fast with
-//! `stopped: quarantined` before any task runs.
+//! `stopped: quarantined` before any task runs; that outcome is the
+//! only one the scheduler builds itself rather than taking from the
+//! state machine.
 //!
 //! ## Priority aging
 //!
@@ -84,7 +87,7 @@ use metrics::{Metrics, MetricsSnapshot};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -136,25 +139,11 @@ impl SchedConfig {
     }
 }
 
-/// Scheduling granularity for one submission.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Granularity {
-    /// Stage-task granularity (the point of this crate).
-    #[default]
-    Stage,
-    /// The whole job as one task on one worker — the legacy
-    /// rayon-per-problem behavior, kept as the benchmark baseline and
-    /// for apples-to-apples comparisons.
-    WholeJob,
-}
-
 /// Per-submission options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SubmitOptions {
     /// Higher runs first; jobs of equal priority round-robin.
     pub priority: i32,
-    /// Stage-task (default) or whole-job scheduling.
-    pub granularity: Granularity,
     /// Circuit-breaker key — typically the spec's content hash, so
     /// resubmissions of the same poisoned spec trip the breaker
     /// together. `None` opts the job out of quarantine tracking.
@@ -203,7 +192,7 @@ pub struct JobStats {
     /// jobs' interleaved tasks (unlike `InferenceOutcome::runtime`,
     /// which spans first dispatch to completion).
     pub busy: std::time::Duration,
-    /// Tasks executed for this job (1 for whole-job granularity).
+    /// Stage tasks executed for this job.
     pub tasks: u64,
 }
 
@@ -214,8 +203,6 @@ enum WorkItem {
     Start(Instant),
     /// Execute one stage task.
     Stage(Task, Instant),
-    /// Run the whole job inline ([`Granularity::WholeJob`]).
-    Whole(Instant),
 }
 
 #[derive(Default)]
@@ -429,10 +416,6 @@ impl Scheduler {
     ) -> JobTicket {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = job.cancel_token();
-        let item = match opts.granularity {
-            Granularity::Stage => WorkItem::Start(Instant::now()),
-            Granularity::WholeJob => WorkItem::Whole(Instant::now()),
-        };
         let run = Arc::new(JobRun {
             id,
             priority: opts.priority,
@@ -484,7 +467,7 @@ impl Scheduler {
         }
         let mut st = self.shared.state.lock().unwrap();
         st.jobs.insert(id, run.clone());
-        enqueue(&self.shared, &mut st, id, run.priority, vec![item]);
+        enqueue(&self.shared, &mut st, id, run.priority, vec![WorkItem::Start(Instant::now())]);
         drop(st);
         JobTicket { job: run }
     }
@@ -657,59 +640,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 advance_and_dispatch(shared, &job, &mut inner);
             }
             WorkItem::Stage(task, enqueued) => run_stage_task(shared, &job, task, enqueued),
-            WorkItem::Whole(enqueued) => {
-                shared.metrics.observe_queue_wait(enqueued.elapsed());
-                let spec = job.inner.lock().unwrap().pending.take().expect("pending job");
-                let slot = rayon::reserve_external_worker();
-                let t0 = Instant::now();
-                // `run_with_events` already isolates stage-task panics
-                // (returning a `task_panicked` partial outcome); this
-                // guard catches panics in the driver itself, so a bug
-                // there still resolves the ticket instead of killing
-                // the worker.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    shared.engine.run_with_events(&spec, &mut |event| {
-                        let mut inner = job.inner.lock().unwrap();
-                        emit(&job, &mut inner, event.clone());
-                    })
-                }));
-                drop(slot);
-                let took = t0.elapsed();
-                shared.metrics.observe_task("whole", took);
-                let mut inner = job.inner.lock().unwrap();
-                inner.stats.busy += took;
-                inner.stats.tasks += 1;
-                let outcome = match result {
-                    Ok(outcome) => {
-                        if outcome.stopped == Some(StopReason::TaskPanicked) {
-                            shared.metrics.task_panicked();
-                            shared.breaker.record_panic(job.fault_key);
-                        }
-                        outcome
-                    }
-                    Err(_) => {
-                        shared.metrics.task_panicked();
-                        shared.breaker.record_panic(job.fault_key);
-                        let events = vec![
-                            Event::JobStopped { reason: StopReason::TaskPanicked },
-                            Event::JobFinished { valid: false, cegis_rounds: 0, ms: 0.0 },
-                        ];
-                        for event in events.clone() {
-                            emit(&job, &mut inner, event);
-                        }
-                        InferenceOutcome {
-                            loops: Vec::new(),
-                            valid: false,
-                            cegis_rounds_used: 0,
-                            runtime: took,
-                            report: CheckReport::default(),
-                            stopped: Some(StopReason::TaskPanicked),
-                            events,
-                        }
-                    }
-                };
-                finish_job(shared, &job, inner, outcome);
-            }
         }
     }
 }
@@ -833,39 +763,14 @@ fn run_stage_task(shared: &Arc<Shared>, job: &Arc<JobRun>, task: Task, enqueued:
 /// events so far intact) and publishes it. Caller holds the inner lock.
 fn fail_job(shared: &Arc<Shared>, job: &Arc<JobRun>, inner: &mut JobInner) {
     let reason = inner.failed.expect("failure reason set");
-    let outcome = match inner.staged.as_mut() {
-        Some(staged) => {
-            let outcome = staged.abort(reason);
-            let events = staged.take_events();
-            for event in events {
-                emit(job, inner, event);
-            }
-            *outcome
-        }
-        // The machine never unfolded (panic on the very first batch
-        // before `advance` produced state) — synthesize the minimal
-        // structured outcome.
-        None => {
-            let events = vec![
-                Event::JobStopped { reason },
-                Event::JobFinished { valid: false, cegis_rounds: 0, ms: 0.0 },
-            ];
-            for event in events.clone() {
-                emit(job, inner, event);
-            }
-            InferenceOutcome {
-                loops: Vec::new(),
-                valid: false,
-                cegis_rounds_used: 0,
-                runtime: Duration::ZERO,
-                report: CheckReport::default(),
-                stopped: Some(reason),
-                events,
-            }
-        }
-    };
-    inner.staged = None;
-    store_outcome(shared, job, inner, outcome);
+    // Stage tasks exist only once `WorkItem::Start` has unfolded the
+    // machine, and it stays in place until the job finishes.
+    let mut staged = inner.staged.take().expect("a failing job has a staged machine");
+    let outcome = staged.abort(reason);
+    for event in staged.take_events() {
+        emit(job, inner, event);
+    }
+    store_outcome(shared, job, inner, *outcome);
 }
 
 /// Advances a job's state machine, streams the fresh events, and either
@@ -892,15 +797,6 @@ fn advance_and_dispatch(shared: &Arc<Shared>, job: &Arc<JobRun>, inner: &mut Job
             store_outcome(shared, job, inner, *outcome);
         }
     }
-}
-
-fn finish_job(
-    shared: &Arc<Shared>,
-    job: &Arc<JobRun>,
-    mut inner: MutexGuard<'_, JobInner>,
-    outcome: InferenceOutcome,
-) {
-    store_outcome(shared, job, &mut inner, outcome);
 }
 
 /// Publishes a finished outcome: wakes waiters, runs the done hook, and
@@ -981,23 +877,6 @@ mod tests {
             assert_eq!(a.formula, b.formula);
             assert_eq!(a.attempts, b.attempts);
         }
-        sched.shutdown();
-    }
-
-    #[test]
-    fn whole_job_granularity_matches_stage_granularity() {
-        let sched = Scheduler::new(SchedConfig::with_workers(2));
-        let staged = sched.submit(quick_job("ps3"));
-        let whole = sched.submit_with(
-            quick_job("ps3"),
-            SubmitOptions { granularity: Granularity::WholeJob, ..SubmitOptions::default() },
-            None,
-            None,
-        );
-        let a = staged.wait();
-        let b = whole.wait();
-        assert_eq!(strip_ms(&a.events), strip_ms(&b.events));
-        assert_eq!(a.loops[0].formula, b.loops[0].formula);
         sched.shutdown();
     }
 

@@ -79,8 +79,7 @@ pub struct Metrics {
     tasks_panicked: AtomicU64,
     jobs_quarantined: AtomicU64,
     queue_wait: Mutex<Histogram>,
-    /// Task execution latency per stage kind (label = `TaskKind::as_str`
-    /// or `"whole"` for job-granularity submissions).
+    /// Task execution latency per stage kind (label = `TaskKind::as_str`).
     tasks: Mutex<HashMap<&'static str, Histogram>>,
 }
 
@@ -170,7 +169,7 @@ pub struct MetricsSnapshot {
     pub jobs_submitted: u64,
     /// Jobs that produced an outcome.
     pub jobs_completed: u64,
-    /// Tasks executed (all kinds, including whole-job runs).
+    /// Stage tasks executed (all kinds).
     pub tasks_executed: u64,
     /// Stage tasks re-enqueued after a transient (injected) fault.
     pub tasks_retried: u64,

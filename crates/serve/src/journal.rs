@@ -15,8 +15,7 @@
 //! J2 <payload-len> <crc32-hex8> <payload>\n
 //! ```
 //!
-//! where the payload is a JSON object with a `"type"` tag, exactly as
-//! in the v1 format. The length and CRC-32 (IEEE) let recovery detect
+//! where the payload is a JSON object with a `"type"` tag. The length and CRC-32 (IEEE) let recovery detect
 //! torn writes (a crash mid-append) and silent corruption (bit rot):
 //! a frame whose payload length or checksum does not match is dropped,
 //! never replayed as a half-truth. Keeping the payload as plain JSON on
@@ -31,12 +30,9 @@
 //!   `J2 ` magic: a torn write leaves a partial frame with no trailing
 //!   newline, so the *next* record glues onto the garbage. The scan
 //!   resynchronizes at the first position that yields a valid frame.
-//! - Bare JSON lines (the legacy v1 format) are accepted as-is, so old
-//!   journals replay without migration.
-//! - When anything was skipped, resynced, or read in legacy form, the
-//!   journal is rewritten at open — corrupt tails are truncated and
-//!   every surviving record is re-framed as v2, atomically (temp file
-//!   + rename).
+//! - When anything was skipped or resynced, the journal is rewritten
+//!   at open — corrupt tails are truncated and every surviving record
+//!   is re-framed, atomically (temp file + rename).
 //!
 //! # Durability
 //!
@@ -120,8 +116,6 @@ enum Decoded<'a> {
     /// A valid v2 frame found mid-chunk — garbage (e.g. a torn partial
     /// frame) preceded it and was discarded.
     Resynced(&'a str),
-    /// A bare legacy v1 JSON line (no framing to verify).
-    Legacy(&'a str),
     /// Unrecoverable garbage.
     Corrupt,
 }
@@ -143,9 +137,6 @@ fn decode_chunk(chunk: &str) -> Decoded<'_> {
         }
         from = at + MAGIC.len();
     }
-    if chunk.starts_with('{') {
-        return Decoded::Legacy(chunk);
-    }
     Decoded::Corrupt
 }
 
@@ -157,10 +148,7 @@ pub struct RecoveryStats {
     pub skipped_lines: usize,
     /// Records salvaged by resynchronizing past torn garbage.
     pub resynced_records: usize,
-    /// Records read in the legacy unframed v1 format.
-    pub legacy_lines: usize,
-    /// Whether open rewrote the file (corruption found or legacy
-    /// records re-framed).
+    /// Whether open rewrote the file (corruption found).
     pub repaired: bool,
 }
 
@@ -178,8 +166,8 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if absent) a journal for append, first replaying
-    /// every valid record already present (v2 frames verified by
-    /// length + CRC, legacy v1 lines as-is). Corrupt chunks are
+    /// every valid record already present (frames verified by
+    /// length + CRC). Corrupt chunks are
     /// skipped and counted, never fatal; if any were found the file is
     /// rewritten in place with only the surviving records.
     ///
@@ -211,10 +199,9 @@ impl Journal {
                 if chunk.is_empty() {
                     continue;
                 }
-                let (payload, resynced, legacy) = match decode_chunk(chunk) {
-                    Decoded::Frame(p) => (p, false, false),
-                    Decoded::Resynced(p) => (p, true, false),
-                    Decoded::Legacy(p) => (p, false, true),
+                let (payload, resynced) = match decode_chunk(chunk) {
+                    Decoded::Frame(p) => (p, false),
+                    Decoded::Resynced(p) => (p, true),
                     Decoded::Corrupt => {
                         recovery.skipped_lines += 1;
                         continue;
@@ -223,7 +210,6 @@ impl Journal {
                 match Json::parse(payload) {
                     Ok(v) if v.get("type").and_then(Json::as_str).is_some() => {
                         recovery.resynced_records += usize::from(resynced);
-                        recovery.legacy_lines += usize::from(legacy);
                         payloads.push(payload.to_string());
                         replayed.push(v);
                     }
@@ -231,9 +217,8 @@ impl Journal {
                 }
             }
         }
-        if recovery.skipped_lines > 0 || recovery.resynced_records > 0 || recovery.legacy_lines > 0
-        {
-            // Truncate corruption and normalize to v2 framing, atomically.
+        if recovery.skipped_lines > 0 || recovery.resynced_records > 0 {
+            // Truncate corruption, atomically.
             write_framed(&path, &payloads)?;
             recovery.repaired = true;
         }
@@ -450,28 +435,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_lines_replay_and_are_reframed() {
-        let path = tmp("legacy.jsonl");
-        std::fs::write(
-            &path,
-            "{\"type\":\"metrics\",\"x\":1}\n{\"type\":\"job\",\"id\":\"job-9\"}\nnot json at all\n",
-        )
-        .unwrap();
+    fn bare_json_lines_are_skipped_and_truncated() {
+        let path = tmp("bare.jsonl");
+        let _ = std::fs::remove_file(&path);
+        {
+            let j = Journal::open(&path).unwrap();
+            j.append(r#"{"type":"job","id":"job-1"}"#).unwrap();
+        }
+        // Unframed JSON is corruption like any other: no record replays
+        // from it, and the repair leaves only the framed record.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"type\":\"metrics\",\"x\":1}\n{\"type\":\"job\",\"id\":\"job-9\"}\n")
+            .unwrap();
+        drop(f);
         let j = Journal::open(&path).unwrap();
-        // All typed records replay (the server filters by type);
-        // unparseable garbage is skipped.
-        assert_eq!(j.replayed().len(), 2);
-        assert_eq!(j.recovery().legacy_lines, 2);
-        assert_eq!(j.skipped_lines(), 1);
-        assert!(j.recovery().repaired, "legacy journals are migrated to v2 at open");
-        // After migration everything is framed: re-open sees v2 only.
-        let j = Journal::open(&path).unwrap();
-        assert_eq!(j.replayed().len(), 2);
-        assert_eq!(j.recovery().legacy_lines, 0);
-        assert_eq!(j.skipped_lines(), 0);
+        assert_eq!(j.replayed().len(), 1);
+        assert_eq!(j.replayed()[0].get("id").and_then(Json::as_str), Some("job-1"));
+        assert_eq!(j.skipped_lines(), 2);
+        assert!(j.recovery().repaired);
         let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(contents.lines().all(|l| l.starts_with("J2 ")));
-        assert!(contents.contains(r#""type":"job""#), "payloads must stay greppable");
+        assert_eq!(contents, format!("{}\n", encode_frame(r#"{"type":"job","id":"job-1"}"#)));
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.replayed().len(), 1);
+        assert_eq!(j.skipped_lines(), 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -5,8 +5,7 @@
 //!
 //! - `gcln_sched_task_duration_seconds{kind=…}` — histogram of task
 //!   execution latency per stage kind (trace/setup/train/extract/
-//!   kernel/bounds/fractional/check, plus `whole` for job-granularity
-//!   runs).
+//!   kernel/bounds/fractional/check).
 //! - `gcln_sched_queue_wait_seconds` — histogram of ready-queue wait.
 //! - `gcln_sched_worker_utilization` — gauge, busy ÷ (uptime × workers).
 //! - `gcln_sched_workers`, `gcln_sched_jobs_total{state=…}`,

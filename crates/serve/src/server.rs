@@ -42,7 +42,7 @@ use crate::limiter::{Admission, RateLimit, RateLimiter};
 use gcln_engine::cache::TraceCache;
 use gcln_engine::events::json_string;
 use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig};
-use gcln_sched::{Granularity, JobEvent, SchedConfig, Scheduler, SubmitOptions};
+use gcln_sched::{JobEvent, SchedConfig, Scheduler, SubmitOptions};
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -416,7 +416,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         }
         match spec_cache.fetch(&p.source, p.name.as_deref()) {
             Ok((source_hash, mut spec)) => {
-                spec.apply_overrides(p.max_degree, &[]);
+                spec.apply_overrides(p.max_degree, &[]).expect("a degree override always applies");
                 next_id = next_id.max(p.id + 1);
                 resubmits.push((p, source_hash, spec, admit.render()));
             }
@@ -678,7 +678,7 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
         Ok(hit) => hit,
         Err(e) => return Response::error(400, &format!("source does not parse: {e}")),
     };
-    spec.apply_overrides(max_degree, &[]);
+    spec.apply_overrides(max_degree, &[]).expect("a degree override always applies");
 
     // Admission: the lock covers the capacity check and the record
     // insert, so two racing submissions cannot both squeeze past the
@@ -782,7 +782,6 @@ fn launch_job(
         job,
         SubmitOptions {
             priority: record.priority,
-            granularity: Granularity::Stage,
             // Keyed by source hash: repeated panics on the same spec
             // trip the scheduler's circuit breaker, and later
             // submissions of that spec fail fast as `quarantined`.
