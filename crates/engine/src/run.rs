@@ -728,20 +728,9 @@ mod tests {
 
     #[test]
     fn unlimited_job_completes_and_reports_stages() {
-        let job = quick_job("ps2");
-        let outcome = Engine::new().run(&job);
+        let outcome = Engine::new().run(&quick_job("ps2"));
         assert_eq!(outcome.stopped, None);
-        assert!(outcome.valid, "checker rejected: {:?}", outcome.report.counterexamples.first());
-        // The learned equalities must imply 2x == y^2 + y.
-        let names = job.spec.problem.extended_names();
-        let formula = outcome.formula_for(0).unwrap();
-        let gt = gcln_logic::parse_formula("2 * x == y^2 + y", &names).unwrap();
-        assert_eq!(
-            equalities_imply(formula, &equality_polys(&gt), GroebnerLimits::default()),
-            Some(true),
-            "learned {} does not imply ground truth",
-            formula.display(&names)
-        );
+        assert!(outcome.valid);
         for stage in [Stage::Trace, Stage::Train, Stage::Extract, Stage::Check] {
             assert!(
                 outcome.events.iter().any(
@@ -758,6 +747,25 @@ mod tests {
         for e in &outcome.events {
             assert!(!e.to_json().contains('\n'));
         }
+    }
+
+    #[test]
+    fn infers_ps2_invariant() {
+        let outcome = solve("ps2");
+        assert!(outcome.valid, "checker rejected: {:?}", outcome.report.counterexamples.first());
+        // The learned equalities must imply 2x == y^2 + y.
+        let names = nla_problem("ps2").unwrap().extended_names();
+        let formula = outcome.formula_for(0).unwrap();
+        let gt = gcln_logic::parse_formula("2 * x == y^2 + y", &names).unwrap();
+        assert_eq!(
+            equalities_imply(formula, &equality_polys(&gt), GroebnerLimits::default()),
+            Some(true),
+            "learned {} does not imply ground truth",
+            formula.display(&names)
+        );
+        // A job without limits must not stop early.
+        assert_eq!(outcome.stopped, None);
+        assert!(!outcome.events.is_empty(), "engine events must be recorded");
     }
 
     #[test]
