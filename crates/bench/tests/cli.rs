@@ -147,13 +147,18 @@ fn run_rejects_unknown_targets_and_bad_sources() {
 #[test]
 fn run_rejects_surplus_and_empty_ranges() {
     let file = fresh_program();
-    for ranges in [&["--range", "0:10", "--range", "5:6"][..], &["--range", "9:3"][..]] {
+    for flags in [
+        &["--range", "0:10", "--range", "5:6"][..],
+        &["--range", "9:3"][..],
+        &["--max-degree", "0"][..],
+        &["--max-degree", "9"][..],
+    ] {
         let mut args = vec!["run", file.as_str()];
-        args.extend_from_slice(ranges);
+        args.extend_from_slice(flags);
         let out = gcln(&args);
-        assert_eq!(out.status.code(), Some(1), "{ranges:?} must be a usage error");
+        assert_eq!(out.status.code(), Some(1), "{flags:?} must be a usage error");
         let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(stderr.starts_with("error: "), "{ranges:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{flags:?}: {stderr}");
     }
 }
 

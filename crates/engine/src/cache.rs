@@ -6,8 +6,8 @@
 //!
 //! - **Spec caching** (owned by the front end, e.g. `gcln-serve`):
 //!   `ProblemSpec::from_source_str` re-parses and re-derives
-//!   configuration on every call; hashing the source bytes memoizes
-//!   that work.
+//!   configuration on every call; a [`ContentCache`] keyed by the
+//!   source bytes memoizes that work.
 //! - **Trace caching** (owned by the engine, this module): the Trace
 //!   stage re-runs the program interpreter over the sampled input grid
 //!   on every job. Trace collection is a pure function of the problem
@@ -15,14 +15,15 @@
 //!   pipeline settings, so a [`TraceCache`] keyed by that tuple returns
 //!   bit-identical training data without re-execution.
 //!
-//! Keys are FNV-1a 64-bit content hashes ([`fnv1a64`]). The cache is
-//! `Mutex`-guarded and shared across worker threads via `Arc`; entries
-//! are `Arc`ed so a hit is one clone of three `Vec`s, not a re-run of
-//! the interpreter.
+//! Both are built on [`ContentCache`]: keys are FNV-1a 64-bit content
+//! hashes ([`fnv1a64`]) of a tag, the cache is `Mutex`-guarded and
+//! shared across worker threads via `Arc`, and entries are `Arc`ed so a
+//! trace hit is one clone of three `Vec`s, not a re-run of the
+//! interpreter.
 
 use crate::run::PipelineConfig;
 use gcln_problems::Problem;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -63,6 +64,98 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// A bounded, thread-shared memo keyed by a content tag: the full
+/// identity of what an entry was computed from.
+///
+/// - The map key is [`fnv1a64`] over the tag, but each entry keeps its
+///   full tag: FNV-1a is not collision resistant, and in a multi-user
+///   service a crafted collision must read as a miss, never as another
+///   submission's entry.
+/// - Capacity is bounded (insertion-order eviction): a long-lived server
+///   sees a new tag for every edit of an iterated source, so an uncapped
+///   map would grow with distinct submissions forever.
+/// - First write wins: an entry is a pure function of its tag, so
+///   concurrent inserts of one tag carry identical values, and a
+///   colliding *different* tag simply never caches.
+///
+/// Values are `Arc`ed so a hit is a reference-count bump, not a copy.
+#[derive(Debug)]
+pub struct ContentCache<V> {
+    inner: Mutex<CacheInner<V>>,
+    capacity: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+const POISONED: &str = "a thread panicked while holding the cache lock";
+
+#[derive(Debug)]
+struct CacheInner<V> {
+    map: HashMap<u64, (String, Arc<V>)>,
+    /// Keys in insertion order (eviction order).
+    order: VecDeque<u64>,
+}
+
+impl<V> ContentCache<V> {
+    /// A fresh cache holding at most `capacity` entries (min 1); the
+    /// oldest entry is evicted beyond that.
+    pub fn with_capacity(capacity: usize) -> ContentCache<V> {
+        ContentCache {
+            inner: Mutex::new(CacheInner { map: HashMap::new(), order: VecDeque::new() }),
+            capacity: capacity.max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Looks up a tag, counting the hit or miss. A slot whose stored
+    /// tag differs (an FNV collision) reads as a miss.
+    pub fn lookup(&self, tag: &str) -> Option<Arc<V>> {
+        let key = fnv1a64(tag.as_bytes());
+        let found = match self.inner.lock().expect(POISONED).map.get(&key) {
+            Some((stored, value)) if stored == tag => Some(value.clone()),
+            _ => None,
+        };
+        match &found {
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        found
+    }
+
+    /// Inserts a value under a tag, evicting the oldest entries beyond
+    /// capacity, and returns the entry to use: the resident one when the
+    /// tag is already cached (first write wins), otherwise `value`. A
+    /// slot held by a colliding different tag keeps its resident, and
+    /// `value` is returned uncached.
+    pub fn insert(&self, tag: String, value: V) -> Arc<V> {
+        let key = fnv1a64(tag.as_bytes());
+        let mut inner = self.inner.lock().expect(POISONED);
+        match inner.map.get(&key) {
+            Some((stored, resident)) if *stored == tag => return resident.clone(),
+            Some(_) => return Arc::new(value),
+            None => {}
+        }
+        while inner.map.len() >= self.capacity {
+            let Some(oldest) = inner.order.pop_front() else { break };
+            inner.map.remove(&oldest);
+        }
+        let value = Arc::new(value);
+        inner.map.insert(key, (tag, value.clone()));
+        inner.order.push_back(key);
+        value
+    }
+
+    /// Current hit/miss/entry counters.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.inner.lock().expect(POISONED).map.len(),
+        }
+    }
+}
+
 /// A shared memo of Trace-stage results keyed by
 /// `(source, input ranges, extended terms, trace config)`.
 ///
@@ -70,28 +163,7 @@ pub struct CacheStats {
 /// deterministic input grid), so serving a cached entry is guaranteed
 /// bit-identical to re-collecting — the engine's determinism contract
 /// is unaffected by cache hits.
-///
-/// Capacity is bounded (insertion-order eviction): entries retain full
-/// training/validation point sets, and a long-lived server sees a new
-/// key for every edit of an iterated source — an uncapped map would
-/// grow with distinct submissions forever.
-#[derive(Debug)]
-pub struct TraceCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Entries keep their full pre-hash tag: FNV-1a is not collision
-    /// resistant, and in a multi-user service a crafted collision must
-    /// read as a miss, never as another program's trace data.
-    map: HashMap<u64, (String, Arc<TraceData>)>,
-    /// Keys in insertion order (eviction order).
-    order: std::collections::VecDeque<u64>,
-}
+pub type TraceCache = ContentCache<TraceData>;
 
 /// Default [`TraceCache`] capacity; entries are large (full point
 /// sets), so the default stays modest.
@@ -104,20 +176,9 @@ impl Default for TraceCache {
 }
 
 impl TraceCache {
-    /// A fresh cache with the default capacity.
+    /// A fresh trace cache with the default capacity.
     pub fn new() -> TraceCache {
         TraceCache::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A fresh cache holding at most `capacity` entries (min 1); the
-    /// oldest entry is evicted beyond that.
-    pub fn with_capacity(capacity: usize) -> TraceCache {
-        TraceCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
     }
 
     /// The cache tag for a problem/config pair — the full identity the
@@ -149,49 +210,6 @@ impl TraceCache {
     /// The hashed form of [`TraceCache::tag`] (the map key).
     pub fn key(problem: &Problem, config: &PipelineConfig) -> u64 {
         fnv1a64(TraceCache::tag(problem, config).as_bytes())
-    }
-
-    /// Looks up a tag, counting the hit or miss. A slot whose stored
-    /// tag differs (an FNV collision) reads as a miss.
-    pub fn lookup(&self, tag: &str) -> Option<Arc<TraceData>> {
-        let key = fnv1a64(tag.as_bytes());
-        let found = match self.inner.lock().unwrap().map.get(&key) {
-            Some((stored, data)) if stored == tag => Some(data.clone()),
-            _ => None,
-        };
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Inserts a completed trace under a tag, evicting the oldest
-    /// entries beyond capacity. First write wins — for an identical
-    /// tag the data is a pure function of the tag, so concurrent
-    /// inserts carry identical payloads; a colliding *different* tag
-    /// simply never caches.
-    pub fn insert(&self, tag: String, data: TraceData) {
-        let key = fnv1a64(tag.as_bytes());
-        let mut inner = self.inner.lock().unwrap();
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        while inner.map.len() >= self.capacity {
-            let Some(oldest) = inner.order.pop_front() else { break };
-            inner.map.remove(&oldest);
-        }
-        inner.map.insert(key, (tag, Arc::new(data)));
-        inner.order.push_back(key);
-    }
-
-    /// Current hit/miss/entry counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().map.len(),
-        }
     }
 }
 

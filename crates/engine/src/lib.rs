@@ -62,7 +62,7 @@ pub mod spec;
 pub mod staged;
 pub mod terms;
 
-pub use cache::{CacheStats, TraceCache, TraceData};
+pub use cache::{CacheStats, ContentCache, TraceCache, TraceData};
 pub use events::{Event, Stage, StopReason};
 pub use gcln_checker::CheckReport;
 pub use model::{GclnConfig, TrainedGcln};

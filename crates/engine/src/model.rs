@@ -816,7 +816,6 @@ mod tests {
         tape: Tape,
         loss: Var,
         params: Vec<f64>,
-        grads: Vec<f64>,
     }
 
     impl DataLoss for TapeLoss<'_> {
@@ -833,13 +832,8 @@ mod tests {
             let Some(grads) = grads else {
                 return self.tape.forward(self.loss, self.columns, &self.params);
             };
-            let loss = self.tape.eval_with_grad_into(
-                self.loss,
-                self.columns,
-                &self.params,
-                &mut self.grads,
-            );
-            grads.copy_from_slice(&self.grads[..k]);
+            let (loss, tape_grads) = self.tape.eval_with_grad(self.loss, self.columns, &self.params);
+            grads.copy_from_slice(&tape_grads[..k]);
             loss
         }
     }
@@ -847,7 +841,7 @@ mod tests {
     fn tape_loss<'a>(columns: &'a [Vec<f64>], clauses: &[ClauseSlot], num_params: usize) -> TapeLoss<'a> {
         let (tape, loss) = build_loss_tape(columns.len(), clauses, num_params);
         let params = vec![0.0; num_params + 1];
-        TapeLoss { columns, tape, loss, grads: params.clone(), params }
+        TapeLoss { columns, tape, loss, params }
     }
 
     /// Evaluates the kernel and the tape side by side, requiring the same

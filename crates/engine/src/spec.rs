@@ -27,6 +27,9 @@ const DEFAULT_SPAN: i128 = 20;
 /// benchmarks; above 6 term enumeration explodes combinatorially.
 const MIN_DEGREE: u32 = 2;
 const MAX_DEGREE: u32 = 6;
+/// Largest accepted degree override: above the auto-derivation clamp for
+/// headroom, but bounded, so one job cannot pin a worker indefinitely.
+const MAX_DEGREE_OVERRIDE: u32 = 8;
 
 /// Error from building a spec out of source text.
 #[derive(Clone, Debug)]
@@ -164,13 +167,18 @@ impl ProblemSpec {
     /// # Errors
     ///
     /// Returns [`SpecError::Override`], leaving the spec unchanged, when
-    /// there are more ranges than program inputs or a range is empty
-    /// (`lo > hi`).
+    /// the degree is outside `1..=8`, there are more ranges than program
+    /// inputs, or a range is empty (`lo > hi`).
     pub fn apply_overrides(
         &mut self,
         max_degree: Option<u32>,
         ranges: &[(i128, i128)],
     ) -> Result<(), SpecError> {
+        if let Some(d) = max_degree.filter(|d| !(1..=MAX_DEGREE_OVERRIDE).contains(d)) {
+            return Err(SpecError::Override(format!(
+                "max_degree must be in 1..={MAX_DEGREE_OVERRIDE}, got {d}"
+            )));
+        }
         let inputs = &self.problem.program.inputs;
         if ranges.len() > inputs.len() {
             return Err(SpecError::Override(format!(
@@ -516,8 +524,13 @@ mod tests {
         let source = "inputs a, b; pre a >= 3; post x >= 0; x = a + b;";
         let mut spec = ProblemSpec::from_source_str("p", source).unwrap();
         let before = spec.clone();
-        for bad in [&[(0, 1), (0, 1), (0, 1)][..], &[(0, 9), (9, 3)][..]] {
-            assert!(matches!(spec.apply_overrides(Some(4), bad), Err(SpecError::Override(_))));
+        for (degree, bad) in [
+            (Some(4), &[(0, 1), (0, 1), (0, 1)][..]),
+            (Some(4), &[(0, 9), (9, 3)][..]),
+            (Some(0), &[(5, 5)][..]),
+            (Some(9), &[(5, 5)][..]),
+        ] {
+            assert!(matches!(spec.apply_overrides(degree, bad), Err(SpecError::Override(_))));
             assert_eq!(spec.problem.input_ranges, before.problem.input_ranges);
             assert_eq!(spec.derived, before.derived);
         }

@@ -12,30 +12,15 @@
 //! bytes, so cached specs are stored under the parser's fallback name
 //! and [`SpecCache::fetch`] re-applies the caller's name on each hit.
 
-use gcln_engine::cache::{fnv1a64, CacheStats};
+use gcln_engine::cache::{fnv1a64, CacheStats, ContentCache};
 use gcln_engine::{ProblemSpec, SpecError};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// A shared memo of parsed [`ProblemSpec`]s keyed by source hash.
-///
-/// Capacity-bounded (insertion-order eviction): every edit of an
-/// iterated source is a new key, so an uncapped map would grow with
-/// distinct submissions for the life of the server.
+/// A shared memo of parsed [`ProblemSpec`]s keyed by source bytes: a
+/// [`ContentCache`] whose tag is the source itself, so a hash collision
+/// re-parses as a miss and never serves another program's spec.
 #[derive(Debug)]
 pub struct SpecCache {
-    inner: Mutex<SpecInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct SpecInner {
-    map: HashMap<u64, Arc<ProblemSpec>>,
-    /// Keys in insertion order (eviction order).
-    order: std::collections::VecDeque<u64>,
+    cache: ContentCache<ProblemSpec>,
 }
 
 /// Default [`SpecCache`] capacity; specs are much smaller than trace
@@ -57,12 +42,7 @@ impl SpecCache {
     /// A fresh cache holding at most `capacity` entries (min 1); the
     /// oldest entry is evicted beyond that.
     pub fn with_capacity(capacity: usize) -> SpecCache {
-        SpecCache {
-            inner: Mutex::new(SpecInner::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        SpecCache { cache: ContentCache::with_capacity(capacity) }
     }
 
     /// The cache key for a source: FNV-1a 64 over its bytes.
@@ -82,47 +62,12 @@ impl SpecCache {
     /// (parse failures are not cached — they are cheap to re-diagnose
     /// and should not occupy memory).
     pub fn fetch(&self, source: &str, name: Option<&str>) -> Result<(u64, ProblemSpec), SpecError> {
-        let key = SpecCache::key(source);
-        // A hit must carry byte-identical source: FNV is not collision
-        // resistant, and in a multi-user service a crafted collision
-        // must re-parse as a miss, never serve another program's spec.
-        let cached = self
-            .inner
-            .lock()
-            .unwrap()
-            .map
-            .get(&key)
-            .filter(|e| e.problem.source == source)
-            .cloned();
-        let entry = match cached {
-            Some(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                e
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let spec = Arc::new(ProblemSpec::from_source_str(
-                    gcln_lang::Program::DEFAULT_NAME,
-                    source,
-                )?);
-                let mut inner = self.inner.lock().unwrap();
-                match inner.map.get(&key) {
-                    // A racing identical fetch beat us to the slot.
-                    Some(existing) if existing.problem.source == source => existing.clone(),
-                    // Slot held by a colliding different source: serve
-                    // our parse uncached rather than evict the resident.
-                    Some(_) => spec,
-                    None => {
-                        while inner.map.len() >= self.capacity {
-                            let Some(oldest) = inner.order.pop_front() else { break };
-                            inner.map.remove(&oldest);
-                        }
-                        inner.map.insert(key, spec.clone());
-                        inner.order.push_back(key);
-                        spec
-                    }
-                }
-            }
+        let entry = match self.cache.lookup(source) {
+            Some(entry) => entry,
+            None => self.cache.insert(
+                source.to_string(),
+                ProblemSpec::from_source_str(gcln_lang::Program::DEFAULT_NAME, source)?,
+            ),
         };
         let mut spec = (*entry).clone();
         if let Some(name) = name {
@@ -130,16 +75,12 @@ impl SpecCache {
                 spec.problem.name = name.to_string();
             }
         }
-        Ok((key, spec))
+        Ok((SpecCache::key(source), spec))
     }
 
     /// Current hit/miss/entry counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().map.len(),
-        }
+        self.cache.stats()
     }
 }
 

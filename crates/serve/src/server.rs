@@ -416,7 +416,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         }
         match spec_cache.fetch(&p.source, p.name.as_deref()) {
             Ok((source_hash, mut spec)) => {
-                spec.apply_overrides(p.max_degree, &[]).expect("a degree override always applies");
+                spec.apply_overrides(p.max_degree, &[]).expect("admission accepted this degree");
                 next_id = next_id.max(p.id + 1);
                 resubmits.push((p, source_hash, spec, admit.render()));
             }
@@ -577,10 +577,6 @@ fn route(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Respo
 /// silently ignored.
 const JOB_KEYS: [&str; 6] = ["source", "name", "fast", "deadline_secs", "step_budget", "max_degree"];
 
-/// Largest accepted `max_degree` override — above the auto-derivation
-/// clamp (6) for headroom, but bounded.
-const MAX_DEGREE_OVERRIDE: u64 = 8;
-
 fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Response {
     if shared.is_shutdown() {
         return Response::error(503, "server is shutting down").with_header("retry-after", "1");
@@ -658,19 +654,12 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
             None => return Response::error(400, "\"step_budget\" must be a non-negative integer"),
         },
     };
-    // Term enumeration explodes combinatorially with degree (the
-    // auto-derivation clamp is [2,6]); an unbounded override would let
-    // one request pin a worker indefinitely.
+    // The degree's range is checked with the override itself, below.
     let max_degree = match body.get("max_degree") {
         None => None,
-        Some(v) => match v.as_u64().filter(|d| (1..=MAX_DEGREE_OVERRIDE).contains(d)) {
-            Some(d) => Some(d as u32),
-            None => {
-                return Response::error(
-                    400,
-                    &format!("\"max_degree\" must be an integer in 1..={MAX_DEGREE_OVERRIDE}"),
-                )
-            }
+        Some(v) => match v.as_u64().and_then(|d| u32::try_from(d).ok()) {
+            Some(d) => Some(d),
+            None => return Response::error(400, "\"max_degree\" must be a non-negative integer"),
         },
     };
 
@@ -678,7 +667,9 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
         Ok(hit) => hit,
         Err(e) => return Response::error(400, &format!("source does not parse: {e}")),
     };
-    spec.apply_overrides(max_degree, &[]).expect("a degree override always applies");
+    if let Err(e) = spec.apply_overrides(max_degree, &[]) {
+        return Response::error(400, &e.to_string());
+    }
 
     // Admission: the lock covers the capacity check and the record
     // insert, so two racing submissions cannot both squeeze past the

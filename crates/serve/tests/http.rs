@@ -379,6 +379,8 @@ fn api_surface_rejects_malformed_traffic() {
         (r#"{"source":"inputs n; x = n;","deadline_secs":-1}"#, "deadline_secs"),
         (r#"{"source":"inputs n; x = n;","step_budget":1.5}"#, "step_budget"),
         (r#"{"source":"inputs n; x = n;","fast":"yes"}"#, "fast"),
+        (r#"{"source":"inputs n; x = n;","max_degree":0}"#, "max_degree"),
+        (r#"{"source":"inputs n; x = n;","max_degree":9}"#, "max_degree"),
     ] {
         let resp = post(addr, "/jobs", body);
         assert_eq!(resp.status, 400, "{body} -> {}", resp.body);

@@ -1,7 +1,7 @@
 //! Shared numeric kernels: a vectorizable `exp` and canonical blocked
 //! reductions.
 //!
-//! Every execution engine that must agree bit for bit — the scalar arena
+//! Every execution engine that must agree bit for bit — the tape
 //! ([`crate::tape`]) and the engine crate's direct G-CLN equality kernel
 //! and PBQU bound trainer — routes the *same* floating-point operations
 //! through the *same* inlined helpers below. That single source of truth
@@ -74,51 +74,6 @@ pub fn reduce_fma_blocked4(n: usize, mut f: impl FnMut(usize) -> (f64, f64)) -> 
         j += 1;
     }
     ((a0 + a1) + (a2 + a3)) + tail
-}
-
-/// Four [`reduce_fma_blocked4`] dot products sharing one pass over `a`:
-/// `out[t] = Σⱼ a[j]·b[t][j]`, each sum **bit-identical** to
-/// `reduce_fma_blocked4(n, |j| (a[j], b[t][j]))` — same four-block
-/// accumulator pattern, same tail, same combine. Sharing the pass reads
-/// the upstream gradient once instead of four times, which matters on
-/// backward passes that reduce many weight adjoints against the same
-/// adjoint column.
-///
-/// # Panics
-///
-/// Panics (via slice indexing) if `a` or any `b[t]` is shorter than `n`.
-#[inline(always)]
-pub fn reduce_fma_blocked4_x4(n: usize, a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
-    let mut acc = [[0.0f64; 4]; 4];
-    let mut j = 0;
-    while j + 4 <= n {
-        let a0 = a[j];
-        let a1 = a[j + 1];
-        let a2 = a[j + 2];
-        let a3 = a[j + 3];
-        for (t, at) in acc.iter_mut().enumerate() {
-            let bt = b[t];
-            at[0] = fma64(a0, bt[j], at[0]);
-            at[1] = fma64(a1, bt[j + 1], at[1]);
-            at[2] = fma64(a2, bt[j + 2], at[2]);
-            at[3] = fma64(a3, bt[j + 3], at[3]);
-        }
-        j += 4;
-    }
-    let mut tails = [0.0f64; 4];
-    while j < n {
-        let aj = a[j];
-        for (t, tl) in tails.iter_mut().enumerate() {
-            *tl = fma64(aj, b[t][j], *tl);
-        }
-        j += 1;
-    }
-    let mut out = [0.0f64; 4];
-    for (t, o) in out.iter_mut().enumerate() {
-        let [a0, a1, a2, a3] = acc[t];
-        *o = ((a0 + a1) + (a2 + a3)) + tails[t];
-    }
-    out
 }
 
 /// `1.5 × 2^52`: shifting magic constant for round-to-nearest-even via
@@ -197,8 +152,8 @@ pub fn exp64(x: f64) -> f64 {
 ///
 /// Every batch reduction in this crate — `SumBatch`, `MeanBatch`, the
 /// fused PBQU loss, and the backward accumulation of a batch gradient
-/// into a broadcast scalar — uses exactly this order, in the scalar
-/// arena and the reference interpreter alike, so their results agree
+/// into a broadcast scalar — uses exactly this order, in the tape and
+/// the engine's direct kernels alike, so their results agree
 /// bit-for-bit.
 #[inline(always)]
 pub fn reduce_blocked4(n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
@@ -342,22 +297,6 @@ mod tests {
             }
             let want = ((a[0] + a[1]) + (a[2] + a[3])) + tail;
             assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn reduce_fma_blocked4_x4_matches_single_column() {
-        for n in 0..23usize {
-            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37 - 0.9).cos()).collect();
-            let cols: Vec<Vec<f64>> = (0..4)
-                .map(|t| (0..n).map(|i| ((i * 3 + t * 7) as f64 * 0.23 + 0.4).sin()).collect())
-                .collect();
-            let got =
-                reduce_fma_blocked4_x4(n, &a, [&cols[0], &cols[1], &cols[2], &cols[3]]);
-            for t in 0..4 {
-                let want = reduce_fma_blocked4(n, |j| (a[j], cols[t][j]));
-                assert_eq!(got[t].to_bits(), want.to_bits(), "n={n} t={t}");
-            }
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! A from-scratch substitute for the slice of PyTorch the paper uses:
 //!
-//! - [`tape`]: a batched tape-based reverse-mode autodiff engine. Graphs
-//!   are built once per training attempt and re-evaluated each epoch
-//!   over a flat, reusable value/adjoint arena — zero heap allocation on
-//!   the epoch hot path — with fused `affine` and `gaussian` nodes for
-//!   the patterns G-CLN graphs build in bulk.
+//! - [`tape`]: a batched tape-based reverse-mode autodiff engine with
+//!   fused `affine`, `gaussian` and `pbqu_loss` nodes. It trains the CLN
+//!   baseline, and it is the bitwise reference that the engine's direct
+//!   G-CLN and PBQU training kernels are tested against.
+//! - [`fastmath`]: the shared `exp` and canonical reductions that keep
+//!   the tape and those kernels bit-identical.
 //! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996) and
 //!   SGD, plus the unit-L2 weight projection of §5.1.2.
 //! - [`gradcheck`]: finite-difference validation of the reverse pass.

@@ -1,43 +1,40 @@
-//! A batched, tape-based reverse-mode automatic differentiation engine
-//! with a zero-allocation execution core.
+//! A batched, tape-based reverse-mode automatic differentiation engine.
 //!
-//! This is the PyTorch substitute for the G-CLN reproduction. It runs the
-//! CLN baseline (`gcln_baselines::cln`) and the gradient checks, and it is
-//! the reference that the engine's two direct trainers are tested
-//! against: G-CLN equality training (`gcln_engine::model`) and PBQU bound
-//! training (`gcln_engine::bounds`) each replay a graph recorded here
-//! operation for operation, and tests pin them to it bit for bit. The
-//! design is specialized for CLN graphs:
+//! This is the CLN baseline's trainer (`gcln_baselines::cln`, behind
+//! `gcln table4`) and the bitwise reference for the engine's two direct
+//! training kernels: G-CLN equality training (`gcln_engine::model`) and
+//! PBQU bound training (`gcln_engine::bounds`) each replay a graph
+//! recorded here operation for operation, and tests pin them to it bit
+//! for bit. The design is specialized for CLN graphs:
 //!
 //! - Every tape node carries a *batch vector* of values: either one value
 //!   per training sample (length `B`) or a single broadcast scalar
 //!   (length 1). Binary operations broadcast `1 × B → B`.
 //! - Graphs are built **once** per training attempt and then re-evaluated
 //!   every epoch with fresh parameter values ([`Tape::forward`] /
-//!   [`Tape::backward_into`]), so the graph size is `O(model)`, not
+//!   [`Tape::eval_with_grad`]), so the graph size is `O(model)`, not
 //!   `O(model × epochs)`.
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
-//!   `exp`, powers, a piecewise selector for the PBQU activation, clamped
-//!   gates, and **fused nodes**: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one
-//!   node instead of `2k` mul/add nodes), [`Tape::gaussian`]
-//!   (`exp(c·z²)`, the equality relaxation) and [`Tape::pbqu_loss`] (the
-//!   mean PBQU tightness loss).
+//!   `exp`, powers, a piecewise selector for the PBQU activation, and
+//!   **fused nodes**: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one node instead
+//!   of `2k` mul/add nodes), [`Tape::gaussian`] (`exp(c·z²)`, the
+//!   equality relaxation) and [`Tape::pbqu_loss`] (the mean PBQU
+//!   tightness loss).
 //!
 //! # Execution model
 //!
-//! Node values and adjoints live in two flat `f64` arenas sized once per
-//! `(graph, batch)` pair, with per-node offsets; re-evaluating the same
-//! graph epoch after epoch performs **zero heap allocation** in both
-//! [`Tape::forward`] and [`Tape::backward_into`] (which writes parameter
-//! gradients into a caller-held buffer). A liveness pre-pass over the DAG
-//! rooted at the requested output lets both passes skip dead nodes
-//! entirely, and the backward sweep tracks which adjoints have been
-//! touched instead of scanning gradient buffers for zeros.
+//! One interpreter. The forward pass evaluates every node up to the
+//! requested output in recording order; the backward pass walks back from
+//! the output and visits only the nodes it reaches. Per-node value and
+//! adjoint vectors are kept across calls.
 //!
-//! All transcendentals route through [`crate::fastmath::exp64`] and all
-//! batch reductions through [`crate::fastmath::reduce_blocked4`], so any
-//! trainer that replays a graph's arithmetic through the same helpers is
-//! bit-identical to the tape by construction.
+//! The arithmetic is fixed by [`crate::fastmath`]: [`fma64`] for the
+//! affine dot products, [`exp64`] for every exponential, [`sum_blocked`]
+//! for `sum_batch`/`mean_batch`, [`reduce_fma_blocked4`] for the adjoint
+//! of a scalar affine weight over a batch operand, and
+//! [`reduce_blocked4`] for every other batch gradient reduced into a
+//! scalar. A trainer that replays a graph's arithmetic through the same
+//! helpers is bit-identical to the tape by construction.
 //!
 //! # Examples
 //!
@@ -62,9 +59,7 @@
 //! assert!(val2 < val);
 //! ```
 
-use crate::fastmath::{
-    exp64, fma64, reduce_blocked4, reduce_fma_blocked4, reduce_fma_blocked4_x4, sum_blocked,
-};
+use crate::fastmath::{exp64, fma64, reduce_blocked4, reduce_fma_blocked4, sum_blocked};
 
 /// Handle to a node in a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,7 +73,7 @@ impl Var {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Op {
+enum Op {
     /// External batched input column.
     Input(usize),
     /// Learnable scalar parameter.
@@ -98,9 +93,6 @@ pub(crate) enum Op {
     /// The gradient flows only through the selected branch (the condition
     /// is treated as non-differentiable, like a comparison).
     SelectNonneg { cond: Var, nonneg: Var, neg: Var },
-    /// Hard clamp to `[0, 1]` with straight-through gradient inside the
-    /// interval and zero outside (used for gate parameters).
-    Clamp01(Var),
     /// Reduce a batch vector to the scalar sum of its entries.
     SumBatch(Var),
     /// Reduce a batch vector to the scalar mean of its entries.
@@ -119,8 +111,7 @@ pub(crate) enum Op {
     PbquLoss { z: Var, c1sq: f64, c2sq: f64 },
 }
 
-/// A computation graph with batched reverse-mode differentiation over a
-/// flat value/adjoint arena.
+/// A computation graph with batched reverse-mode differentiation.
 ///
 /// See the [module documentation](self) for the execution model and an
 /// example.
@@ -136,37 +127,17 @@ pub struct Tape {
     requires_grad: Vec<bool>,
     num_inputs: usize,
     num_params: usize,
-
-    // --- execution plan, rebuilt only when (graph, batch) changes ---
-    /// Number of ops the current plan covers (0 = no plan yet).
-    plan_nodes: usize,
-    /// Batch size the current plan was laid out for.
-    plan_batch: usize,
-    /// Per-node offset into the arenas.
-    offsets: Vec<usize>,
-    /// Per-node slot length (1 or `plan_batch`).
-    lens: Vec<usize>,
-    /// Flat forward-value arena.
-    values: Vec<f64>,
-    /// Flat adjoint arena (same layout as `values`).
-    grads: Vec<f64>,
-
-    // --- liveness, rebuilt only when (graph, output root) changes ---
-    /// Nodes reachable from `live_root` (indices > root are dead too).
-    live: Vec<bool>,
-    /// Output node the liveness mask was computed for (`usize::MAX` =
-    /// none).
-    live_root: usize,
-    /// Backward scratch: nodes whose adjoint has been written this pass.
-    touched: Vec<bool>,
-    /// Output of the last completed [`Tape::forward`], if any.
-    last_forward: Option<usize>,
+    /// Per-node values of the last forward pass.
+    values: Vec<Vec<f64>>,
+    /// Per-node adjoints of the last backward pass; empty for nodes the
+    /// output did not reach.
+    grads: Vec<Vec<f64>>,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Tape {
-        Tape { live_root: usize::MAX, ..Tape::default() }
+        Tape::default()
     }
 
     /// Number of nodes recorded so far.
@@ -199,7 +170,7 @@ impl Tape {
                 self.scalar[a.0] && self.scalar[b.0],
                 self.requires_grad[a.0] || self.requires_grad[b.0],
             ),
-            Op::Neg(a) | Op::Exp(a) | Op::Square(a) | Op::Recip(a) | Op::Clamp01(a) => {
+            Op::Neg(a) | Op::Exp(a) | Op::Square(a) | Op::Recip(a) => {
                 (self.scalar[a.0], self.requires_grad[a.0])
             }
             Op::SelectNonneg { cond, nonneg, neg } => (
@@ -289,12 +260,6 @@ impl Tape {
         self.push(Op::SelectNonneg { cond, nonneg, neg })
     }
 
-    /// Clamps to `[0, 1]`; gradient passes through where the input is
-    /// strictly inside the interval.
-    pub fn clamp01(&mut self, a: Var) -> Var {
-        self.push(Op::Clamp01(a))
-    }
-
     /// Sum over the batch dimension, producing a scalar node.
     pub fn sum_batch(&mut self, a: Var) -> Var {
         self.push(Op::SumBatch(a))
@@ -341,87 +306,11 @@ impl Tape {
         self.push(Op::PbquLoss { z, c1sq: c1 * c1, c2sq: c2 * c2 })
     }
 
-    /// (Re)computes the arena layout for `batch`, reusing existing arenas
-    /// when neither the graph nor the batch size changed.
-    fn ensure_plan(&mut self, batch: usize) {
-        if self.plan_nodes == self.ops.len() && self.plan_batch == batch {
-            return;
-        }
-        self.offsets.clear();
-        self.lens.clear();
-        self.offsets.reserve(self.ops.len());
-        self.lens.reserve(self.ops.len());
-        let mut total = 0usize;
-        for &scalar in &self.scalar {
-            let len = if scalar { 1 } else { batch };
-            self.offsets.push(total);
-            self.lens.push(len);
-            total += len;
-        }
-        self.values.clear();
-        self.values.resize(total, 0.0);
-        self.grads.clear();
-        self.grads.resize(total, 0.0);
-        self.plan_nodes = self.ops.len();
-        self.plan_batch = batch;
-        self.last_forward = None;
-    }
-
-    /// (Re)computes the liveness mask for the DAG rooted at `output`.
-    fn ensure_live(&mut self, output: usize) {
-        if self.live_root == output && self.live.len() == self.ops.len() {
-            return;
-        }
-        self.live.clear();
-        self.live.resize(self.ops.len(), false);
-        let ops = &self.ops;
-        let live = &mut self.live;
-        live[output] = true;
-        for i in (0..=output).rev() {
-            if !live[i] {
-                continue;
-            }
-            let mut mark = |v: &Var| live[v.0] = true;
-            match &ops[i] {
-                Op::Input(_) | Op::Param(_) | Op::Const(_) => {}
-                Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) => {
-                    mark(a);
-                    mark(b);
-                }
-                Op::Neg(a)
-                | Op::Exp(a)
-                | Op::Square(a)
-                | Op::Recip(a)
-                | Op::Clamp01(a)
-                | Op::SumBatch(a)
-                | Op::MeanBatch(a) => mark(a),
-                Op::SelectNonneg { cond, nonneg, neg } => {
-                    mark(cond);
-                    mark(nonneg);
-                    mark(neg);
-                }
-                Op::Affine { weights, xs, bias } => {
-                    weights.iter().chain(xs.iter()).chain(bias.iter()).for_each(mark);
-                }
-                Op::Gaussian { z, coeff } => {
-                    mark(z);
-                    mark(coeff);
-                }
-                Op::PbquLoss { z, .. } => mark(z),
-            }
-        }
-        self.live_root = output;
-        self.touched.clear();
-        self.touched.resize(self.ops.len(), false);
-    }
-
     /// Runs a forward pass, returning the scalar value of `output`.
     ///
     /// `inputs[i]` is the batch column for [`Tape::input`] index `i`; all
     /// columns must share one length. `params[i]` feeds [`Tape::param`]
-    /// index `i`. Only nodes the output depends on are evaluated, and no
-    /// heap allocation happens once the arena is laid out for this
-    /// `(graph, batch)` pair.
+    /// index `i`. Every node recorded up to `output` is evaluated.
     ///
     /// # Panics
     ///
@@ -433,99 +322,65 @@ impl Tape {
         assert!(output.0 < self.ops.len(), "output var from another tape");
         let batch = inputs.first().map_or(1, Vec::len);
         assert!(inputs.iter().all(|c| c.len() == batch), "ragged input columns");
-        self.ensure_plan(batch);
-        self.ensure_live(output.0);
-        assert_eq!(
-            self.lens[output.0],
-            1,
+        assert!(
+            self.scalar[output.0] || batch == 1,
             "output must be a scalar node; reduce the batch first"
         );
-
-        let ops = &self.ops;
-        let offsets = &self.offsets;
-        let lens = &self.lens;
-        let live = &self.live;
-        for i in 0..=output.0 {
-            if !live[i] {
-                continue;
-            }
-            let off = offsets[i];
-            let len = lens[i];
-            let (prev, rest) = self.values.split_at_mut(off);
-            let out = &mut rest[..len];
-            let slot = |v: &Var| -> &[f64] { slice_at(prev, offsets, lens, *v) };
-            match &ops[i] {
-                Op::Input(idx) => out.copy_from_slice(&inputs[*idx]),
-                Op::Param(idx) => out[0] = params[*idx],
-                Op::Const(c) => out[0] = *c,
-                Op::Add(a, b) => zip_into(out, slot(a), slot(b), |x, y| x + y),
-                Op::Sub(a, b) => zip_into(out, slot(a), slot(b), |x, y| x - y),
-                Op::Mul(a, b) => zip_into(out, slot(a), slot(b), |x, y| x * y),
-                Op::Div(a, b) => zip_into(out, slot(a), slot(b), |x, y| x / y),
-                Op::Neg(a) => map_into(out, slot(a), |x| -x),
-                Op::Exp(a) => map_into(out, slot(a), exp64),
-                Op::Square(a) => map_into(out, slot(a), |x| x * x),
-                Op::Recip(a) => map_into(out, slot(a), |x| 1.0 / x),
+        self.values.resize_with(self.ops.len(), Vec::new);
+        for (i, op) in self.ops[..=output.0].iter().enumerate() {
+            let (prev, rest) = self.values.split_at_mut(i);
+            let out = &mut rest[0];
+            let n = if self.scalar[i] { 1 } else { batch };
+            let v = |x: &Var| prev[x.0].as_slice();
+            let zip = |a: &Var, b: &Var, f: fn(f64, f64) -> f64| {
+                let (a, b) = (v(a), v(b));
+                (0..n).map(move |j| f(bget(a, j), bget(b, j)))
+            };
+            out.clear();
+            match op {
+                Op::Input(idx) => out.extend_from_slice(&inputs[*idx]),
+                Op::Param(idx) => out.push(params[*idx]),
+                Op::Const(c) => out.push(*c),
+                Op::Add(a, b) => out.extend(zip(a, b, |x, y| x + y)),
+                Op::Sub(a, b) => out.extend(zip(a, b, |x, y| x - y)),
+                Op::Mul(a, b) => out.extend(zip(a, b, |x, y| x * y)),
+                Op::Div(a, b) => out.extend(zip(a, b, |x, y| x / y)),
+                Op::Neg(a) => out.extend(v(a).iter().map(|x| -x)),
+                Op::Exp(a) => out.extend(v(a).iter().map(|&x| exp64(x))),
+                Op::Square(a) => out.extend(v(a).iter().map(|x| x * x)),
+                Op::Recip(a) => out.extend(v(a).iter().map(|x| 1.0 / x)),
                 Op::SelectNonneg { cond, nonneg, neg } => {
-                    let (c, p, n) = (slot(cond), slot(nonneg), slot(neg));
-                    for (j, o) in out.iter_mut().enumerate() {
-                        *o = if bget(c, j) >= 0.0 { bget(p, j) } else { bget(n, j) };
-                    }
+                    let (c, p, q) = (v(cond), v(nonneg), v(neg));
+                    out.extend(
+                        (0..n).map(|j| if bget(c, j) >= 0.0 { bget(p, j) } else { bget(q, j) }),
+                    );
                 }
-                Op::Clamp01(a) => map_into(out, slot(a), |x| x.clamp(0.0, 1.0)),
-                Op::SumBatch(a) => out[0] = sum_blocked(slot(a)),
-                Op::MeanBatch(a) => {
-                    let v = slot(a);
-                    out[0] = sum_blocked(v) / v.len() as f64;
-                }
+                Op::SumBatch(a) => out.push(sum_blocked(v(a))),
+                Op::MeanBatch(a) => out.push(sum_blocked(v(a)) / v(a).len() as f64),
                 Op::Affine { weights, xs, bias } => {
-                    match bias {
-                        Some(b) => {
-                            let bv = slot(b);
-                            for (j, o) in out.iter_mut().enumerate() {
-                                *o = bget(bv, j);
-                            }
-                        }
-                        None => out.fill(0.0),
-                    }
+                    out.extend((0..n).map(|j| bias.map_or(0.0, |b| bget(v(&b), j))));
                     for (w, x) in weights.iter().zip(xs.iter()) {
-                        let wv = slot(w);
-                        let xv = slot(x);
-                        if wv.len() == 1 && xv.len() == out.len() {
-                            let w0 = wv[0];
-                            for (o, &x) in out.iter_mut().zip(xv) {
-                                *o = fma64(w0, x, *o);
-                            }
-                        } else {
-                            for (j, o) in out.iter_mut().enumerate() {
-                                *o = fma64(bget(wv, j), bget(xv, j), *o);
-                            }
+                        let (wv, xv) = (v(w), v(x));
+                        for (j, o) in out.iter_mut().enumerate() {
+                            *o = fma64(bget(wv, j), bget(xv, j), *o);
                         }
                     }
                 }
                 Op::Gaussian { z, coeff } => {
-                    let zv = slot(z);
-                    let cv = slot(coeff);
                     // `(z·z)·c` ordering matches the unfused
                     // square → mul → exp chain bit-for-bit.
-                    if cv.len() == 1 {
-                        let c0 = cv[0];
-                        for (o, &z) in out.iter_mut().zip(zv) {
-                            *o = exp64(z * z * c0);
-                        }
-                    } else {
-                        for (j, o) in out.iter_mut().enumerate() {
-                            let z = bget(zv, j);
-                            *o = exp64(z * z * bget(cv, j));
-                        }
-                    }
+                    let (zv, cv) = (v(z), v(coeff));
+                    out.extend((0..n).map(|j| {
+                        let z = bget(zv, j);
+                        exp64(z * z * bget(cv, j))
+                    }));
                 }
                 Op::PbquLoss { z, c1sq, c2sq } => {
                     // Per-element order mirrors the unfused
                     // square → add → div → select → sub chain, and the
                     // mean reduces in the crate's canonical blocked order
                     // — bit-identical to the graph this op replaces.
-                    let zv = slot(z);
+                    let zv = v(z);
                     let (c1sq, c2sq) = (*c1sq, *c2sq);
                     let sum = reduce_blocked4(zv.len(), |j| {
                         let zj = zv[j];
@@ -533,70 +388,52 @@ impl Tape {
                         let act = if zj >= 0.0 { c2sq / (z2 + c2sq) } else { c1sq / (z2 + c1sq) };
                         1.0 - act
                     });
-                    out[0] = sum / zv.len() as f64;
+                    out.push(sum / zv.len() as f64);
                 }
             }
         }
-        self.last_forward = Some(output.0);
-        self.values[self.offsets[output.0]]
+        self.values[output.0][0]
     }
 
-    /// Runs a backward pass from `output` (after [`Tape::forward`]),
-    /// writing `∂output/∂paramᵢ` into the caller-held `param_grads`.
-    ///
-    /// `param_grads[..num_params]` is overwritten (not accumulated into);
-    /// entries past `num_params` are left untouched.
-    /// Only nodes whose adjoint was actually touched are visited (no
-    /// zero-scanning) and no heap allocation occurs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`, with a different output node
-    /// than the last `forward`, or with a buffer shorter than
-    /// [`Tape::num_params`].
-    pub fn backward_into(&mut self, output: Var, param_grads: &mut [f64]) {
-        assert_eq!(
-            self.last_forward,
-            Some(output.0),
-            "call forward (with the same output) before backward"
-        );
-        assert!(param_grads.len() >= self.num_params, "gradient buffer too short");
-        let param_grads = &mut param_grads[..self.num_params];
-        param_grads.fill(0.0);
-        if !self.requires_grad[output.0] {
-            return; // output independent of every parameter
-        }
-        // No arena-wide zeroing: a slot is *assigned* (not accumulated)
-        // the first time its node is touched each pass, so stale values
-        // from the previous epoch are never read.
-        self.touched.fill(false);
-        self.grads[self.offsets[output.0]] = 1.0;
-        self.touched[output.0] = true;
+    /// Forward + backward in one call: the value of `output` and
+    /// `∂output/∂paramᵢ` for every parameter.
+    pub fn eval_with_grad(
+        &mut self,
+        output: Var,
+        inputs: &[Vec<f64>],
+        params: &[f64],
+    ) -> (f64, Vec<f64>) {
+        let value = self.forward(output, inputs, params);
+        (value, self.backward(output))
+    }
 
-        let ops = &self.ops;
-        let offsets = &self.offsets;
-        let lens = &self.lens;
-        let values = &self.values;
-        let requires = &self.requires_grad;
-        let vslot = |v: &Var| -> &[f64] { slice_at(values, offsets, lens, *v) };
+    /// The reverse pass from `output` over the values of the forward pass
+    /// just run. Only nodes that depend on a parameter and are reached
+    /// from the output are visited.
+    fn backward(&mut self, output: Var) -> Vec<f64> {
+        let mut param_grads = vec![0.0; self.num_params];
+        let (ops, values, requires) = (&self.ops, &self.values, &self.requires_grad);
+        let grads = &mut self.grads;
+        grads.resize_with(ops.len(), Vec::new);
+        grads[..=output.0].iter_mut().for_each(Vec::clear);
+        if !requires[output.0] {
+            return param_grads; // output independent of every parameter
+        }
+        grads[output.0].push(1.0);
+        let v = |x: &Var| values[x.0].as_slice();
         for i in (0..=output.0).rev() {
-            if !self.touched[i] {
-                continue;
+            let (lower, upper) = grads.split_at_mut(i);
+            let g = upper[0].as_slice();
+            if g.is_empty() {
+                continue; // not reached from the output
             }
-            let off = offsets[i];
-            let len = lens[i];
-            let (gprev, gcur) = self.grads.split_at_mut(off);
-            let g: &[f64] = &gcur[..len];
-            let touched = &mut self.touched;
-            // Statically dispatched adjoint accumulation, gated on
-            // `requires_grad` so input/constant subtrees cost nothing.
+            // Adds `f(j, g_j)` into an operand's adjoint, skipping
+            // operands that depend on no parameter.
             macro_rules! acc {
-                ($target:expr, |$j:pat_param, $gv:ident| $body:expr) => {{
+                ($target:expr, $f:expr) => {{
                     let t: &Var = $target;
                     if requires[t.0] {
-                        let fresh = !touched[t.0];
-                        accum_into(gprev, offsets[t.0], lens[t.0], g, fresh, |$j, $gv| $body);
-                        touched[t.0] = true;
+                        accumulate(adjoint(lower, values, t), g, $f);
                     }
                 }};
             }
@@ -612,12 +449,12 @@ impl Tape {
                     acc!(b, |_, g| -g);
                 }
                 Op::Mul(a, b) => {
-                    let (av, bv) = (vslot(a), vslot(b));
+                    let (av, bv) = (v(a), v(b));
                     acc!(a, |j, g| g * bget(bv, j));
                     acc!(b, |j, g| g * bget(av, j));
                 }
                 Op::Div(a, b) => {
-                    let (av, bv) = (vslot(a), vslot(b));
+                    let (av, bv) = (v(a), v(b));
                     acc!(a, |j, g| g / bget(bv, j));
                     acc!(b, |j, g| {
                         let bj = bget(bv, j);
@@ -626,112 +463,51 @@ impl Tape {
                 }
                 Op::Neg(a) => acc!(a, |_, g| -g),
                 Op::Exp(a) => {
-                    let out = &values[off..off + len];
+                    let out = &values[i];
                     acc!(a, |j, g| g * out[j]);
                 }
                 Op::Square(a) => {
-                    let av = vslot(a);
+                    let av = v(a);
                     acc!(a, |j, g| 2.0 * g * av[j]);
                 }
                 Op::Recip(a) => {
-                    let av = vslot(a);
+                    let av = v(a);
                     acc!(a, |j, g| {
                         let x = av[j];
                         -g / (x * x)
                     });
                 }
                 Op::SelectNonneg { cond, nonneg, neg } => {
-                    let cv = vslot(cond);
+                    let cv = v(cond);
                     acc!(nonneg, |j, g| if bget(cv, j) >= 0.0 { g } else { 0.0 });
                     acc!(neg, |j, g| if bget(cv, j) >= 0.0 { 0.0 } else { g });
                 }
-                Op::Clamp01(a) => {
-                    let av = vslot(a);
-                    acc!(a, |j, g| if (0.0..=1.0).contains(&av[j]) { g } else { 0.0 });
-                }
-                Op::SumBatch(a) => {
-                    // Scalar upstream broadcast over the operand slot.
-                    acc!(a, |_, g| g);
-                }
+                Op::SumBatch(a) => acc!(a, |_, g| g),
                 Op::MeanBatch(a) => {
-                    let n = lens[a.0] as f64;
+                    let n = v(a).len() as f64;
                     acc!(a, |_, g| g / n);
                 }
                 Op::Affine { weights, xs, bias } => {
-                    // Scalar weights over batch operands — the hot G-CLN
-                    // shape — reduce `∂w = Σ_j x_j·g_j` in the canonical
-                    // FMA order, four weights per pass over the upstream
-                    // adjoint where possible (each weight's sum is
-                    // bit-identical to its standalone reduction; only the
-                    // number of reads of `g` changes).
-                    let hot = |w: &Var, x: &Var| {
-                        requires[w.0] && lens[w.0] == 1 && len > 1 && lens[x.0] == len
-                    };
-                    // Applies one reduced weight adjoint with the same
-                    // assign-on-first-touch rule as `acc!`.
-                    macro_rules! put_w {
-                        ($w:expr, $sum:expr) => {{
-                            let w: &Var = $w;
-                            let fresh = !touched[w.0];
-                            let dst = &mut gprev[offsets[w.0]];
-                            if fresh {
-                                *dst = $sum;
-                            } else {
-                                *dst += $sum;
-                            }
-                            touched[w.0] = true;
-                        }};
-                    }
-                    let mut p = 0;
-                    while p < weights.len() {
-                        let (w, x) = (&weights[p], &xs[p]);
-                        if !hot(w, x) {
-                            let (wv, xv) = (vslot(w), vslot(x));
-                            acc!(w, |j, g| g * bget(xv, j));
-                            acc!(x, |j, g| g * bget(wv, j));
-                            p += 1;
-                            continue;
-                        }
-                        let mut q = p + 1;
-                        while q < weights.len() && q - p < 4 && hot(&weights[q], &xs[q]) {
-                            q += 1;
-                        }
-                        if q - p == 4 {
-                            let sums = reduce_fma_blocked4_x4(
-                                len,
-                                g,
-                                [
-                                    vslot(&xs[p]),
-                                    vslot(&xs[p + 1]),
-                                    vslot(&xs[p + 2]),
-                                    vslot(&xs[p + 3]),
-                                ],
-                            );
-                            for (k, &sum) in sums.iter().enumerate() {
-                                let (w, x) = (&weights[p + k], &xs[p + k]);
-                                put_w!(w, sum);
-                                let wv = vslot(w);
-                                acc!(x, |j, g| g * bget(wv, j));
-                            }
+                    for (w, x) in weights.iter().zip(xs.iter()) {
+                        let (wv, xv) = (v(w), v(x));
+                        if requires[w.0] && wv.len() == 1 && g.len() > 1 && xv.len() == g.len() {
+                            // A scalar weight over a batch operand — the
+                            // G-CLN shape — reduces `∂w = Σ_j g_j·x_j` in
+                            // the canonical FMA order.
+                            adjoint(lower, values, w)[0] +=
+                                reduce_fma_blocked4(g.len(), |j| (g[j], xv[j]));
                         } else {
-                            for k in p..q {
-                                let (w, x) = (&weights[k], &xs[k]);
-                                let xv = vslot(x);
-                                let sum = reduce_fma_blocked4(len, |j| (g[j], xv[j]));
-                                put_w!(w, sum);
-                                let wv = vslot(w);
-                                acc!(x, |j, g| g * bget(wv, j));
-                            }
+                            acc!(w, |j, g| g * bget(xv, j));
                         }
-                        p = q;
+                        acc!(x, |j, g| g * bget(wv, j));
                     }
                     if let Some(b) = bias {
                         acc!(b, |_, g| g);
                     }
                 }
                 Op::Gaussian { z, coeff } => {
-                    let (zv, cv) = (vslot(z), vslot(coeff));
-                    let out = &values[off..off + len];
+                    let (zv, cv) = (v(z), v(coeff));
+                    let out = &values[i];
                     acc!(z, |j, g| g * out[j] * bget(cv, j) * 2.0 * bget(zv, j));
                     acc!(coeff, |j, g| {
                         let z = bget(zv, j);
@@ -742,259 +518,11 @@ impl Tape {
                     // The unfused chain's adjoints in the same operation
                     // order (mean → sub → select → div → add → square),
                     // so gradients match the replaced graph bit-for-bit.
-                    let zv = vslot(z);
-                    let n = lens[z.0] as f64;
-                    let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    acc!(z, |j, g| {
-                        let zj = bget(zv, j);
-                        let z2 = zj * zj;
-                        let g_act = -(g / n);
-                        let k = if zj >= 0.0 { c2sq } else { c1sq };
-                        let d = z2 + k;
-                        let g_d = -g_act * k / (d * d);
-                        2.0 * g_d * zj
-                    });
-                }
-            }
-        }
-    }
-
-    /// Forward + backward in one call.
-    pub fn eval_with_grad(
-        &mut self,
-        output: Var,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> (f64, Vec<f64>) {
-        let v = self.forward(output, inputs, params);
-        let mut g = vec![0.0; self.num_params];
-        self.backward_into(output, &mut g);
-        (v, g)
-    }
-
-    /// Forward + backward writing gradients into a caller-held buffer —
-    /// the zero-allocation variant of [`Tape::eval_with_grad`].
-    pub fn eval_with_grad_into(
-        &mut self,
-        output: Var,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-        param_grads: &mut [f64],
-    ) -> f64 {
-        let v = self.forward(output, inputs, params);
-        self.backward_into(output, param_grads);
-        v
-    }
-
-    /// Reads the forward value of any node after [`Tape::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `forward` has not been run, or if the node was dead for
-    /// the last forward output (the liveness pre-pass skipped it).
-    pub fn value_of(&self, v: Var) -> &[f64] {
-        assert!(self.last_forward.is_some(), "call forward before value_of");
-        assert!(
-            v.0 < self.live.len() && self.live[v.0],
-            "node {} was not live for the last forward output",
-            v.0
-        );
-        &self.values[self.offsets[v.0]..self.offsets[v.0] + self.lens[v.0]]
-    }
-
-    /// Slow reference interpreter with per-op `Vec` storage — the seed
-    /// engine's semantics, kept as an oracle for property tests comparing
-    /// the arena engine against the original per-op evaluation.
-    pub fn reference_eval_with_grad(
-        &self,
-        output: Var,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> (f64, Vec<f64>) {
-        assert!(inputs.len() >= self.num_inputs, "missing input columns");
-        assert!(params.len() >= self.num_params, "missing parameters");
-        let batch = inputs.first().map_or(1, Vec::len);
-        assert!(inputs.iter().all(|c| c.len() == batch), "ragged input columns");
-        let mut values: Vec<Vec<f64>> = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            let v = |x: &Var| &values[x.0];
-            let value = match op {
-                Op::Input(idx) => inputs[*idx].clone(),
-                Op::Param(idx) => vec![params[*idx]],
-                Op::Const(c) => vec![*c],
-                Op::Add(a, b) => zip_with(v(a), v(b), |x, y| x + y),
-                Op::Sub(a, b) => zip_with(v(a), v(b), |x, y| x - y),
-                Op::Mul(a, b) => zip_with(v(a), v(b), |x, y| x * y),
-                Op::Div(a, b) => zip_with(v(a), v(b), |x, y| x / y),
-                Op::Neg(a) => v(a).iter().map(|x| -x).collect(),
-                Op::Exp(a) => v(a).iter().map(|&x| exp64(x)).collect(),
-                Op::Square(a) => v(a).iter().map(|x| x * x).collect(),
-                Op::Recip(a) => v(a).iter().map(|x| 1.0 / x).collect(),
-                Op::SelectNonneg { cond, nonneg, neg } => {
-                    let (c, p, n) = (v(cond), v(nonneg), v(neg));
-                    let len = c.len().max(p.len()).max(n.len());
-                    (0..len)
-                        .map(|j| if bget(c, j) >= 0.0 { bget(p, j) } else { bget(n, j) })
-                        .collect()
-                }
-                Op::Clamp01(a) => v(a).iter().map(|x| x.clamp(0.0, 1.0)).collect(),
-                Op::SumBatch(a) => vec![sum_blocked(v(a))],
-                Op::MeanBatch(a) => vec![sum_blocked(v(a)) / v(a).len() as f64],
-                Op::Affine { weights, xs, bias } => {
-                    let len = weights
-                        .iter()
-                        .chain(xs.iter())
-                        .chain(bias.iter())
-                        .map(|n| values[n.0].len())
-                        .max()
-                        .unwrap_or(1);
-                    (0..len)
-                        .map(|j| {
-                            let mut acc = bias.as_ref().map_or(0.0, |b| bget(&values[b.0], j));
-                            for (w, x) in weights.iter().zip(xs.iter()) {
-                                acc = fma64(bget(&values[w.0], j), bget(&values[x.0], j), acc);
-                            }
-                            acc
-                        })
-                        .collect()
-                }
-                Op::Gaussian { z, coeff } => {
-                    let (zv, cv) = (v(z), v(coeff));
-                    let len = zv.len().max(cv.len());
-                    (0..len)
-                        .map(|j| {
-                            let z = bget(zv, j);
-                            exp64(z * z * bget(cv, j))
-                        })
-                        .collect()
-                }
-                Op::PbquLoss { z, c1sq, c2sq } => {
                     let zv = v(z);
-                    let sum = reduce_blocked4(zv.len(), |j| {
-                        let zj = zv[j];
-                        let z2 = zj * zj;
-                        let act =
-                            if zj >= 0.0 { c2sq / (z2 + c2sq) } else { c1sq / (z2 + c1sq) };
-                        1.0 - act
-                    });
-                    vec![sum / zv.len() as f64]
-                }
-            };
-            values.push(value);
-        }
-        let out = &values[output.0];
-        assert_eq!(out.len(), 1, "output must be a scalar node; reduce the batch first");
-        let result = out[0];
-
-        let mut grads: Vec<Vec<f64>> = values.iter().map(|v| vec![0.0; v.len()]).collect();
-        grads[output.0] = vec![1.0];
-        let mut param_grads = vec![0.0; self.num_params];
-        for i in (0..=output.0).rev() {
-            if grads[i].iter().all(|&g| g == 0.0) {
-                continue;
-            }
-            let grad = std::mem::take(&mut grads[i]);
-            let mut acc = |t: &Var, f: &dyn Fn(usize, f64) -> f64| {
-                let tlen = values[t.0].len();
-                if grads[t.0].is_empty() {
-                    grads[t.0] = vec![0.0; tlen];
-                }
-                if tlen == grad.len() {
-                    for (j, &g) in grad.iter().enumerate() {
-                        grads[t.0][j] += f(j, g);
-                    }
-                } else if tlen == 1 {
-                    grads[t.0][0] += reduce_blocked4(grad.len(), |j| f(j, grad[j]));
-                } else {
-                    for (j, d) in grads[t.0].iter_mut().enumerate() {
-                        *d += f(j, grad[0]);
-                    }
-                }
-            };
-            match &self.ops[i] {
-                Op::Input(_) | Op::Const(_) => {}
-                Op::Param(idx) => param_grads[*idx] += grad.iter().sum::<f64>(),
-                Op::Add(a, b) => {
-                    acc(a, &|_, g| g);
-                    acc(b, &|_, g| g);
-                }
-                Op::Sub(a, b) => {
-                    acc(a, &|_, g| g);
-                    acc(b, &|_, g| -g);
-                }
-                Op::Mul(a, b) => {
-                    let (av, bv) = (values[a.0].clone(), values[b.0].clone());
-                    acc(a, &|j, g| g * bget(&bv, j));
-                    acc(b, &|j, g| g * bget(&av, j));
-                }
-                Op::Div(a, b) => {
-                    let (av, bv) = (values[a.0].clone(), values[b.0].clone());
-                    acc(a, &|j, g| g / bget(&bv, j));
-                    acc(b, &|j, g| {
-                        let bj = bget(&bv, j);
-                        -g * bget(&av, j) / (bj * bj)
-                    });
-                }
-                Op::Neg(a) => acc(a, &|_, g| -g),
-                Op::Exp(a) => {
-                    let out = values[i].clone();
-                    acc(a, &|j, g| g * bget(&out, j));
-                }
-                Op::Square(a) => {
-                    let av = values[a.0].clone();
-                    acc(a, &|j, g| 2.0 * g * bget(&av, j));
-                }
-                Op::Recip(a) => {
-                    let av = values[a.0].clone();
-                    acc(a, &|j, g| {
-                        let x = bget(&av, j);
-                        -g / (x * x)
-                    });
-                }
-                Op::SelectNonneg { cond, nonneg, neg } => {
-                    let cv = values[cond.0].clone();
-                    acc(nonneg, &|j, g| if bget(&cv, j) >= 0.0 { g } else { 0.0 });
-                    acc(neg, &|j, g| if bget(&cv, j) >= 0.0 { 0.0 } else { g });
-                }
-                Op::Clamp01(a) => {
-                    let av = values[a.0].clone();
-                    acc(a, &|j, g| if (0.0..=1.0).contains(&bget(&av, j)) { g } else { 0.0 });
-                }
-                Op::SumBatch(a) => acc(a, &|_, g| g),
-                Op::MeanBatch(a) => {
-                    let n = values[a.0].len() as f64;
-                    acc(a, &|_, g| g / n);
-                }
-                Op::Affine { weights, xs, bias } => {
-                    // NOTE: the arena engine reduces scalar-weight adjoints
-                    // with `reduce_fma_blocked4`; this oracle keeps the
-                    // plain product form. The ≤1-ulp-per-step difference is
-                    // far inside the property tests' 1e-12 tolerance (the
-                    // oracle has no bitwise contract).
-                    for (w, x) in weights.iter().zip(xs.iter()) {
-                        let (wv, xv) = (values[w.0].clone(), values[x.0].clone());
-                        acc(w, &|j, g| g * bget(&xv, j));
-                        acc(x, &|j, g| g * bget(&wv, j));
-                    }
-                    if let Some(b) = bias {
-                        acc(b, &|_, g| g);
-                    }
-                }
-                Op::Gaussian { z, coeff } => {
-                    let (zv, cv) = (values[z.0].clone(), values[coeff.0].clone());
-                    let out = values[i].clone();
-                    acc(z, &|j, g| g * bget(&out, j) * bget(&cv, j) * 2.0 * bget(&zv, j));
-                    acc(coeff, &|j, g| {
-                        let z = bget(&zv, j);
-                        g * bget(&out, j) * (z * z)
-                    });
-                }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    let zv = values[z.0].clone();
                     let n = zv.len() as f64;
                     let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    acc(z, &|j, g| {
-                        let zj = bget(&zv, j);
+                    acc!(z, |j, g| {
+                        let zj = zv[j];
                         let z2 = zj * zj;
                         let g_act = -(g / n);
                         let k = if zj >= 0.0 { c2sq } else { c1sq };
@@ -1005,119 +533,46 @@ impl Tape {
                 }
             }
         }
-        (result, param_grads)
+        param_grads
     }
 }
 
-/// `arena[offsets[v]..][..lens[v]]` — a node's slot within an arena
-/// prefix (forward: nodes before the one being computed; backward: nodes
-/// before the one being differentiated).
-fn slice_at<'a>(arena: &'a [f64], offsets: &[usize], lens: &[usize], v: Var) -> &'a [f64] {
-    &arena[offsets[v.0]..offsets[v.0] + lens[v.0]]
+/// Node `t`'s adjoint, zero-filled to the length of its value on the
+/// first write of a backward pass.
+fn adjoint<'a>(grads: &'a mut [Vec<f64>], values: &[Vec<f64>], t: &Var) -> &'a mut [f64] {
+    let d = &mut grads[t.0];
+    if d.is_empty() {
+        d.resize(values[t.0].len(), 0.0);
+    }
+    d
 }
 
-/// Adds `f(j, upstream_j)` into `grads_prefix[off..off+tlen]`, reducing
-/// over the batch when the target is a broadcast scalar and broadcasting
-/// when the upstream is (after a reduce). `fresh` marks the first write
-/// into the slot this pass: it assigns instead of accumulating, which is
-/// what lets `backward` skip zeroing the whole arena.
-#[inline]
-pub(crate) fn accum_into(
-    grads_prefix: &mut [f64],
-    off: usize,
-    tlen: usize,
-    upstream: &[f64],
-    fresh: bool,
-    f: impl Fn(usize, f64) -> f64,
-) {
-    let dst = &mut grads_prefix[off..off + tlen];
-    if tlen == upstream.len() {
-        // `fresh` hoisted out of the loop so both bodies stay branch-free
-        // and autovectorize.
-        if fresh {
-            for (j, (d, &g)) in dst.iter_mut().zip(upstream).enumerate() {
-                *d = f(j, g);
-            }
-        } else {
-            for (j, (d, &g)) in dst.iter_mut().zip(upstream).enumerate() {
-                *d += f(j, g);
-            }
+/// Adds `f(j, upstream_j)` into `dst`: elementwise when the shapes match,
+/// reduced over the batch in the canonical blocked order when `dst` is a
+/// broadcast scalar, and broadcast when the upstream is a scalar (after a
+/// reduce).
+fn accumulate(dst: &mut [f64], upstream: &[f64], f: impl Fn(usize, f64) -> f64) {
+    if dst.len() == upstream.len() {
+        for (j, (d, &g)) in dst.iter_mut().zip(upstream).enumerate() {
+            *d += f(j, g);
         }
-    } else if tlen == 1 {
-        // Batch gradient reducing into a broadcast scalar (e.g. affine
-        // weight adjoints): the crate's canonical blocked order, which
-        // breaks the FP-add latency chain that otherwise dominates
-        // backward on wide batches.
-        let acc = reduce_blocked4(upstream.len(), |j| f(j, upstream[j]));
-        if fresh {
-            dst[0] = acc;
-        } else {
-            dst[0] += acc;
-        }
-    } else if upstream.len() == 1 {
-        // Scalar gradient flowing into a batch node (after a reduce).
-        let g0 = upstream[0];
-        if fresh {
-            for (j, d) in dst.iter_mut().enumerate() {
-                *d = f(j, g0);
-            }
-        } else {
-            for (j, d) in dst.iter_mut().enumerate() {
-                *d += f(j, g0);
-            }
-        }
+    } else if dst.len() == 1 {
+        dst[0] += reduce_blocked4(upstream.len(), |j| f(j, upstream[j]));
     } else {
-        panic!("gradient shape mismatch: {} vs {}", tlen, upstream.len());
+        assert_eq!(upstream.len(), 1, "gradient shape mismatch");
+        let g0 = upstream[0];
+        for (j, d) in dst.iter_mut().enumerate() {
+            *d += f(j, g0);
+        }
     }
 }
 
-pub(crate) fn bget(v: &[f64], j: usize) -> f64 {
+/// Entry `j` of a batch vector, or its one value if it is a scalar.
+fn bget(v: &[f64], j: usize) -> f64 {
     if v.len() == 1 {
         v[0]
     } else {
         v[j]
-    }
-}
-
-pub(crate) fn map_into(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
-    for (o, &x) in out.iter_mut().zip(a) {
-        *o = f(x);
-    }
-}
-
-pub(crate) fn zip_into(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
-    match (a.len(), b.len()) {
-        (1, 1) => out[0] = f(a[0], b[0]),
-        (1, _) => {
-            let a0 = a[0];
-            for (o, &y) in out.iter_mut().zip(b) {
-                *o = f(a0, y);
-            }
-        }
-        (_, 1) => {
-            let b0 = b[0];
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = f(x, b0);
-            }
-        }
-        (n, m) => {
-            assert_eq!(n, m, "batch length mismatch");
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = f(x, y);
-            }
-        }
-    }
-}
-
-fn zip_with(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-    match (a.len(), b.len()) {
-        (1, 1) => vec![f(a[0], b[0])],
-        (1, _) => b.iter().map(|&y| f(a[0], y)).collect(),
-        (_, 1) => a.iter().map(|&x| f(x, b[0])).collect(),
-        (n, m) => {
-            assert_eq!(n, m, "batch length mismatch");
-            a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
-        }
     }
 }
 
@@ -1199,20 +654,6 @@ mod tests {
         let (v, g) = t.eval_with_grad(out, &[xs], &[10.0, 100.0]);
         assert_eq!(v, 10.0 * 3.0 + 100.0 * -2.0);
         assert_eq!(g, vec![3.0, -2.0]);
-    }
-
-    #[test]
-    fn clamp01_gradient_gates() {
-        let mut t = Tape::new();
-        let a = t.param(0);
-        let c = t.clamp01(a);
-        let out = t.sum_batch(c);
-        let (v, g) = t.eval_with_grad(out, &[], &[0.5]);
-        assert_eq!((v, g[0]), (0.5, 1.0));
-        let (v, g) = t.eval_with_grad(out, &[], &[1.5]);
-        assert_eq!((v, g[0]), (1.0, 0.0));
-        let (v, g) = t.eval_with_grad(out, &[], &[-0.5]);
-        assert_eq!((v, g[0]), (0.0, 0.0));
     }
 
     #[test]
@@ -1325,16 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn value_of_reads_intermediates() {
-        let mut t = Tape::new();
-        let x = t.input(0);
-        let sq = t.square(x);
-        let out = t.sum_batch(sq);
-        t.forward(out, &[vec![2.0, 3.0]], &[]);
-        assert_eq!(t.value_of(sq), &[4.0, 9.0]);
-    }
-
-    #[test]
     fn dead_nodes_are_skipped() {
         let mut t = Tape::new();
         let x = t.input(0);
@@ -1348,17 +779,6 @@ mod tests {
         let (v, g) = t.eval_with_grad(out, &[vec![1.0, 2.0]], &[3.0]);
         assert_eq!(v, 9.0);
         assert_eq!(g, vec![3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not live")]
-    fn value_of_dead_node_panics() {
-        let mut t = Tape::new();
-        let x = t.input(0);
-        let dead = t.square(x);
-        let live = t.sum_batch(x);
-        t.forward(live, &[vec![1.0]], &[]);
-        let _ = t.value_of(dead);
     }
 
     #[test]
@@ -1428,64 +848,5 @@ mod tests {
         // And back again.
         let (va2, _) = t.eval_with_grad(out_a, &[vec![1.0, 2.0]], &[3.0]);
         assert_eq!(va2, 9.0);
-    }
-
-    #[test]
-    fn reference_interpreter_agrees_on_gcln_like_graph() {
-        // A miniature of what model.rs builds: gated OR of gaussian
-        // literals under a gated AND, reduced with mean.
-        let mut t = Tape::new();
-        let xs: Vec<Var> = (0..3).map(|i| t.input(i)).collect();
-        let one = t.constant(1.0);
-        let coeff = {
-            let sp = t.param(0);
-            let s2 = t.square(sp);
-            let two = t.constant(2.0);
-            let t2s = t.mul(two, s2);
-            let inv = t.recip(t2s);
-            t.neg(inv)
-        };
-        let mut clause_factors = Vec::new();
-        let mut pidx = 1;
-        for _ in 0..2 {
-            let mut prod: Option<Var> = None;
-            for _ in 0..2 {
-                let ws: Vec<Var> = (0..3)
-                    .map(|_| {
-                        let p = t.param(pidx);
-                        pidx += 1;
-                        p
-                    })
-                    .collect();
-                let z = t.affine(&ws, &xs, None);
-                let act = t.gaussian(z, coeff);
-                let gate = t.param(pidx);
-                pidx += 1;
-                let gated = t.mul(gate, act);
-                let f = t.sub(one, gated);
-                prod = Some(match prod {
-                    Some(p) => t.mul(p, f),
-                    None => f,
-                });
-            }
-            let or = t.sub(one, prod.unwrap());
-            let gate = t.param(pidx);
-            pidx += 1;
-            let om1 = t.sub(or, one);
-            let g = t.mul(gate, om1);
-            clause_factors.push(t.add(one, g));
-        }
-        let conj = t.mul(clause_factors[0], clause_factors[1]);
-        let dis = t.sub(one, conj);
-        let loss = t.mean_batch(dis);
-        let inputs = vec![vec![1.0, 2.0, -0.5], vec![0.3, -1.2, 2.2], vec![2.0, 0.1, 0.7]];
-        let params: Vec<f64> = (0..pidx).map(|i| 0.1 + 0.07 * i as f64).collect();
-        let (v_fast, g_fast) = t.eval_with_grad(loss, &inputs, &params);
-        let (v_ref, g_ref) = t.reference_eval_with_grad(loss, &inputs, &params);
-        assert!((v_fast - v_ref).abs() < 1e-12, "{v_fast} vs {v_ref}");
-        assert_eq!(g_fast.len(), g_ref.len());
-        for (a, b) in g_fast.iter().zip(&g_ref) {
-            assert!((a - b).abs() < 1e-12, "{g_fast:?} vs {g_ref:?}");
-        }
     }
 }

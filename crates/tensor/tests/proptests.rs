@@ -120,59 +120,6 @@ proptest! {
         );
     }
 
-    /// The arena engine and the per-op reference interpreter (the seed
-    /// engine's semantics) agree on value and parameter gradients for
-    /// random graphs, including the fused affine/gaussian nodes.
-    #[test]
-    fn arena_engine_matches_reference_interpreter(
-        ops in steps(16),
-        p0 in -1.5f64..1.5,
-        p1 in -1.5f64..1.5,
-        xs in proptest::collection::vec(-2.0f64..2.0, 1..6),
-    ) {
-        let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
-        let (v_ref, g_ref) =
-            tape.reference_eval_with_grad(out, std::slice::from_ref(&xs), &[p0, p1]);
-        prop_assume!(v_ref.is_finite() && g_ref.iter().all(|g| g.is_finite()));
-        let (v_fast, g_fast) = tape.eval_with_grad(out, &[xs], &[p0, p1]);
-        prop_assert!(
-            (v_fast - v_ref).abs() <= 1e-12 * v_ref.abs().max(1.0),
-            "value mismatch: arena {v_fast} vs reference {v_ref}"
-        );
-        prop_assert_eq!(g_fast.len(), g_ref.len());
-        for (a, b) in g_fast.iter().zip(&g_ref) {
-            prop_assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "gradient mismatch: arena {:?} vs reference {:?}", g_fast, g_ref
-            );
-        }
-    }
-
-    /// Re-running the same graph with a different batch size (the arena
-    /// is re-laid-out) still matches the reference interpreter.
-    #[test]
-    fn arena_relayout_matches_reference(
-        ops in steps(12),
-        p0 in -1.0f64..1.0,
-        p1 in -1.0f64..1.0,
-        xs1 in proptest::collection::vec(-2.0f64..2.0, 1..5),
-        xs2 in proptest::collection::vec(-2.0f64..2.0, 5..9),
-    ) {
-        let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
-        for xs in [xs1, xs2] {
-            let (v_ref, g_ref) =
-                tape.reference_eval_with_grad(out, std::slice::from_ref(&xs), &[p0, p1]);
-            prop_assume!(v_ref.is_finite() && g_ref.iter().all(|g| g.is_finite()));
-            let (v_fast, g_fast) = tape.eval_with_grad(out, &[xs], &[p0, p1]);
-            prop_assert!((v_fast - v_ref).abs() <= 1e-12 * v_ref.abs().max(1.0));
-            for (a, b) in g_fast.iter().zip(&g_ref) {
-                prop_assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
-            }
-        }
-    }
-
     #[test]
     fn projection_is_idempotent_and_unit(
         w in proptest::collection::vec(-10.0f64..10.0, 1..6)
