@@ -142,10 +142,7 @@ pub fn train_template_cln(problem: &Problem, template: ClnTemplate, seed: u64) -
                 .collect(),
         )
     };
-    let masks = weights
-        .iter()
-        .map(|c| c.iter().map(|w| vec![true; w.len()]).collect())
-        .collect();
+    let masks = weights.iter().map(|c| c.iter().map(|w| vec![true; w.len()]).collect()).collect();
     let model = TrainedGcln {
         clause_gates,
         literal_gates,
@@ -176,9 +173,8 @@ mod tests {
     #[test]
     fn cln_converges_on_some_seed_for_ps2() {
         let problem = find_problem("ps2").unwrap();
-        let any = (0..5).any(|seed| {
-            train_template_cln(&problem, ClnTemplate::Conjunction(1), seed).converged
-        });
+        let any = (0..5)
+            .any(|seed| train_template_cln(&problem, ClnTemplate::Conjunction(1), seed).converged);
         assert!(any, "CLN should converge on ps2 for at least one of 5 seeds");
     }
 

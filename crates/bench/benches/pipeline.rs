@@ -102,7 +102,12 @@ fn bench_groebner(c: &mut Criterion) {
     let x = Poly::var(1, 4);
     let y = Poly::var(2, 4);
     let z = Poly::var(3, 4);
-    let body = vec![&n + &Poly::constant(1.into(), 4), &x + &y, &y + &z, &z + &Poly::constant(6.into(), 4)];
+    let body = vec![
+        &n + &Poly::constant(1.into(), 4),
+        &x + &y,
+        &y + &z,
+        &z + &Poly::constant(6.into(), 4),
+    ];
     let composed: Vec<Poly> = gens.iter().map(|p| p.subst(&body)).collect();
     c.bench_function("groebner_reduce_cohencu", |b| {
         b.iter(|| {

@@ -72,9 +72,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut num = |name: &str| {
-            it.next()
-                .map(|v| v.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
+            it.next().map(|v| v.to_string()).ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
             "--fast" => f.fast = true,
@@ -93,13 +91,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.steps = Some(num("--steps")?.parse().map_err(|_| "--steps needs an integer")?)
             }
             "--max-degree" => {
-                f.max_degree =
-                    Some(num("--max-degree")?.parse().map_err(|_| "--max-degree needs an integer")?)
+                f.max_degree = Some(
+                    num("--max-degree")?.parse().map_err(|_| "--max-degree needs an integer")?,
+                )
             }
             "--range" => {
                 let spec = num("--range")?;
-                let (lo, hi) =
-                    spec.split_once(':').ok_or("--range format is LO:HI")?;
+                let (lo, hi) = spec.split_once(':').ok_or("--range format is LO:HI")?;
                 f.ranges.push((
                     lo.parse().map_err(|_| "range lo must be an integer")?,
                     hi.parse().map_err(|_| "range hi must be an integer")?,
@@ -115,8 +113,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.runs = Some(num("--runs")?.parse().map_err(|_| "--runs needs an integer")?)
             }
             "--port" => {
-                f.port =
-                    Some(num("--port")?.parse().map_err(|_| "--port needs a port number")?)
+                f.port = Some(num("--port")?.parse().map_err(|_| "--port needs a port number")?)
             }
             "--workers" => {
                 f.workers =
@@ -136,9 +133,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--faults" => f.faults = Some(num("--faults")?),
             "--rate-limit" => {
-                let rps: f64 = num("--rate-limit")?
-                    .parse()
-                    .map_err(|_| "--rate-limit needs requests/sec")?;
+                let rps: f64 =
+                    num("--rate-limit")?.parse().map_err(|_| "--rate-limit needs requests/sec")?;
                 if !rps.is_finite() || rps <= 0.0 {
                     return Err("--rate-limit needs a positive requests/sec".into());
                 }
@@ -199,14 +195,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
         }
     };
     let allowed: &[&str] = match cmd.as_str() {
-        "run" => &[
-            "--fast",
-            "--json",
-            "--deadline",
-            "--steps",
-            "--max-degree",
-            "--range",
-        ],
+        "run" => &["--fast", "--json", "--deadline", "--steps", "--max-degree", "--range"],
         "suite" => &["--fast", "--json", "--limit", "--expect", "--workers"],
         "table2" => &["--fast", "--json", "--expect", "--workers"],
         "table3" => &["--all"],
@@ -251,12 +240,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
             }
         }
         "table2" => {
-            let summary = tables::table2(
-                &flags.rest,
-                flags.fast,
-                flags.json,
-                flags.workers,
-            );
+            let summary = tables::table2(&flags.rest, flags.fast, flags.json, flags.workers);
             expect_code(&summary, flags.expect)
         }
         "table3" => {
@@ -272,11 +256,8 @@ pub fn main_with_args(args: &[String]) -> i32 {
             0
         }
         "code2inv" => {
-            let summary = tables::code2inv(
-                flags.limit.unwrap_or(usize::MAX),
-                flags.json,
-                flags.workers,
-            );
+            let summary =
+                tables::code2inv(flags.limit.unwrap_or(usize::MAX), flags.json, flags.workers);
             expect_code(&summary, flags.expect)
         }
         "table1" => {
@@ -467,7 +448,9 @@ fn cmd_serve(flags: &Flags) -> i32 {
     use std::io::Write;
     if let Some(stray) = flags.rest.first() {
         // `gcln serve 9090` must not silently bind the default port.
-        eprintln!("error: serve takes no positional arguments (got `{stray}`; use --port)\n{USAGE}");
+        eprintln!(
+            "error: serve takes no positional arguments (got `{stray}`; use --port)\n{USAGE}"
+        );
         return 1;
     }
     // `--faults` wins; the GCLN_FAULTS environment variable is the
@@ -533,8 +516,21 @@ mod tests {
     #[test]
     fn flag_parsing_covers_the_surface() {
         let args: Vec<String> = [
-            "--fast", "--json", "--deadline", "2.5", "--steps", "9", "--max-degree", "3",
-            "--range", "-4:7", "--limit", "5", "--expect", "26", "file.loop",
+            "--fast",
+            "--json",
+            "--deadline",
+            "2.5",
+            "--steps",
+            "9",
+            "--max-degree",
+            "3",
+            "--range",
+            "-4:7",
+            "--limit",
+            "5",
+            "--expect",
+            "26",
+            "file.loop",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -568,15 +564,11 @@ mod tests {
 
     #[test]
     fn fault_injection_flags_parse_and_validate() {
-        let args: Vec<String> = [
-            "--faults",
-            "seed=42,sched.task_panic=0.5:2",
-            "--journal-fsync",
-            "always",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> =
+            ["--faults", "seed=42,sched.task_panic=0.5:2", "--journal-fsync", "always"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
         let f = parse_flags(&args).unwrap();
         assert_eq!(f.faults.as_deref(), Some("seed=42,sched.task_panic=0.5:2"));
         assert_eq!(f.journal_fsync.as_deref(), Some("always"));
@@ -584,10 +576,7 @@ mod tests {
             ["--journal-fsync", "sometimes"].iter().map(|s| s.to_string()).collect();
         assert!(parse_flags(&args).unwrap_err().contains("always|never"));
         // Fault flags are serve-only.
-        assert_eq!(
-            main_with_args(&["run".into(), "--faults".into(), "seed=1".into()]),
-            1
-        );
+        assert_eq!(main_with_args(&["run".into(), "--faults".into(), "seed=1".into()]), 1);
         // A malformed --faults spec must fail loudly, not arm nothing.
         assert_eq!(
             main_with_args(&["serve".into(), "--faults".into(), "seed=1,bogus.site=1".into()]),

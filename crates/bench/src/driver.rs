@@ -136,8 +136,7 @@ pub fn run_suite_with(
         .iter()
         .enumerate()
         .map(|(i, problem)| {
-            let job =
-                Job::new(ProblemSpec::from(problem.clone())).with_config(config.clone());
+            let job = Job::new(ProblemSpec::from(problem.clone())).with_config(config.clone());
             let problem = problem.clone();
             let slots = slots.clone();
             sched.submit_with(

@@ -8,8 +8,8 @@ use gcln_engine::fractional::{fractional_points, FractionalConfig};
 use gcln_engine::terms::TermSpace;
 use gcln_lang::interp::{run_program, RunConfig};
 use gcln_logic::fuzzy::{gated_tconorm, gated_tnorm, TNorm};
-use gcln_logic::relax::{gaussian_eq, pbqu_ge, relax_formula, sigmoid_ge, RelaxKind};
 use gcln_logic::parse_formula;
+use gcln_logic::relax::{gaussian_eq, pbqu_ge, relax_formula, sigmoid_ge, RelaxKind};
 use gcln_problems::nla::nla_problem;
 
 /// **Figure 1**: (a) the cube loop's variable trajectories (x cubic,
@@ -88,11 +88,8 @@ pub fn fig4() {
     let idx = |v: &str| p.program.var_id(v).unwrap();
     let mut rows = Vec::new();
     for s in &run.trace {
-        let point = vec![
-            s.state[idx("a")] as f64,
-            s.state[idx("s")] as f64,
-            s.state[idx("t")] as f64,
-        ];
+        let point =
+            vec![s.state[idx("a")] as f64, s.state[idx("s")] as f64, s.state[idx("t")] as f64];
         rows.push(space.row(&point));
     }
     for r in &rows {
@@ -122,13 +119,13 @@ pub fn fig6() {
     };
     println!("{:>8} {:>8} {:>8} {:>10} {:>8}", "x", "y", "z", "M(x,y,z)", "F?");
     for (x, y, z) in [
-        (6.0, 4.0, 2.0),   // satisfies both: first disjunct x = 3z
-        (-6.0, 4.0, 2.0),  // satisfies second disjunct x + y + z = 0
-        (6.0, 4.0, 3.0),   // violates the equality clause
-        (5.0, 4.0, 2.0),   // violates both disjuncts
+        (6.0, 4.0, 2.0),  // satisfies both: first disjunct x = 3z
+        (-6.0, 4.0, 2.0), // satisfies second disjunct x + y + z = 0
+        (6.0, 4.0, 3.0),  // violates the equality clause
+        (5.0, 4.0, 2.0),  // violates both disjuncts
     ] {
-        let truth = (3.0 * y - 3.0 * z - 2.0 == 0.0)
-            && ((x - 3.0 * z == 0.0) || (x + y + z == 0.0));
+        let truth =
+            (3.0 * y - 3.0 * z - 2.0 == 0.0) && ((x - 3.0 * z == 0.0) || (x + y + z == 0.0));
         println!("{:>8} {:>8} {:>8} {:>10.4} {:>8}", x, y, z, model(x, y, z), truth);
     }
 }
@@ -163,7 +160,12 @@ pub fn fig8() {
     for pt in data.points.iter().filter(|pt| pt[1].fract() != 0.0).take(12) {
         println!(
             "{:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            pt[0], pt[1], pt[1].powi(3), pt[1].powi(4), pt[2], pt[3]
+            pt[0],
+            pt[1],
+            pt[1].powi(3),
+            pt[1].powi(4),
+            pt[2],
+            pt[3]
         );
     }
 }
@@ -173,26 +175,19 @@ pub fn fig8() {
 pub fn fig10() {
     let names: Vec<String> = ["n", "a"].iter().map(|s| s.to_string()).collect();
     let space = TermSpace::enumerate(names.clone(), 2);
-    let points: Vec<Vec<f64>> = (0..60)
-        .map(|n| vec![n as f64, (n as f64).sqrt().floor()])
-        .collect();
+    let points: Vec<Vec<f64>> =
+        (0..60).map(|n| vec![n as f64, (n as f64).sqrt().floor()]).collect();
     let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
     let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
     println!("kept bounds (tight fits):");
     for b in &bounds {
-        let score: f64 = points
-            .iter()
-            .map(|p| pbqu_ge(b.poly.eval_f64(p), 1.0, 50.0))
-            .sum::<f64>()
+        let score: f64 = points.iter().map(|p| pbqu_ge(b.poly.eval_f64(p), 1.0, 50.0)).sum::<f64>()
             / points.len() as f64;
         println!("  {:<28} activation {:.3}", b.display(&names).to_string(), score);
     }
     // A deliberately loose bound for contrast (Fig. 10's dashed lines).
     let loose = gcln_logic::parse_poly("n - a^2 + 40", &names).unwrap();
-    let score: f64 = points
-        .iter()
-        .map(|p| pbqu_ge(loose.eval_f64(p), 1.0, 50.0))
-        .sum::<f64>()
+    let score: f64 = points.iter().map(|p| pbqu_ge(loose.eval_f64(p), 1.0, 50.0)).sum::<f64>()
         / points.len() as f64;
     println!("loose contrast: {:<20} activation {:.3} (discarded)", "n - a^2 + 40 >= 0", score);
 }

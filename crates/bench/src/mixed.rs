@@ -263,9 +263,8 @@ mod tests {
         let without = vec![profile(&[&[1.0], &[5.0]])];
         for workers in [1, 3] {
             assert!(
-                (replay_stage_graph(&with_empty, workers)
-                    - replay_stage_graph(&without, workers))
-                .abs()
+                (replay_stage_graph(&with_empty, workers) - replay_stage_graph(&without, workers))
+                    .abs()
                     < 1e-12
             );
         }
@@ -274,10 +273,8 @@ mod tests {
 
     #[test]
     fn stage_graph_on_one_worker_equals_total_work() {
-        let jobs = vec![
-            profile(&[&[0.5], &[1.0, 2.0], &[0.25]]),
-            profile(&[&[0.125], &[0.5, 0.5]]),
-        ];
+        let jobs =
+            vec![profile(&[&[0.5], &[1.0, 2.0], &[0.25]]), profile(&[&[0.125], &[0.5, 0.5]])];
         let total: f64 = jobs.iter().map(JobProfile::total).sum();
         let makespan = replay_stage_graph(&jobs, 1);
         assert!((makespan - total).abs() < 1e-9, "{makespan} vs {total}");
@@ -292,10 +289,8 @@ mod tests {
         ];
         for workers in [1, 2, 4, 8] {
             let makespan = replay_stage_graph(&jobs, workers);
-            let work_bound: f64 =
-                jobs.iter().map(JobProfile::total).sum::<f64>() / workers as f64;
-            let path_bound =
-                jobs.iter().map(JobProfile::critical_path).fold(0.0, f64::max);
+            let work_bound: f64 = jobs.iter().map(JobProfile::total).sum::<f64>() / workers as f64;
+            let path_bound = jobs.iter().map(JobProfile::critical_path).fold(0.0, f64::max);
             assert!(
                 makespan >= work_bound - 1e-9 && makespan >= path_bound - 1e-9,
                 "workers={workers}: makespan {makespan} below a lower bound \

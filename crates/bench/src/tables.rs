@@ -34,17 +34,10 @@ fn fast_suite_config() -> PipelineConfig {
 
 /// **Table 2**: per-problem results on the 27-problem NLA nonlinear
 /// benchmark (problem, degree, #vars, G-CLN solved?, runtime).
-pub fn table2(
-    filter: &[String],
-    fast: bool,
-    json: bool,
-    workers: Option<usize>,
-) -> SuiteSummary {
+pub fn table2(filter: &[String], fast: bool, json: bool, workers: Option<usize>) -> SuiteSummary {
     let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    let problems: Vec<Problem> = nla_suite()
-        .into_iter()
-        .filter(|p| filter.is_empty() || filter.contains(&p.name))
-        .collect();
+    let problems: Vec<Problem> =
+        nla_suite().into_iter().filter(|p| filter.is_empty() || filter.contains(&p.name)).collect();
     if !json {
         println!("Table 2: NLA nonlinear loop invariant benchmark (27 problems)");
         println!(
@@ -82,11 +75,7 @@ pub fn table2(
 
 /// **§6.4 linear benchmark**: the pipeline over the 124-problem linear
 /// (Code2Inv-shape) suite. The paper solves all 124 in under 30 s each.
-pub fn code2inv(
-    limit: usize,
-    json: bool,
-    workers: Option<usize>,
-) -> SuiteSummary {
+pub fn code2inv(limit: usize, json: bool, workers: Option<usize>) -> SuiteSummary {
     let config = PipelineConfig {
         gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
         max_attempts: 2,
@@ -130,7 +119,6 @@ pub fn suite(
     workers: Option<usize>,
 ) -> Option<SuiteSummary> {
     let problems: Vec<Problem> = gcln_problems::suite_by_name(which)?
-
         .into_iter()
         .filter(|p| filter.is_empty() || filter.contains(&p.name))
         .take(limit)
@@ -151,10 +139,7 @@ pub fn suite(
         }
         println!(
             "solved {}/{}; wall {:.1}s across {} scheduler worker(s)",
-            summary.solved,
-            summary.attempted,
-            summary.wall_seconds,
-            summary.workers,
+            summary.solved, summary.attempted, summary.wall_seconds, summary.workers,
         );
     }
     Some(summary)
@@ -287,10 +272,7 @@ pub fn inspect(name: &str, bounds: bool) -> bool {
         let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
         let keep = growth_filter(&space, &points, 1e10);
         let space = space.select(&keep);
-        println!(
-            "terms: {:?}",
-            (0..space.len()).map(|i| space.term_name(i)).collect::<Vec<_>>()
-        );
+        println!("terms: {:?}", (0..space.len()).map(|i| space.term_name(i)).collect::<Vec<_>>());
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
         let learned = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
         for b in &learned {
@@ -300,7 +282,12 @@ pub fn inspect(name: &str, bounds: bool) -> bool {
     }
     let outcome = Engine::new().run(&Job::new(problem.clone()));
     let names = problem.extended_names();
-    println!("valid: {}  cegis: {}  time: {}s", outcome.valid, outcome.cegis_rounds_used, secs(outcome.runtime));
+    println!(
+        "valid: {}  cegis: {}  time: {}s",
+        outcome.valid,
+        outcome.cegis_rounds_used,
+        secs(outcome.runtime)
+    );
     for li in &outcome.loops {
         println!("loop {}: {}", li.loop_id, li.formula.display(&names));
     }

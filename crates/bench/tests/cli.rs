@@ -87,10 +87,8 @@ fn run_solves_a_non_registry_program_with_json_events() {
     }
 
     // The final record: checker-valid, with the learned invariant.
-    let result = stdout
-        .lines()
-        .find(|l| l.starts_with(r#"{"type":"result""#))
-        .expect("result record");
+    let result =
+        stdout.lines().find(|l| l.starts_with(r#"{"type":"result""#)).expect("result record");
     assert_eq!(json_field(result, "valid"), Some("true"), "{result}");
     assert_eq!(json_field(result, "stopped"), Some("null"), "{result}");
     let formula = json_field(result, "formula").expect("invariant formula");
@@ -184,10 +182,8 @@ fn suite_expect_threshold_gates_the_exit_code() {
     let out = gcln(&["suite", "nla", "--json", "--expect", "1", "no-such-problem"]);
     assert_eq!(out.status.code(), Some(3));
     let stdout = String::from_utf8(out.stdout).unwrap();
-    let summary = stdout
-        .lines()
-        .find(|l| l.starts_with(r#"{"type":"summary""#))
-        .expect("summary record");
+    let summary =
+        stdout.lines().find(|l| l.starts_with(r#"{"type":"summary""#)).expect("summary record");
     assert_eq!(json_field(summary, "solved"), Some("0"), "{summary}");
     assert_eq!(json_field(summary, "attempted"), Some("0"), "{summary}");
 

@@ -319,22 +319,16 @@ pub fn check(
     let mut report = CheckReport::default();
     let seeds = if has_nondet(program) { config.nondet_seeds.max(1) } else { 1 };
     let immutable_pre = immutable_pre_conjuncts(program);
-    let respects_pre = |state: &[i128]| {
-        immutable_pre
-            .iter()
-            .all(|c| eval_bool_in(c, state, 0) == Some(true))
-    };
+    let respects_pre =
+        |state: &[i128]| immutable_pre.iter().all(|c| eval_bool_in(c, state, 0) == Some(true));
 
     // Phase 1: collect traces; reachable states must satisfy candidates.
     let mut loop_states: Vec<Vec<Vec<i128>>> = vec![Vec::new(); program.num_loops];
     let mut exit_envs: Vec<Vec<i128>> = Vec::new();
     for inputs in input_tuples {
         for seed in 0..seeds {
-            let run = run_program(
-                program,
-                inputs,
-                &RunConfig { max_steps: config.run.max_steps, seed },
-            );
+            let run =
+                run_program(program, inputs, &RunConfig { max_steps: config.run.max_steps, seed });
             if run.outcome != Outcome::Completed {
                 continue;
             }
@@ -352,10 +346,8 @@ pub fn check(
 
     // Extend each surviving trace state once; phases 1–2 evaluate every
     // candidate against these cached extended states.
-    let ext_states: Vec<Vec<Vec<i128>>> = loop_states
-        .iter()
-        .map(|states| states.iter().map(|s| extend(s)).collect())
-        .collect();
+    let ext_states: Vec<Vec<Vec<i128>>> =
+        loop_states.iter().map(|states| states.iter().map(|s| extend(s)).collect()).collect();
 
     // Compile each candidate once; `eval` falls back to the exact tree
     // evaluator in the (practically unreachable) overflow case, which
@@ -363,9 +355,7 @@ pub fn check(
     let compiled: Vec<CompiledFormula> =
         candidates.iter().map(|c| CompiledFormula::compile(&c.formula)).collect();
     let eval = |ci: usize, ext_state: &[i128]| -> bool {
-        compiled[ci]
-            .eval(ext_state)
-            .unwrap_or_else(|| candidates[ci].formula.eval_i128(ext_state))
+        compiled[ci].eval(ext_state).unwrap_or_else(|| candidates[ci].formula.eval_i128(ext_state))
     };
 
     let mut batch: Vec<Option<bool>> = Vec::new();
@@ -397,8 +387,7 @@ pub fn check(
             for state in &loop_states[cand.loop_id] {
                 for _ in 0..config.mutations_per_state {
                     let idx = rng.gen_range(0..state.len());
-                    let delta =
-                        rng.gen_range(-config.mutation_radius..=config.mutation_radius);
+                    let delta = rng.gen_range(-config.mutation_radius..=config.mutation_radius);
                     plan.push((idx, delta));
                 }
             }
@@ -432,15 +421,10 @@ pub fn check(
 
     // Phase 3: postcondition sufficiency for programs ending in a loop.
     if let Some(Stmt::While { id: last_loop, .. }) = program.body.last() {
-        if let Some((ci, _)) = candidates
-            .iter()
-            .enumerate()
-            .find(|(_, c)| c.loop_id == *last_loop)
+        if let Some((ci, _)) = candidates.iter().enumerate().find(|(_, c)| c.loop_id == *last_loop)
         {
-            let mut post_states: Vec<(Vec<i128>, bool)> = exit_envs
-                .iter()
-                .map(|s| (s.clone(), true))
-                .collect();
+            let mut post_states: Vec<(Vec<i128>, bool)> =
+                exit_envs.iter().map(|s| (s.clone(), true)).collect();
             // Mutations of exit states that still satisfy I ∧ ¬LC,
             // collected separately so the exit states need no bulk clone.
             let mut mutated_states: Vec<(Vec<i128>, bool)> = Vec::new();
@@ -497,9 +481,7 @@ fn check_consecution(
 ) -> ConsecutionOutcome {
     let mut out = ConsecutionOutcome::default();
     let eval = |ext_state: &[i128]| -> bool {
-        compiled
-            .eval(ext_state)
-            .unwrap_or_else(|| cand.formula.eval_i128(ext_state))
+        compiled.eval(ext_state).unwrap_or_else(|| cand.formula.eval_i128(ext_state))
     };
 
     // 2a: symbolic proof for equality conjuncts.
@@ -509,11 +491,8 @@ fn check_consecution(
             // One Gröbner basis for the whole candidate instead of one
             // per (conjunct, path) composition.
             let nonzero: Vec<Poly> = eqs.iter().filter(|g| !g.is_zero()).cloned().collect();
-            let gb = if nonzero.is_empty() {
-                None
-            } else {
-                groebner_basis(&nonzero, config.groebner)
-            };
+            let gb =
+                if nonzero.is_empty() { None } else { groebner_basis(&nonzero, config.groebner) };
             let mut scratch = ReduceScratch::default();
             let mut all_proved = true;
             'outer: for p in &eqs {
@@ -622,11 +601,8 @@ mod tests {
     fn accepts_ground_truth_sqrt_invariant() {
         let p = sqrt_program();
         let names = p.vars.clone();
-        let f = parse_formula(
-            "t == 2 * a + 1 && s == a^2 + 2 * a + 1 && a^2 <= n",
-            &names,
-        )
-        .unwrap();
+        let f =
+            parse_formula("t == 2 * a + 1 && s == a^2 + 2 * a + 1 && a^2 <= n", &names).unwrap();
         let report = check(
             &p,
             &inputs(40),
@@ -670,9 +646,11 @@ mod tests {
         let good = parse_formula("x <= 8", &names).unwrap();
         let bad = parse_formula("x <= 7", &names).unwrap();
         let cfg = CheckerConfig::default();
-        let r_good = check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: good }], &cfg);
+        let r_good =
+            check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: good }], &cfg);
         assert!(r_good.is_valid(), "cex: {:?}", r_good.counterexamples.first());
-        let r_bad = check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: bad }], &cfg);
+        let r_bad =
+            check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: bad }], &cfg);
         assert!(!r_bad.is_valid());
     }
 
@@ -696,10 +674,7 @@ mod tests {
             &CheckerConfig::default(),
         );
         assert!(
-            report
-                .counterexamples
-                .iter()
-                .any(|c| c.kind == CexKind::Postcondition),
+            report.counterexamples.iter().any(|c| c.kind == CexKind::Postcondition),
             "weak invariant should fail the post check"
         );
         // The proper invariant x <= n passes.

@@ -56,9 +56,7 @@ pub fn implies_bounded<'a>(
     target: &Formula,
     states: impl IntoIterator<Item = &'a Vec<i128>>,
 ) -> Option<&'a Vec<i128>> {
-    states
-        .into_iter()
-        .find(|s| learned.eval_i128(s) && !target.eval_i128(s))
+    states.into_iter().find(|s| learned.eval_i128(s) && !target.eval_i128(s))
 }
 
 #[cfg(test)]
@@ -77,16 +75,10 @@ mod tests {
         let learned = parse_formula("x == y && y == z", &ns).unwrap();
         let target = parse_formula("x == z", &ns).unwrap();
         let targets = equality_polys(&target);
-        assert_eq!(
-            equalities_imply(&learned, &targets, GroebnerLimits::default()),
-            Some(true)
-        );
+        assert_eq!(equalities_imply(&learned, &targets, GroebnerLimits::default()), Some(true));
         // x == 2z is not implied.
         let wrong = equality_polys(&parse_formula("x == 2 * z", &ns).unwrap());
-        assert_eq!(
-            equalities_imply(&learned, &wrong, GroebnerLimits::default()),
-            Some(false)
-        );
+        assert_eq!(equalities_imply(&learned, &wrong, GroebnerLimits::default()), Some(false));
     }
 
     #[test]
@@ -94,13 +86,9 @@ mod tests {
         let ns = names(&["a", "s", "t"]);
         // sqrt1 invariants: s = (a+1)^2, t = 2a+1 imply s == a^2 + t... i.e.
         // s - a^2 - t = (a^2+2a+1) - a^2 - (2a+1) = 0.
-        let learned =
-            parse_formula("s == a^2 + 2*a + 1 && t == 2*a + 1", &ns).unwrap();
+        let learned = parse_formula("s == a^2 + 2*a + 1 && t == 2*a + 1", &ns).unwrap();
         let target = equality_polys(&parse_formula("s == a^2 + t", &ns).unwrap());
-        assert_eq!(
-            equalities_imply(&learned, &target, GroebnerLimits::default()),
-            Some(true)
-        );
+        assert_eq!(equalities_imply(&learned, &target, GroebnerLimits::default()), Some(true));
     }
 
     #[test]
@@ -109,10 +97,7 @@ mod tests {
         let learned = parse_formula("x >= 0", &ns).unwrap(); // no equalities
         assert_eq!(equalities_imply(&learned, &[], GroebnerLimits::default()), Some(true));
         let target = equality_polys(&parse_formula("x == 0", &ns).unwrap());
-        assert_eq!(
-            equalities_imply(&learned, &target, GroebnerLimits::default()),
-            Some(false)
-        );
+        assert_eq!(equalities_imply(&learned, &target, GroebnerLimits::default()), Some(false));
     }
 
     #[test]

@@ -121,7 +121,10 @@ mod tests {
         assert_eq!(names[1], "n");
         // n' = n + 1
         let n_next = &t[1];
-        assert_eq!(n_next.eval(&[Rat::ZERO, Rat::from(4), Rat::ZERO, Rat::ZERO, Rat::ZERO]), Rat::from(5));
+        assert_eq!(
+            n_next.eval(&[Rat::ZERO, Rat::from(4), Rat::ZERO, Rat::ZERO, Rat::ZERO]),
+            Rat::from(5)
+        );
         // x' = x + y (uses PRE-state y even though y is updated later).
         let x_next = &t[2];
         assert_eq!(

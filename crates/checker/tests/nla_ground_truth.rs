@@ -2,7 +2,7 @@
 //! and reject corrupted versions of them. This is the end-to-end
 //! validation of the Z3-substitute.
 
-use gcln_checker::{check, Candidate, CheckerConfig, CheckReport};
+use gcln_checker::{check, Candidate, CheckReport, CheckerConfig};
 use gcln_logic::{Formula, Pred};
 use gcln_numeric::{Poly, Rat};
 use gcln_problems::{nla::nla_suite, sample_inputs, Problem};
@@ -35,7 +35,10 @@ fn all_nla_ground_truths_are_accepted() {
 fn symbolic_phase_proves_polynomial_equalities() {
     // Problems whose loop bodies are polynomial maps must get their
     // equality conjuncts Gröbner-proved, not just sampled.
-    for name in ["cohencu", "sqrt1", "ps2", "ps3", "ps4", "ps5", "ps6", "geo1", "geo2", "geo3", "freire1", "freire2", "fermat2"] {
+    for name in [
+        "cohencu", "sqrt1", "ps2", "ps3", "ps4", "ps5", "ps6", "geo1", "geo2", "geo3", "freire1",
+        "freire2", "fermat2",
+    ] {
         let problem = gcln_problems::nla::nla_problem(name).unwrap();
         let candidates: Vec<Candidate> = problem
             .parsed_ground_truth()
@@ -61,15 +64,8 @@ fn corrupted_ground_truths_are_rejected() {
         };
         let corrupted = corrupt_first_equality(&formula);
         let Some(corrupted) = corrupted else { continue };
-        let report = check_problem(
-            &problem,
-            vec![Candidate { loop_id, formula: corrupted }],
-        );
-        assert!(
-            !report.is_valid(),
-            "`{}`: corrupted invariant slipped through",
-            problem.name
-        );
+        let report = check_problem(&problem, vec![Candidate { loop_id, formula: corrupted }]);
+        assert!(!report.is_valid(), "`{}`: corrupted invariant slipped through", problem.name);
     }
 }
 

@@ -45,9 +45,7 @@ fn divbin_style_invariant_warns_but_is_not_refuted() {
     .unwrap();
     let names = p.vars.clone();
     let inv = parse_formula("A == q * b + r && r >= 0 && r < b", &names).unwrap();
-    let tuples: Vec<Vec<i128>> = (0..30)
-        .flat_map(|a| (1..6).map(move |b| vec![a, b]))
-        .collect();
+    let tuples: Vec<Vec<i128>> = (0..30).flat_map(|a| (1..6).map(move |b| vec![a, b])).collect();
     let report = check(
         &p,
         &tuples,

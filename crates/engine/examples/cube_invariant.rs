@@ -16,11 +16,8 @@ fn main() {
     let names = problem.extended_names();
     let formula = outcome.formula_for(0).expect("loop 0 learned");
     println!("learned:\n  {}", formula.display(&names));
-    let gt = parse_formula(
-        "x == n^3 && y == 3*n^2 + 3*n + 1 && z == 6*n + 6",
-        &names,
-    )
-    .expect("ground truth parses");
+    let gt = parse_formula("x == n^3 && y == 3*n^2 + 3*n + 1 && z == 6*n + 6", &names)
+        .expect("ground truth parses");
     let implied = equalities_imply(formula, &equality_polys(&gt), GroebnerLimits::default());
     println!("implies the paper's invariant: {:?}", implied);
 }

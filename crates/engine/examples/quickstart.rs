@@ -30,8 +30,5 @@ fn main() {
     let names = job.spec.problem.extended_names();
     println!("valid:     {}", outcome.valid);
     println!("runtime:   {:.1}s", outcome.runtime.as_secs_f64());
-    println!(
-        "invariant: {}",
-        outcome.formula_for(0).expect("loop 0 learned").display(&names)
-    );
+    println!("invariant: {}", outcome.formula_for(0).expect("loop 0 learned").display(&names));
 }

@@ -108,10 +108,8 @@ pub fn learn_bounds(
     let mut out = Vec::new();
     let mut learned: Vec<Vec<LearnedBound>> = Vec::with_capacity(n);
     for start in (0..n).step_by(chunk) {
-        let chunk_results: Vec<Vec<LearnedBound>> = (start..n.min(start + chunk))
-            .into_par_iter()
-            .map(|si| candidates.learn(si))
-            .collect();
+        let chunk_results: Vec<Vec<LearnedBound>> =
+            (start..n.min(start + chunk)).into_par_iter().map(|si| candidates.learn(si)).collect();
         for subset_bounds in chunk_results {
             if let Some(best) = subset_bounds.first() {
                 if admit(&mut out, best, config.max_bounds) {
@@ -174,12 +172,10 @@ impl<'a> Candidates<'a> {
         config: &'a BoundsConfig,
     ) -> Self {
         // Term indices by degree (excluding the constant term).
-        let deg1: Vec<usize> = (0..space.len())
-            .filter(|&i| space.monomials[i].degree() == 1)
-            .collect();
-        let deg12: Vec<usize> = (0..space.len())
-            .filter(|&i| (1..=2).contains(&space.monomials[i].degree()))
-            .collect();
+        let deg1: Vec<usize> =
+            (0..space.len()).filter(|&i| space.monomials[i].degree() == 1).collect();
+        let deg12: Vec<usize> =
+            (0..space.len()).filter(|&i| (1..=2).contains(&space.monomials[i].degree())).collect();
 
         let mut subsets: Vec<Vec<usize>> = Vec::new();
         for &i in &deg12 {
@@ -266,9 +262,8 @@ fn train_directions(
     // directions), plus two random initializations.
     let mut inits: Vec<Vec<f64>> = Vec::new();
     for bits in 0..(1u32 << (k - 1)) {
-        let mut w: Vec<f64> = (0..k)
-            .map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 })
-            .collect();
+        let mut w: Vec<f64> =
+            (0..k).map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 }).collect();
         project_unit_l2(&mut w);
         inits.push(w.clone());
         inits.push(w.iter().map(|x| -x).collect());
@@ -382,11 +377,7 @@ fn round_and_tighten(
         let float_coeffs: Vec<f64> = coeffs.iter().map(Rat::to_f64).collect();
         let mut values: Vec<f64> = Vec::with_capacity(num_points);
         for pi in 0..num_points {
-            let v: f64 = float_coeffs
-                .iter()
-                .zip(raw_cols)
-                .map(|(c, col)| c * col[pi])
-                .sum();
+            let v: f64 = float_coeffs.iter().zip(raw_cols).map(|(c, col)| c * col[pi]).sum();
             values.push(v);
         }
         let min = values.iter().copied().fold(f64::INFINITY, f64::min);
@@ -403,10 +394,7 @@ fn round_and_tighten(
         // Tight bias: -min, as a rational (training data is integral or
         // dyadic so this is exact in practice).
         let bias = Rat::approximate(-min, 1 << 20)?;
-        let score = values
-            .iter()
-            .map(|v| pbqu_ge(v - min, config.c1, config.c2))
-            .sum::<f64>()
+        let score = values.iter().map(|v| pbqu_ge(v - min, config.c1, config.c2)).sum::<f64>()
             / values.len() as f64;
         let arity = space.names.len();
         let mut poly = Poly::constant(bias, arity);
@@ -464,13 +452,9 @@ mod tests {
         let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
         assert!(!bounds.is_empty());
         let target = gcln_logic::parse_poly("n - a^2", &space.names).unwrap();
-        let found = bounds
-            .iter()
-            .any(|b| b.poly.normalize_content() == target.normalize_content());
-        let shown: Vec<String> = bounds
-            .iter()
-            .map(|b| b.display(&space.names).to_string())
-            .collect();
+        let found = bounds.iter().any(|b| b.poly.normalize_content() == target.normalize_content());
+        let shown: Vec<String> =
+            bounds.iter().map(|b| b.display(&space.names).to_string()).collect();
         assert!(found, "expected n - a^2 >= 0 among {shown:?}");
     }
 
@@ -515,9 +499,8 @@ mod tests {
         use gcln_tensor::tape::Tape;
         let sqrt_space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let triple_space = TermSpace::enumerate(names(&["x", "y", "z"]), 1);
-        let triple_points: Vec<Vec<f64>> = (0..23)
-            .map(|i| vec![i as f64, (i % 5) as f64, 30.0 - 2.0 * (i % 7) as f64])
-            .collect();
+        let triple_points: Vec<Vec<f64>> =
+            (0..23).map(|i| vec![i as f64, (i % 5) as f64, 30.0 - 2.0 * (i % 7) as f64]).collect();
         let deg1 = |space: &TermSpace| -> Vec<usize> {
             (0..space.len()).filter(|&i| space.monomials[i].degree() == 1).collect()
         };
@@ -544,8 +527,7 @@ mod tests {
             let bias = tape.param(k);
             let z = tape.affine(&ws, &xs, Some(bias));
             let loss = tape.pbqu_loss(z, config.c1, config.c2);
-            let sub_columns: Vec<Vec<f64>> =
-                subset.iter().map(|&t| columns[t].clone()).collect();
+            let sub_columns: Vec<Vec<f64>> = subset.iter().map(|&t| columns[t].clone()).collect();
             let mut inits: Vec<Vec<f64>> = Vec::new();
             for bits in 0..(1u32 << (k - 1)) {
                 let mut w: Vec<f64> = (0..k)
@@ -693,9 +675,7 @@ mod tests {
         let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
         let target = gcln_logic::parse_poly("2*p + q - r - 1", &space.names).unwrap();
         assert!(
-            bounds
-                .iter()
-                .any(|b| b.poly.normalize_content() == target.normalize_content()),
+            bounds.iter().any(|b| b.poly.normalize_content() == target.normalize_content()),
             "expected 2p + q - r - 1 >= 0 among {:?}",
             bounds.iter().map(|b| b.display(&space.names).to_string()).collect::<Vec<_>>()
         );

@@ -264,8 +264,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_entries() {
-        let empty =
-            || TraceData { points: vec![], validation_points: vec![], widened: vec![] };
+        let empty = || TraceData { points: vec![], validation_points: vec![], widened: vec![] };
         let cache = TraceCache::with_capacity(2);
         for tag in ["a", "b", "c"] {
             cache.insert(tag.into(), empty());

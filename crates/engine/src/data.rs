@@ -21,7 +21,11 @@ pub struct Dataset {
 impl Dataset {
     /// Expands `points` over `space`, optionally row-normalizing to
     /// L2 norm `norm_target` (the paper uses 10).
-    pub fn from_points(points: Vec<Vec<f64>>, space: &TermSpace, normalize: Option<f64>) -> Dataset {
+    pub fn from_points(
+        points: Vec<Vec<f64>>,
+        space: &TermSpace,
+        normalize: Option<f64>,
+    ) -> Dataset {
         let rows = points
             .iter()
             .map(|p| {
@@ -52,9 +56,7 @@ impl Dataset {
             return Vec::new();
         }
         let t = self.rows[0].len();
-        (0..t)
-            .map(|j| self.rows.iter().map(|r| r[j]).collect())
-            .collect()
+        (0..t).map(|j| self.rows.iter().map(|r| r[j]).collect()).collect()
     }
 }
 
@@ -80,11 +82,8 @@ pub fn collect_loop_states(
     let mut seen = std::collections::HashSet::new();
     for inputs in gcln_problems::sample_inputs(problem, max_inputs) {
         for seed in 0..seeds.max(1) {
-            let run = run_program(
-                &problem.program,
-                &inputs,
-                &RunConfig { max_steps: 200_000, seed },
-            );
+            let run =
+                run_program(&problem.program, &inputs, &RunConfig { max_steps: 200_000, seed });
             if run.outcome != Outcome::Completed {
                 continue;
             }

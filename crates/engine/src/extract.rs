@@ -314,10 +314,7 @@ mod tests {
             let Formula::Atom(a) = &expected else { unreachable!() };
             a.poly.normalize_content()
         };
-        let found = formula
-            .atoms()
-            .iter()
-            .any(|a| a.poly.normalize_content() == target);
+        let found = formula.atoms().iter().any(|a| a.poly.normalize_content() == target);
         assert!(found, "expected z == 6n + 6 in `{display}`");
     }
 
@@ -341,12 +338,8 @@ mod tests {
         // The Fig. 6 example: (3y - 3z - 2 = 0) ∧ ((x - 3z = 0) ∨ (x + y + z = 0)).
         // Build a model whose gates/weights encode it and extract.
         let space = TermSpace::enumerate(names(&["x", "y", "z"]), 1); // 1, x, y, z ... grevlex order
-        // Identify term indices.
-        let idx = |name: &str| {
-            (0..space.len())
-                .find(|&i| space.term_name(i) == name)
-                .unwrap()
-        };
+                                                                      // Identify term indices.
+        let idx = |name: &str| (0..space.len()).find(|&i| space.term_name(i) == name).unwrap();
         let (i1, ix, iy, iz) = (idx("1"), idx("x"), idx("y"), idx("z"));
         let mut w_a = vec![0.0; 4];
         w_a[iy] = 3.0;

@@ -165,10 +165,7 @@ mod tests {
             let (x, y, x0, y0) = (p[0], p[1], p[2], p[3]);
             let lhs = 4.0 * x - y.powi(4) - 2.0 * y.powi(3) - y * y;
             let rhs = 4.0 * x0 - y0.powi(4) - 2.0 * y0.powi(3) - y0 * y0;
-            assert!(
-                (lhs - rhs).abs() < 1e-6,
-                "relaxed invariant violated at {p:?}"
-            );
+            assert!((lhs - rhs).abs() < 1e-6, "relaxed invariant violated at {p:?}");
             if y.fract() != 0.0 {
                 fractional_seen = true;
             }

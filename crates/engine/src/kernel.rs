@@ -33,11 +33,8 @@ pub fn kernel_equalities(
     }
     let mut rows: Vec<Vec<Rat>> = Vec::new();
     for p in points.iter().take(max_rows) {
-        let row: Option<Vec<Rat>> = space
-            .monomials
-            .iter()
-            .map(|m| Rat::approximate(m.eval_f64(p), 1 << 20))
-            .collect();
+        let row: Option<Vec<Rat>> =
+            space.monomials.iter().map(|m| Rat::approximate(m.eval_f64(p), 1 << 20)).collect();
         let Some(row) = row else { continue };
         if !rows.contains(&row) {
             rows.push(row);
@@ -110,12 +107,7 @@ mod tests {
     fn no_equalities_on_generic_data() {
         let space = TermSpace::enumerate(names(&["x", "y"]), 1);
         // Generic position: no linear relation.
-        let points = vec![
-            vec![0.0, 1.0],
-            vec![1.0, 3.0],
-            vec![2.0, 2.0],
-            vec![5.0, 11.0],
-        ];
+        let points = vec![vec![0.0, 1.0], vec![1.0, 3.0], vec![2.0, 2.0], vec![5.0, 11.0]];
         let atoms = kernel_equalities(&space, &points, 100, 1000);
         assert!(atoms.is_empty(), "spurious: {atoms:?}");
     }

@@ -66,9 +66,7 @@ pub use cache::{CacheStats, ContentCache, TraceCache, TraceData};
 pub use events::{Event, Stage, StopReason};
 pub use gcln_checker::CheckReport;
 pub use model::{GclnConfig, TrainedGcln};
-pub use run::{
-    CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig,
-};
+pub use run::{CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig};
 pub use spec::{ProblemSpec, SpecError};
 pub use staged::{CompletedTask, StagedJob, Step, Task, TaskKind};
 pub use terms::TermSpace;

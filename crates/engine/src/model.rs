@@ -173,9 +173,8 @@ fn draw_kept_terms(num_terms: usize, config: &GclnConfig, rng: &mut StdRng) -> K
     for clause_masks in masks.iter_mut() {
         let mut clause_kept = Vec::with_capacity(config.literals_per_clause);
         for literal_mask in clause_masks.iter_mut() {
-            let mut kept: Vec<usize> = (0..num_terms)
-                .filter(|_| rng.gen::<f64>() >= config.dropout_rate)
-                .collect();
+            let mut kept: Vec<usize> =
+                (0..num_terms).filter(|_| rng.gen::<f64>() >= config.dropout_rate).collect();
             while kept.len() < 2.min(num_terms) {
                 let t = rng.gen_range(0..num_terms);
                 if !kept.contains(&t) {
@@ -743,11 +742,7 @@ fn train_with<L: DataLoss>(
         adam.step(&mut params, &grads);
         apply_projections(&mut params, &clauses, config.weight_reg);
         let annealed = epoch as f64 >= anneal_epochs;
-        if annealed
-            && loss_val < config.loss_tol
-            && epoch > 100
-            && gates_polar(&params, &clauses)
-        {
+        if annealed && loss_val < config.loss_tol && epoch > 100 && gates_polar(&params, &clauses) {
             break;
         }
     }
@@ -832,13 +827,18 @@ mod tests {
             let Some(grads) = grads else {
                 return self.tape.forward(self.loss, self.columns, &self.params);
             };
-            let (loss, tape_grads) = self.tape.eval_with_grad(self.loss, self.columns, &self.params);
+            let (loss, tape_grads) =
+                self.tape.eval_with_grad(self.loss, self.columns, &self.params);
             grads.copy_from_slice(&tape_grads[..k]);
             loss
         }
     }
 
-    fn tape_loss<'a>(columns: &'a [Vec<f64>], clauses: &[ClauseSlot], num_params: usize) -> TapeLoss<'a> {
+    fn tape_loss<'a>(
+        columns: &'a [Vec<f64>],
+        clauses: &[ClauseSlot],
+        num_params: usize,
+    ) -> TapeLoss<'a> {
         let (tape, loss) = build_loss_tape(columns.len(), clauses, num_params);
         let params = vec![0.0; num_params + 1];
         TapeLoss { columns, tape, loss, params }
@@ -1057,9 +1057,8 @@ mod tests {
 
     #[test]
     fn dropout_masks_zero_dropped_weights() {
-        let rows: Vec<Vec<f64>> = (0..10)
-            .map(|i| vec![1.0, i as f64, (2 * i) as f64, (3 * i) as f64])
-            .collect();
+        let rows: Vec<Vec<f64>> =
+            (0..10).map(|i| vec![1.0, i as f64, (2 * i) as f64, (3 * i) as f64]).collect();
         let cfg = GclnConfig {
             dropout_rate: 0.5,
             num_clauses: 6,

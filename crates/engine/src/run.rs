@@ -378,12 +378,8 @@ pub(crate) fn collect_trace(
         let widened_problem = widen_ranges(problem, config);
         validation_points = (0..num_loops)
             .map(|l| {
-                let pts = collect_loop_states(
-                    &widened_problem,
-                    l,
-                    config.max_inputs,
-                    config.trace_seeds,
-                );
+                let pts =
+                    collect_loop_states(&widened_problem, l, config.max_inputs, config.trace_seeds);
                 evenly_subsample(pts, config.max_samples_per_loop * 2)
             })
             .collect();
@@ -600,10 +596,10 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, Event::StageStarted { stage: Stage::Trace, .. })));
-        assert!(outcome.events.iter().any(|e| matches!(
-            e,
-            Event::JobStopped { reason: StopReason::Cancelled }
-        )));
+        assert!(outcome
+            .events
+            .iter()
+            .any(|e| matches!(e, Event::JobStopped { reason: StopReason::Cancelled })));
         assert!(outcome
             .events
             .iter()
@@ -670,10 +666,7 @@ mod tests {
             "attempt 0 runs, attempt 1 is reported as budget-skipped"
         );
         assert_eq!(outcome.loops[0].attempts, 1, "attempts reports the consumed count");
-        assert!(!outcome
-            .events
-            .iter()
-            .any(|e| matches!(e, Event::Counterexample { .. })));
+        assert!(!outcome.events.iter().any(|e| matches!(e, Event::Counterexample { .. })));
     }
 
     #[test]
@@ -733,9 +726,10 @@ mod tests {
         assert!(outcome.valid);
         for stage in [Stage::Trace, Stage::Train, Stage::Extract, Stage::Check] {
             assert!(
-                outcome.events.iter().any(
-                    |e| matches!(e, Event::StageFinished { stage: s, .. } if *s == stage)
-                ),
+                outcome
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, Event::StageFinished { stage: s, .. } if *s == stage)),
                 "missing stage {stage}"
             );
         }

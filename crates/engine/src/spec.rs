@@ -500,21 +500,17 @@ mod tests {
         assert_eq!(spec.problem.input_ranges, vec![(2, 22)]);
         // Upper-only bounds get the same span-20 completion — a large
         // constant must not widen the sampling window.
-        let spec = ProblemSpec::from_source_str(
-            "h2",
-            "inputs n; pre n <= 1000000; post x >= 0; x = n;",
-        )
-        .unwrap();
+        let spec =
+            ProblemSpec::from_source_str("h2", "inputs n; pre n <= 1000000; post x >= 0; x = n;")
+                .unwrap();
         assert_eq!(spec.problem.input_ranges, vec![(999_980, 1_000_000)]);
     }
 
     #[test]
     fn derivation_notes_distinguish_pre_from_default() {
-        let spec = ProblemSpec::from_source_str(
-            "p",
-            "inputs a, b; pre a >= 3; post x >= 0; x = a + b;",
-        )
-        .unwrap();
+        let spec =
+            ProblemSpec::from_source_str("p", "inputs a, b; pre a >= 3; post x >= 0; x = a + b;")
+                .unwrap();
         assert!(spec.derived.iter().any(|d| d.contains("range a in 3..=23 (from pre)")));
         assert!(spec.derived.iter().any(|d| d.contains("range b in 0..=20 (default)")));
     }

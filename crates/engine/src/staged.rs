@@ -164,14 +164,30 @@ pub struct TaskOutput(Out);
 
 enum Out {
     Trace(TraceCollection),
-    Setup { loop_id: usize, setup: LoopSetup },
+    Setup {
+        loop_id: usize,
+        setup: LoopSetup,
+    },
     /// One attempt's model (`None` if stopped before training). Merged
     /// by `attempt`, so arrival order never affects the outcome.
-    Train { loop_id: usize, attempt: usize, model: Option<Arc<TrainedGcln>> },
-    Extract { attempt: usize, formula: Formula },
-    Kernel { atoms: Vec<Atom> },
-    Bounds { atoms: Vec<Atom> },
-    Fractional { atoms: Option<Vec<Atom>> },
+    Train {
+        loop_id: usize,
+        attempt: usize,
+        model: Option<Arc<TrainedGcln>>,
+    },
+    Extract {
+        attempt: usize,
+        formula: Formula,
+    },
+    Kernel {
+        atoms: Vec<Atom>,
+    },
+    Bounds {
+        atoms: Vec<Atom>,
+    },
+    Fractional {
+        atoms: Option<Vec<Atom>>,
+    },
     Check(CheckReport),
 }
 
@@ -446,8 +462,7 @@ impl StagedJob {
                         let Out::Train { loop_id, attempt, model } = done.output.0 else {
                             unreachable!("train result")
                         };
-                        self.train[loop_id].as_mut().expect("trained loop").models[attempt] =
-                            model;
+                        self.train[loop_id].as_mut().expect("trained loop").models[attempt] = model;
                     }
                     self.stage_end(round, Stage::Train);
                     self.stage_begin(round, Stage::Extract);
@@ -746,11 +761,8 @@ impl StagedJob {
         // "Consumed" means a model actually trained: attempts a
         // deadline/cancel poll skipped do not count. An empty dataset
         // historically reports one consumed attempt.
-        let attempts = if lr.setup.ds_empty {
-            1
-        } else {
-            lr.models.iter().filter(|m| m.is_some()).count()
-        };
+        let attempts =
+            if lr.setup.ds_empty { 1 } else { lr.models.iter().filter(|m| m.is_some()).count() };
         let (validated, dropped) = prune_falsified_conjuncts(&formula, &self.validation_points[l]);
         if std::env::var("GCLN_DEBUG").is_ok() {
             eprintln!(

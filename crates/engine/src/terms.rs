@@ -118,17 +118,13 @@ pub fn growth_filter_with_duplicates(
     let mut duplicates = Vec::new();
     let mut kept_columns: Vec<Vec<f64>> = Vec::new();
     for i in 0..n {
-        let column: Vec<f64> = points
-            .iter()
-            .map(|p| space.monomials[i].eval_f64(p))
-            .collect();
+        let column: Vec<f64> = points.iter().map(|p| space.monomials[i].eval_f64(p)).collect();
         let max_abs = column.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
         if !max_abs.is_finite() || max_abs > magnitude_cap {
             continue;
         }
-        if let Some(pos) = kept_columns
-            .iter()
-            .position(|c| c.iter().zip(&column).all(|(a, b)| a == b))
+        if let Some(pos) =
+            kept_columns.iter().position(|c| c.iter().zip(&column).all(|(a, b)| a == b))
         {
             duplicates.push((i, keep[pos]));
             continue;
@@ -172,16 +168,8 @@ mod tests {
         // contains a*s and t^2 columns with the documented values.
         let space = TermSpace::enumerate(names(&["a", "s", "t"]), 2);
         let row = space.row(&[1.0, 4.0, 3.0]);
-        let as_idx = space
-            .monomials
-            .iter()
-            .position(|m| m.exps() == [1, 1, 0])
-            .unwrap();
-        let t2_idx = space
-            .monomials
-            .iter()
-            .position(|m| m.exps() == [0, 0, 2])
-            .unwrap();
+        let as_idx = space.monomials.iter().position(|m| m.exps() == [1, 1, 0]).unwrap();
+        let t2_idx = space.monomials.iter().position(|m| m.exps() == [0, 0, 2]).unwrap();
         assert_eq!(row[as_idx], 4.0); // a*s = 1*4
         assert_eq!(row[t2_idx], 9.0); // t^2 = 9
     }

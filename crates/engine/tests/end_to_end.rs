@@ -45,11 +45,7 @@ fn pipeline_solves_a_linear_problem_per_family() {
     for name in ["lin-up-03", "lin-acc-05", "lin-branch-02", "lin-nest-02"] {
         let problem = find_problem(name).unwrap();
         let outcome = solve(&problem);
-        assert!(
-            outcome.valid,
-            "{name} rejected: {:?}",
-            outcome.report.counterexamples.first()
-        );
+        assert!(outcome.valid, "{name} rejected: {:?}", outcome.report.counterexamples.first());
     }
 }
 
@@ -97,8 +93,7 @@ fn engine_solves_an_arbitrary_program_from_source() {
     // The learned equalities imply the cube ground truth (stated over
     // the loop counter `k`, as in cohencu).
     let names = job.spec.problem.extended_names();
-    let gt =
-        parse_formula("c == k^3 && d == 3*k^2 + 3*k + 1 && e == 6*k + 6", &names).unwrap();
+    let gt = parse_formula("c == k^3 && d == 3*k^2 + 3*k + 1 && e == 6*k + 6", &names).unwrap();
     assert_eq!(
         equalities_imply(
             outcome.formula_for(0).unwrap(),

@@ -211,8 +211,9 @@ impl Faults {
                 }
                 None => (value, u64::MAX),
             };
-            let prob: f64 =
-                prob_str.parse().map_err(|_| format!("bad probability `{prob_str}` for `{key}`"))?;
+            let prob: f64 = prob_str
+                .parse()
+                .map_err(|_| format!("bad probability `{prob_str}` for `{key}`"))?;
             if !(0.0..=1.0).contains(&prob) {
                 return Err(format!("probability for `{key}` must be in [0,1], got {prob}"));
             }
@@ -344,13 +345,13 @@ mod tests {
     fn parse_rejects_malformed_specs() {
         for bad in [
             "",
-            "seed=42",                     // no sites
-            "sched.task_panic",            // not key=value
-            "bogus.site=0.5",              // unknown site
-            "sched.task_panic=1.5",        // probability out of range
-            "sched.task_panic=x",          // unparseable probability
-            "sched.task_panic=0.5:x",      // unparseable limit
-            "seed=nope,sched.task_panic=1" // unparseable seed
+            "seed=42",                      // no sites
+            "sched.task_panic",             // not key=value
+            "bogus.site=0.5",               // unknown site
+            "sched.task_panic=1.5",         // probability out of range
+            "sched.task_panic=x",           // unparseable probability
+            "sched.task_panic=0.5:x",       // unparseable limit
+            "seed=nope,sched.task_panic=1", // unparseable seed
         ] {
             assert!(Faults::parse(bad).is_err(), "spec `{bad}` should be rejected");
         }

@@ -234,10 +234,8 @@ impl<N: Num> Interp<N> {
                 result.ok_or(ArithFault)
             }
             Expr::Call(name, args) => {
-                let vals: Vec<N> = args
-                    .iter()
-                    .map(|a| self.eval_expr(a))
-                    .collect::<Result<_, _>>()?;
+                let vals: Vec<N> =
+                    args.iter().map(|a| self.eval_expr(a)).collect::<Result<_, _>>()?;
                 call_builtin(name, &vals)
             }
             Expr::NondetInt(lo, hi) => {
@@ -487,11 +485,7 @@ mod tests {
         for n in 0..50i128 {
             let run = run_program(&p, &[n], &RunConfig::default());
             assert_eq!(run.outcome, Outcome::Completed);
-            assert_eq!(
-                eval_bool_in(&p.post, &run.env, 0),
-                Some(true),
-                "post failed for n={n}"
-            );
+            assert_eq!(eval_bool_in(&p.post, &run.env, 0), Some(true), "post failed for n={n}");
             let a = run.env[p.var_id("a").unwrap()];
             assert_eq!(a, (n as f64).sqrt().floor() as i128);
         }
@@ -503,24 +497,10 @@ mod tests {
         // (2,9,5), (3,16,7).
         let p = parse_program(SQRT_SRC).unwrap();
         let run = run_program(&p, &[12i128], &RunConfig::default());
-        let ids: Vec<usize> = ["a", "s", "t"]
-            .iter()
-            .map(|v| p.var_id(v).unwrap())
-            .collect();
-        let rows: Vec<Vec<i128>> = run
-            .trace
-            .iter()
-            .map(|s| ids.iter().map(|&i| s.state[i]).collect())
-            .collect();
-        assert_eq!(
-            rows,
-            vec![
-                vec![0, 1, 1],
-                vec![1, 4, 3],
-                vec![2, 9, 5],
-                vec![3, 16, 7],
-            ]
-        );
+        let ids: Vec<usize> = ["a", "s", "t"].iter().map(|v| p.var_id(v).unwrap()).collect();
+        let rows: Vec<Vec<i128>> =
+            run.trace.iter().map(|s| ids.iter().map(|&i| s.state[i]).collect()).collect();
+        assert_eq!(rows, vec![vec![0, 1, 1], vec![1, 4, 3], vec![2, 9, 5], vec![3, 16, 7],]);
     }
 
     #[test]

@@ -250,12 +250,7 @@ mod tests {
     fn basic_tokens() {
         assert_eq!(
             toks("x = 42;"),
-            vec![
-                Token::Ident("x".into()),
-                Token::Assign,
-                Token::Int(42),
-                Token::Semi
-            ]
+            vec![Token::Ident("x".into()), Token::Assign, Token::Int(42), Token::Semi]
         );
     }
 

@@ -60,10 +60,7 @@ impl Parser {
     }
 
     fn line(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .or_else(|| self.tokens.last())
-            .map_or(0, |s| s.line)
+        self.tokens.get(self.pos).or_else(|| self.tokens.last()).map_or(0, |s| s.line)
     }
 
     fn advance(&mut self) -> Option<Token> {
@@ -175,8 +172,7 @@ impl Parser {
                     self.expect(&Token::RParen)?;
                     if name == "nondet" {
                         if args.len() != 2 {
-                            return self
-                                .error("nondet in expression position takes (lo, hi)");
+                            return self.error("nondet in expression position takes (lo, hi)");
                         }
                         let mut it = args.into_iter();
                         let lo = it.next().expect("len checked");
@@ -308,11 +304,8 @@ impl Parser {
                 let cond = self.parse_bexpr()?;
                 self.expect(&Token::RParen)?;
                 let then_body = self.parse_block()?;
-                let else_body = if self.eat_keyword("else") {
-                    self.parse_block()?
-                } else {
-                    Vec::new()
-                };
+                let else_body =
+                    if self.eat_keyword("else") { self.parse_block()? } else { Vec::new() };
                 Ok(Stmt::If { cond, then_body, else_body })
             }
             Some(Token::Ident(kw)) if kw == "while" => {
@@ -455,10 +448,8 @@ mod tests {
 
     #[test]
     fn parses_header() {
-        let p = parse_unresolved(
-            "program sqrt; inputs n; pre n >= 0; post a * a <= n; a = 0;",
-        )
-        .unwrap();
+        let p = parse_unresolved("program sqrt; inputs n; pre n >= 0; post a * a <= n; a = 0;")
+            .unwrap();
         assert_eq!(p.name, "sqrt");
         assert_eq!(p.inputs, vec!["n"]);
         assert!(matches!(p.pre, BoolExpr::Cmp(CmpOp::Ge, _, _)));
@@ -467,10 +458,7 @@ mod tests {
 
     #[test]
     fn parses_while_and_if() {
-        let p = parse_unresolved(
-            "while (x < 10) { if (x > 5) { x += 2; } else x ++; }",
-        )
-        .unwrap();
+        let p = parse_unresolved("while (x < 10) { if (x > 5) { x += 2; } else x ++; }").unwrap();
         let Stmt::While { id, cond, body } = &p.body[0] else {
             panic!("expected while");
         };
@@ -482,10 +470,9 @@ mod tests {
 
     #[test]
     fn nested_loops_get_sequential_ids() {
-        let p = parse_unresolved(
-            "while (a < 1) { while (b < 2) { b++; } a++; } while (c < 3) c++;",
-        )
-        .unwrap();
+        let p =
+            parse_unresolved("while (a < 1) { while (b < 2) { b++; } a++; } while (c < 3) c++;")
+                .unwrap();
         assert_eq!(p.num_loops, 3);
         assert!(p.find_loop(0).is_some());
         assert!(p.find_loop(1).is_some());

@@ -384,10 +384,7 @@ mod tests {
         // x/2 - 1/3 >= 0 scaled to 3x - 2 >= 0.
         let poly = Poly::from_terms(
             1,
-            [
-                (Rat::new(1, 2), Monomial::var(0, 1)),
-                (Rat::new(-1, 3), Monomial::one(1)),
-            ],
+            [(Rat::new(1, 2), Monomial::var(0, 1)), (Rat::new(-1, 3), Monomial::one(1))],
         );
         let f = Formula::atom(poly, Pred::Ge);
         let c = CompiledFormula::compile(&f);

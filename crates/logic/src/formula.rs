@@ -415,10 +415,8 @@ mod tests {
     #[test]
     fn simplify_flattens_and_prunes() {
         let a = Formula::atom(x_minus_y(), Pred::Ge);
-        let nested = Formula::And(vec![
-            Formula::True,
-            Formula::And(vec![a.clone(), Formula::True]),
-        ]);
+        let nested =
+            Formula::And(vec![Formula::True, Formula::And(vec![a.clone(), Formula::True])]);
         assert_eq!(nested.simplify(), a);
         let with_false = Formula::And(vec![a.clone(), Formula::False]);
         assert_eq!(with_false.simplify(), Formula::False);

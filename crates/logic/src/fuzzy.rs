@@ -79,9 +79,7 @@ impl TNorm {
 /// ```
 pub fn gated_tnorm(tnorm: TNorm, xs: &[f64], gates: &[f64]) -> f64 {
     assert_eq!(xs.len(), gates.len(), "one gate per operand");
-    xs.iter()
-        .zip(gates)
-        .fold(1.0, |acc, (&x, &g)| tnorm.apply(acc, 1.0 + g * (x - 1.0)))
+    xs.iter().zip(gates).fold(1.0, |acc, (&x, &g)| tnorm.apply(acc, 1.0 + g * (x - 1.0)))
 }
 
 /// Gated t-conorm over any number of operands:
@@ -101,10 +99,7 @@ pub fn gated_tnorm(tnorm: TNorm, xs: &[f64], gates: &[f64]) -> f64 {
 /// ```
 pub fn gated_tconorm(tnorm: TNorm, xs: &[f64], gates: &[f64]) -> f64 {
     assert_eq!(xs.len(), gates.len(), "one gate per operand");
-    1.0 - xs
-        .iter()
-        .zip(gates)
-        .fold(1.0, |acc, (&x, &g)| tnorm.apply(acc, 1.0 - g * x))
+    1.0 - xs.iter().zip(gates).fold(1.0, |acc, (&x, &g)| tnorm.apply(acc, 1.0 - g * x))
 }
 
 #[cfg(test)]

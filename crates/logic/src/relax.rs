@@ -151,17 +151,11 @@ pub fn relax_formula(f: &Formula, point: &[f64], kind: RelaxKind, tnorm: TNorm) 
         Formula::False => 0.0,
         Formula::Atom(a) => kind.atom(a.pred, a.poly.eval_f64(point)),
         Formula::And(fs) => {
-            let vals: Vec<f64> = fs
-                .iter()
-                .map(|f| relax_formula(f, point, kind, tnorm))
-                .collect();
+            let vals: Vec<f64> = fs.iter().map(|f| relax_formula(f, point, kind, tnorm)).collect();
             tnorm.apply_many(&vals)
         }
         Formula::Or(fs) => {
-            let vals: Vec<f64> = fs
-                .iter()
-                .map(|f| relax_formula(f, point, kind, tnorm))
-                .collect();
+            let vals: Vec<f64> = fs.iter().map(|f| relax_formula(f, point, kind, tnorm)).collect();
             tnorm.conorm_many(&vals)
         }
         Formula::Not(f) => 1.0 - relax_formula(f, point, kind, tnorm),

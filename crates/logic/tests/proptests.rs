@@ -14,12 +14,7 @@ const ARITY: usize = 2;
 fn small_poly() -> impl Strategy<Value = Poly> {
     let term = (-5i128..=5, proptest::collection::vec(0u32..=2, ARITY));
     proptest::collection::vec(term, 1..4).prop_map(|terms| {
-        Poly::from_terms(
-            ARITY,
-            terms
-                .into_iter()
-                .map(|(c, e)| (Rat::integer(c), Monomial::new(e))),
-        )
+        Poly::from_terms(ARITY, terms.into_iter().map(|(c, e)| (Rat::integer(c), Monomial::new(e))))
     })
 }
 

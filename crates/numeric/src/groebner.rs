@@ -131,11 +131,8 @@ impl Default for GroebnerLimits {
 /// assert!(!gb.is_empty());
 /// ```
 pub fn groebner_basis(gens: &[Poly], limits: GroebnerLimits) -> Option<Vec<Poly>> {
-    let mut basis: Vec<Poly> = gens
-        .iter()
-        .filter(|p| !p.is_zero())
-        .map(Poly::normalize_content)
-        .collect();
+    let mut basis: Vec<Poly> =
+        gens.iter().filter(|p| !p.is_zero()).map(Poly::normalize_content).collect();
     if basis.is_empty() {
         return Some(basis);
     }
@@ -197,30 +194,20 @@ fn reduce_basis(mut basis: Vec<Poly>, scratch: &mut ReduceScratch) -> Vec<Poly> 
             }
         }
     }
-    let minimized: Vec<Poly> = basis
-        .drain(..)
-        .zip(keep)
-        .filter_map(|(p, k)| k.then_some(p))
-        .collect();
+    let minimized: Vec<Poly> =
+        basis.drain(..).zip(keep).filter_map(|(p, k)| k.then_some(p)).collect();
     // Inter-reduce: replace each element with its normal form modulo the rest.
     let mut reduced = Vec::with_capacity(minimized.len());
     for i in 0..minimized.len() {
-        let others: Vec<Poly> = minimized
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, p)| p.clone())
-            .collect();
+        let others: Vec<Poly> =
+            minimized.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, p)| p.clone()).collect();
         let nf = normal_form_in(&minimized[i], &others, scratch).normalize_content();
         if !nf.is_zero() {
             reduced.push(nf);
         }
     }
     reduced.sort_by(|a, b| {
-        a.leading_term()
-            .expect("nonzero")
-            .0
-            .cmp(b.leading_term().expect("nonzero").0)
+        a.leading_term().expect("nonzero").0.cmp(b.leading_term().expect("nonzero").0)
     });
     reduced
 }
@@ -339,28 +326,17 @@ mod tests {
         let (x, _) = vars2();
         assert_eq!(ideal_member(&Poly::zero(2), &[], GroebnerLimits::default()), Some(true));
         assert_eq!(ideal_member(&x, &[], GroebnerLimits::default()), Some(false));
-        assert_eq!(
-            ideal_member(&x, &[Poly::zero(2)], GroebnerLimits::default()),
-            Some(false)
-        );
+        assert_eq!(ideal_member(&x, &[Poly::zero(2)], GroebnerLimits::default()), Some(false));
     }
 
     #[test]
     fn reduced_basis_is_self_reduced() {
         let (x, y) = vars2();
-        let gens = vec![
-            &(&x * &x) - &y,
-            &(&x * &y) - &x,
-            &(&y * &y) - &y,
-        ];
+        let gens = vec![&(&x * &x) - &y, &(&x * &y) - &x, &(&y * &y) - &y];
         let gb = groebner_basis(&gens, GroebnerLimits::default()).unwrap();
         for (i, g) in gb.iter().enumerate() {
-            let others: Vec<Poly> = gb
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, p)| p.clone())
-                .collect();
+            let others: Vec<Poly> =
+                gb.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, p)| p.clone()).collect();
             let nf = normal_form(g, &others);
             assert_eq!(&nf, g, "basis element {} not reduced", i);
         }
@@ -394,9 +370,6 @@ mod tests {
         // A wrong invariant x - n^2 should NOT be inductive.
         let wrong = &x - &(&n * &n);
         let wrong_next = wrong.subst(&body);
-        assert_eq!(
-            ideal_member(&wrong_next, &[wrong], GroebnerLimits::default()),
-            Some(false)
-        );
+        assert_eq!(ideal_member(&wrong_next, &[wrong], GroebnerLimits::default()), Some(false));
     }
 }

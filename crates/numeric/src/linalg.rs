@@ -87,12 +87,7 @@ impl Matrix {
     pub fn mul_vec(&self, v: &[Rat]) -> Vec<Rat> {
         assert_eq!(v.len(), self.cols, "dimension mismatch");
         (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(v)
-                    .fold(Rat::ZERO, |acc, (a, b)| acc + *a * *b)
-            })
+            .map(|i| self.row(i).iter().zip(v).fold(Rat::ZERO, |acc, (a, b)| acc + *a * *b))
             .collect()
     }
 
@@ -274,10 +269,7 @@ mod tests {
     #[test]
     fn rank_and_null_space() {
         // x + y + z = 0 ; 2x + 2y + 2z = 0  => rank 1, nullity 2
-        let m = Matrix::from_rows(vec![
-            vec![r(1), r(1), r(1)],
-            vec![r(2), r(2), r(2)],
-        ]);
+        let m = Matrix::from_rows(vec![vec![r(1), r(1), r(1)], vec![r(2), r(2), r(2)]]);
         assert_eq!(m.rank(), 1);
         let ns = m.null_space();
         assert_eq!(ns.len(), 2);

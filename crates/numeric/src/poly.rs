@@ -82,9 +82,7 @@ impl Monomial {
                 key |= u64::from(e) << (4 * i);
                 degree += e;
             }
-            Monomial {
-                repr: Repr::Small { arity: exps.len() as u8, degree: degree as u16, key },
-            }
+            Monomial { repr: Repr::Small { arity: exps.len() as u8, degree: degree as u16, key } }
         } else {
             Monomial { repr: Repr::Big(exps.into()) }
         }
@@ -503,9 +501,7 @@ impl Poly {
     ///
     /// Panics if `point.len() != self.arity()` or on `i128` overflow.
     pub fn eval(&self, point: &[Rat]) -> Rat {
-        self.terms
-            .iter()
-            .fold(Rat::ZERO, |acc, (m, c)| acc + *c * m.eval(point))
+        self.terms.iter().fold(Rat::ZERO, |acc, (m, c)| acc + *c * m.eval(point))
     }
 
     /// Checked evaluation at a rational point: `None` on `i128` overflow
@@ -528,9 +524,7 @@ impl Poly {
 
     /// Evaluates at an `f64` point.
     pub fn eval_f64(&self, point: &[f64]) -> f64 {
-        self.terms
-            .iter()
-            .fold(0.0, |acc, (m, c)| acc + c.to_f64() * m.eval_f64(point))
+        self.terms.iter().fold(0.0, |acc, (m, c)| acc + c.to_f64() * m.eval_f64(point))
     }
 
     /// Substitutes each variable `x_i` with `subs[i]` (polynomial

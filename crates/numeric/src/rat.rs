@@ -323,10 +323,7 @@ impl Rat {
         let g = gcd_i128(self.den, rhs.den);
         let lhs_scale = rhs.den / g;
         let rhs_scale = self.den / g;
-        let num = self
-            .num
-            .checked_mul(lhs_scale)?
-            .checked_add(rhs.num.checked_mul(rhs_scale)?)?;
+        let num = self.num.checked_mul(lhs_scale)?.checked_add(rhs.num.checked_mul(rhs_scale)?)?;
         let den = self.den.checked_mul(lhs_scale)?;
         Some(Rat::new(num, den))
     }
@@ -545,11 +542,8 @@ impl FromStr for Rat {
             Ok(Rat::new(num, den))
         } else if let Some((int, frac)) = s.split_once('.') {
             let negative = int.trim_start().starts_with('-');
-            let int_part: i128 = if int.is_empty() || int == "-" {
-                0
-            } else {
-                int.parse().map_err(|_| err())?
-            };
+            let int_part: i128 =
+                if int.is_empty() || int == "-" { 0 } else { int.parse().map_err(|_| err())? };
             if frac.is_empty() || !frac.bytes().all(|b| b.is_ascii_digit()) {
                 return Err(err());
             }

@@ -30,8 +30,7 @@ mod reference {
         }
 
         pub fn divides(&self, other: &RefMono) -> bool {
-            self.0.len() == other.0.len()
-                && self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
+            self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
         }
 
         pub fn quotient(&self, other: &RefMono) -> RefMono {
@@ -83,9 +82,9 @@ mod reference {
         pub fn to_poly(&self) -> Poly {
             Poly::from_terms(
                 self.arity,
-                self.terms.iter().map(|(m, c)| {
-                    (*c, gcln_numeric::poly::Monomial::new(m.0.clone()))
-                }),
+                self.terms
+                    .iter()
+                    .map(|(m, c)| (*c, gcln_numeric::poly::Monomial::new(m.0.clone()))),
             )
         }
 
@@ -193,16 +192,11 @@ fn small_rat() -> impl Strategy<Value = Rat> {
 }
 
 fn small_poly(arity: usize) -> impl Strategy<Value = Poly> {
-    let term = (
-        -9i128..=9,
-        proptest::collection::vec(0u32..=2, arity),
-    );
+    let term = (-9i128..=9, proptest::collection::vec(0u32..=2, arity));
     proptest::collection::vec(term, 0..5).prop_map(move |terms| {
         Poly::from_terms(
             arity,
-            terms
-                .into_iter()
-                .map(|(c, exps)| (Rat::integer(c), Monomial::new(exps))),
+            terms.into_iter().map(|(c, exps)| (Rat::integer(c), Monomial::new(exps))),
         )
     })
 }

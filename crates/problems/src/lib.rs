@@ -175,7 +175,10 @@ impl Problem {
             .iter()
             .map(|gt| {
                 let f = parse_formula(&gt.formula, &names).unwrap_or_else(|e| {
-                    panic!("ground truth for `{}` loop {} does not parse: {e}", self.name, gt.loop_id)
+                    panic!(
+                        "ground truth for `{}` loop {} does not parse: {e}",
+                        self.name, gt.loop_id
+                    )
                 });
                 (gt.loop_id, f)
             })
@@ -294,13 +297,7 @@ pub fn sample_inputs(problem: &Problem, max_samples: usize) -> Vec<Vec<i128>> {
             let span = (hi - lo).max(0) as usize;
             let count = per_dim.min(span + 1).max(1);
             let mut vals: Vec<i128> = (0..count)
-                .map(|i| {
-                    if count == 1 {
-                        lo
-                    } else {
-                        lo + (span * i / (count - 1)) as i128
-                    }
-                })
+                .map(|i| if count == 1 { lo } else { lo + (span * i / (count - 1)) as i128 })
                 .collect();
             vals.dedup();
             vals

@@ -61,8 +61,18 @@ pub fn linear_suite() -> Vec<Problem> {
 
     // Family 3: lockstep linear relation y = k·x + b (12 instances).
     for (i, (k, c)) in [
-        (1, 0), (1, 1), (2, 0), (2, 3), (3, 0), (3, 1),
-        (4, 2), (5, 0), (5, 5), (6, 1), (7, 0), (7, 4),
+        (1, 0),
+        (1, 1),
+        (2, 0),
+        (2, 3),
+        (3, 0),
+        (3, 1),
+        (4, 2),
+        (5, 0),
+        (5, 5),
+        (6, 1),
+        (7, 0),
+        (7, 4),
     ]
     .iter()
     .enumerate()
@@ -103,8 +113,18 @@ pub fn linear_suite() -> Vec<Problem> {
 
     // Family 5: offset tracking x = x0 + d·y (12 instances).
     for (i, (x0, d)) in [
-        (0, 1), (1, 1), (5, 2), (0, 3), (2, 3), (7, 1),
-        (0, 4), (3, 4), (1, 5), (0, 6), (4, 2), (9, 3),
+        (0, 1),
+        (1, 1),
+        (5, 2),
+        (0, 3),
+        (2, 3),
+        (7, 1),
+        (0, 4),
+        (3, 4),
+        (1, 5),
+        (0, 6),
+        (4, 2),
+        (9, 3),
     ]
     .iter()
     .enumerate()
@@ -142,10 +162,7 @@ pub fn linear_suite() -> Vec<Problem> {
             b(&name, &source)
                 .max_degree(1)
                 .ranges(&[(0, 18)])
-                .truth(
-                    0,
-                    &format!("a + b == {extra} * i && i <= n && a >= 0 && b >= 0"),
-                )
+                .truth(0, &format!("a + b == {extra} * i && i <= n && a >= 0 && b >= 0"))
                 .build(),
         );
     }
@@ -153,8 +170,18 @@ pub fn linear_suite() -> Vec<Problem> {
     // Family 7: converging pair x ↑, y ↓ with x + y conserved
     // (12 instances over different conserved weights).
     for (i, (up, down)) in [
-        (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1),
-        (2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (2, 4),
+        (1, 1),
+        (1, 2),
+        (2, 1),
+        (2, 2),
+        (1, 3),
+        (3, 1),
+        (2, 3),
+        (3, 2),
+        (1, 4),
+        (4, 1),
+        (3, 3),
+        (2, 4),
     ]
     .iter()
     .enumerate()

@@ -512,13 +512,7 @@ impl Drop for Scheduler {
 /// Adds work items for a job and registers the job in the ready ring
 /// at its base priority plus any earned aging boost. Caller holds the
 /// state lock.
-fn enqueue(
-    shared: &Shared,
-    st: &mut PoolState,
-    job_id: u64,
-    priority: i32,
-    items: Vec<WorkItem>,
-) {
+fn enqueue(shared: &Shared, st: &mut PoolState, job_id: u64, priority: i32, items: Vec<WorkItem>) {
     let tick = st.tick;
     let q = st.queues.entry(job_id).or_default();
     for item in items {
@@ -704,11 +698,12 @@ fn run_stage_task(shared: &Arc<Shared>, job: &Arc<JobRun>, task: Task, enqueued:
                 // exponential backoff schedule while budget remains.
                 let attempt = {
                     let mut inner = job.inner.lock().unwrap();
-                    (inner.failed.is_none() && inner.retries < shared.cfg.max_task_retries)
-                        .then(|| {
+                    (inner.failed.is_none() && inner.retries < shared.cfg.max_task_retries).then(
+                        || {
                             inner.retries += 1;
                             inner.retries
-                        })
+                        },
+                    )
                 };
                 if let Some(attempt) = attempt {
                     shared.metrics.task_retried();
@@ -787,8 +782,7 @@ fn advance_and_dispatch(shared: &Arc<Shared>, job: &Arc<JobRun>, inner: &mut Job
         Step::Run(tasks) => {
             inner.outstanding = tasks.len();
             let now = Instant::now();
-            let items: Vec<WorkItem> =
-                tasks.into_iter().map(|t| WorkItem::Stage(t, now)).collect();
+            let items: Vec<WorkItem> = tasks.into_iter().map(|t| WorkItem::Stage(t, now)).collect();
             let mut st = shared.state.lock().unwrap();
             enqueue(shared, &mut st, job.id, job.priority, items);
         }
@@ -961,8 +955,7 @@ mod tests {
             ..SchedConfig::with_workers(2)
         };
         let sched = Scheduler::new(cfg);
-        let tickets =
-            [sched.submit(quick_job("ps2")), sched.submit(quick_job("ps3"))];
+        let tickets = [sched.submit(quick_job("ps2")), sched.submit(quick_job("ps3"))];
         let outcomes: Vec<_> = tickets
             .iter()
             .map(|t| t.wait_timeout(Duration::from_secs(120)).expect("ticket must resolve"))
@@ -970,18 +963,17 @@ mod tests {
         let m = sched.metrics();
         sched.shutdown();
         assert_eq!(m.tasks_panicked, 1);
-        let failed: Vec<usize> = (0..2)
-            .filter(|&i| outcomes[i].stopped == Some(StopReason::TaskPanicked))
-            .collect();
+        let failed: Vec<usize> =
+            (0..2).filter(|&i| outcomes[i].stopped == Some(StopReason::TaskPanicked)).collect();
         assert_eq!(failed.len(), 1, "exactly one job absorbs the single injected panic");
         for (i, outcome) in outcomes.iter().enumerate() {
             let solo = if i == 0 { &solo_ps2 } else { &solo_ps3 };
             if failed[0] == i {
                 assert!(!outcome.valid);
-                assert!(outcome.events.iter().any(|e| matches!(
-                    e,
-                    Event::JobStopped { reason: StopReason::TaskPanicked }
-                )));
+                assert!(outcome
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, Event::JobStopped { reason: StopReason::TaskPanicked })));
                 assert!(matches!(outcome.events.last(), Some(Event::JobFinished { .. })));
             } else {
                 assert_eq!(outcome.valid, solo.valid, "job#{i}");

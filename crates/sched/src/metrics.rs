@@ -14,9 +14,8 @@ use std::time::{Duration, Instant};
 
 /// Histogram bucket upper bounds, in seconds. The last implicit bucket
 /// is `+Inf`.
-pub const BUCKET_BOUNDS: [f64; 14] = [
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-];
+pub const BUCKET_BOUNDS: [f64; 14] =
+    [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0];
 
 /// A fixed-bucket latency histogram.
 #[derive(Clone, Debug, Default)]
@@ -132,13 +131,8 @@ impl Metrics {
 
     /// A point-in-time copy of every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut tasks: Vec<(String, HistogramSnapshot)> = self
-            .tasks
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, h)| (k.to_string(), h.snapshot()))
-            .collect();
+        let mut tasks: Vec<(String, HistogramSnapshot)> =
+            self.tasks.lock().unwrap().iter().map(|(k, h)| (k.to_string(), h.snapshot())).collect();
         tasks.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
             workers: self.workers,

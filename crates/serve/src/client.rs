@@ -71,8 +71,7 @@ pub fn request_with_headers(
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     let body_bytes = body.unwrap_or("").as_bytes();
-    let extra: String =
-        headers.iter().map(|(k, v)| format!("{k}: {v}\r\n")).collect();
+    let extra: String = headers.iter().map(|(k, v)| format!("{k}: {v}\r\n")).collect();
     write!(
         stream,
         "{method} {path} HTTP/1.1\r\nhost: {addr}\r\n{extra}content-length: {}\r\n\r\n",

@@ -125,8 +125,7 @@ pub fn read_request(src: &mut impl Read, limits: &Limits) -> Result<Option<Reque
     // --- request line ---
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => return Err(HttpError::new(400, "malformed request line")),
     };
@@ -330,11 +329,9 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse(
-            b"POST /jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello",
-        )
-        .unwrap()
-        .unwrap();
+        let req = parse(b"POST /jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/jobs?x=1");
         assert_eq!(req.path(), "/jobs");
@@ -390,8 +387,7 @@ mod tests {
                 Ok(bytes.len())
             }
         }
-        let err =
-            read_request(&mut Slowloris { sent: false }, &Limits::default()).unwrap_err();
+        let err = read_request(&mut Slowloris { sent: false }, &Limits::default()).unwrap_err();
         assert_eq!(err.status, 408);
         assert_eq!(reason(408), "Request Timeout");
         // Same mapping when the timeout hits mid-body.

@@ -380,7 +380,8 @@ mod tests {
         // must skip it, not refuse to open.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"J2 40 deadbeef {\"type\":\"job\",\"id\":\"job-3\",\"name\":\"caf\xc3").unwrap();
+            f.write_all(b"J2 40 deadbeef {\"type\":\"job\",\"id\":\"job-3\",\"name\":\"caf\xc3")
+                .unwrap();
         }
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.replayed().len(), 2);
@@ -471,17 +472,17 @@ mod tests {
         }
         let before = j.size_bytes();
         assert!(before > 0);
-        j.rewrite(&[r#"{"type":"job","id":"job-8"}"#.into(), r#"{"type":"job","id":"job-9"}"#.into()])
-            .unwrap();
+        j.rewrite(&[
+            r#"{"type":"job","id":"job-8"}"#.into(),
+            r#"{"type":"job","id":"job-9"}"#.into(),
+        ])
+        .unwrap();
         assert!(j.size_bytes() < before, "compaction must shrink the file");
         // Appends after a rewrite land in the *new* file.
         j.append(r#"{"type":"job","id":"job-10"}"#).unwrap();
         let reopened = Journal::open(&path).unwrap();
-        let ids: Vec<&str> = reopened
-            .replayed()
-            .iter()
-            .filter_map(|v| v.get("id").and_then(Json::as_str))
-            .collect();
+        let ids: Vec<&str> =
+            reopened.replayed().iter().filter_map(|v| v.get("id").and_then(Json::as_str)).collect();
         assert_eq!(ids, ["job-8", "job-9", "job-10"]);
         let _ = std::fs::remove_file(&path);
     }
@@ -500,11 +501,8 @@ mod tests {
         j.append(r#"{"type":"job","id":"job-3"}"#).unwrap();
         drop(j);
         let j = Journal::open(&path).unwrap();
-        let ids: Vec<&str> = j
-            .replayed()
-            .iter()
-            .filter_map(|v| v.get("id").and_then(Json::as_str))
-            .collect();
+        let ids: Vec<&str> =
+            j.replayed().iter().filter_map(|v| v.get("id").and_then(Json::as_str)).collect();
         assert!(!ids.contains(&"job-1"), "the torn record must not replay");
         assert!(
             ids.contains(&"job-2"),

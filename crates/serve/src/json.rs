@@ -212,11 +212,16 @@ impl Parser<'_> {
         }
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.eat("null").then_some(Json::Null).ok_or_else(|| self.err("bad literal")),
-            Some(b't') => self.eat("true").then_some(Json::Bool(true)).ok_or_else(|| self.err("bad literal")),
-            Some(b'f') => {
-                self.eat("false").then_some(Json::Bool(false)).ok_or_else(|| self.err("bad literal"))
+            Some(b'n') => {
+                self.eat("null").then_some(Json::Null).ok_or_else(|| self.err("bad literal"))
             }
+            Some(b't') => {
+                self.eat("true").then_some(Json::Bool(true)).ok_or_else(|| self.err("bad literal"))
+            }
+            Some(b'f') => self
+                .eat("false")
+                .then_some(Json::Bool(false))
+                .ok_or_else(|| self.err("bad literal")),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
@@ -320,8 +325,7 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                             } else if (0xDC00..0xE000).contains(&hi) {
                                 None // lone low surrogate
@@ -342,9 +346,7 @@ impl Parser<'_> {
                     // `&str` so the sequence is known-valid.
                     let start = self.pos;
                     self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xC0) == 0x80
-                    {
+                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
                         self.pos += 1;
                     }
                     out.push_str(
@@ -433,8 +435,24 @@ mod tests {
     #[test]
     fn rejects_rfc_violations() {
         for bad in [
-            "", "tru", "nul", "01", "1.", ".5", "1e", "+1", "--1", "[1,]", "[1 2]", "{\"a\"1}",
-            "{a:1}", "\"\x01\"", "\"unterminated", "{\"a\":1} extra", "[1,2],", "\"\\x\"",
+            "",
+            "tru",
+            "nul",
+            "01",
+            "1.",
+            ".5",
+            "1e",
+            "+1",
+            "--1",
+            "[1,]",
+            "[1 2]",
+            "{\"a\"1}",
+            "{a:1}",
+            "\"\x01\"",
+            "\"unterminated",
+            "{\"a\":1} extra",
+            "[1,2],",
+            "\"\\x\"",
             "\u{7}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
@@ -449,10 +467,9 @@ mod tests {
 
     #[test]
     fn render_roundtrips() {
-        for text in [
-            r#"{"a":[1,2.5,-3],"b":"q\"\\\n","c":null,"d":true,"e":{}}"#,
-            r#"[[],{},"😀",1e300]"#,
-        ] {
+        for text in
+            [r#"{"a":[1,2.5,-3],"b":"q\"\\\n","c":null,"d":true,"e":{}}"#, r#"[[],{},"😀",1e300]"#]
+        {
             let v = Json::parse(text).unwrap();
             let rendered = v.render();
             assert_eq!(Json::parse(&rendered).unwrap(), v, "unstable: {rendered}");

@@ -65,7 +65,10 @@ pub fn render(
     let mut out = String::with_capacity(4096);
     let o = &mut out;
 
-    let _ = writeln!(o, "# HELP gcln_sched_task_duration_seconds Task execution latency by stage kind.");
+    let _ = writeln!(
+        o,
+        "# HELP gcln_sched_task_duration_seconds Task execution latency by stage kind."
+    );
     let _ = writeln!(o, "# TYPE gcln_sched_task_duration_seconds histogram");
     for (kind, histogram) in &sched.tasks {
         render_histogram(
@@ -76,11 +79,17 @@ pub fn render(
         );
     }
 
-    let _ = writeln!(o, "# HELP gcln_sched_queue_wait_seconds Ready-queue wait before a worker picked a task.");
+    let _ = writeln!(
+        o,
+        "# HELP gcln_sched_queue_wait_seconds Ready-queue wait before a worker picked a task."
+    );
     let _ = writeln!(o, "# TYPE gcln_sched_queue_wait_seconds histogram");
     render_histogram(o, "gcln_sched_queue_wait_seconds", "", &sched.queue_wait);
 
-    let _ = writeln!(o, "# HELP gcln_sched_worker_utilization Busy fraction of the worker pool since start.");
+    let _ = writeln!(
+        o,
+        "# HELP gcln_sched_worker_utilization Busy fraction of the worker pool since start."
+    );
     let _ = writeln!(o, "# TYPE gcln_sched_worker_utilization gauge");
     let _ = writeln!(o, "gcln_sched_worker_utilization {:.6}", sched.utilization());
     let _ = writeln!(o, "# TYPE gcln_sched_workers gauge");
@@ -93,7 +102,10 @@ pub fn render(
     let _ = writeln!(o, "gcln_sched_jobs_total{{state=\"completed\"}} {}", sched.jobs_completed);
     let _ = writeln!(o, "# TYPE gcln_sched_tasks_executed_total counter");
     let _ = writeln!(o, "gcln_sched_tasks_executed_total {}", sched.tasks_executed);
-    let _ = writeln!(o, "# HELP gcln_sched_task_retries_total Stage tasks re-enqueued after a transient fault.");
+    let _ = writeln!(
+        o,
+        "# HELP gcln_sched_task_retries_total Stage tasks re-enqueued after a transient fault."
+    );
     let _ = writeln!(o, "# TYPE gcln_sched_task_retries_total counter");
     let _ = writeln!(o, "gcln_sched_task_retries_total {}", sched.tasks_retried);
     let _ = writeln!(o, "# HELP gcln_sched_task_panics_total Stage tasks that failed their job permanently by panicking.");
@@ -103,7 +115,8 @@ pub fn render(
     let _ = writeln!(o, "# TYPE gcln_sched_jobs_quarantined_total counter");
     let _ = writeln!(o, "gcln_sched_jobs_quarantined_total {}", sched.jobs_quarantined);
 
-    let _ = writeln!(o, "# HELP gcln_serve_cache_requests_total Spec/trace cache lookups by result.");
+    let _ =
+        writeln!(o, "# HELP gcln_serve_cache_requests_total Spec/trace cache lookups by result.");
     let _ = writeln!(o, "# TYPE gcln_serve_cache_requests_total counter");
     let _ = writeln!(o, "# TYPE gcln_serve_cache_entries gauge");
     for (label, stats) in [("spec", spec_cache), ("trace", trace_cache)] {
@@ -127,7 +140,8 @@ pub fn render(
     let _ = writeln!(o, "# TYPE gcln_serve_journal_compactions_total counter");
     let _ = writeln!(o, "gcln_serve_journal_compactions_total {}", counters.journal_compactions);
     let _ = writeln!(o, "# TYPE gcln_serve_journal_skipped_lines_total counter");
-    let _ = writeln!(o, "gcln_serve_journal_skipped_lines_total {}", counters.journal_skipped_lines);
+    let _ =
+        writeln!(o, "gcln_serve_journal_skipped_lines_total {}", counters.journal_skipped_lines);
     let _ = writeln!(o, "# TYPE gcln_serve_journal_resubmitted_total counter");
     let _ = writeln!(o, "gcln_serve_journal_resubmitted_total {}", counters.journal_resubmitted);
     out

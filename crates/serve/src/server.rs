@@ -37,11 +37,11 @@ use crate::cache::SpecCache;
 use crate::http::{read_request, Limits, Request, Response};
 use crate::journal::{FsyncPolicy, Journal};
 use crate::json::Json;
-use gcln_faults::{site, Faults};
 use crate::limiter::{Admission, RateLimit, RateLimiter};
 use gcln_engine::cache::TraceCache;
 use gcln_engine::events::json_string;
 use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig};
+use gcln_faults::{site, Faults};
 use gcln_sched::{JobEvent, SchedConfig, Scheduler, SubmitOptions};
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
@@ -575,7 +575,8 @@ fn route(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Respo
 /// Allowed `POST /jobs` body keys — anything else is a 400 so typos
 /// (`"deadline"` for `"deadline_secs"`) fail loudly instead of being
 /// silently ignored.
-const JOB_KEYS: [&str; 6] = ["source", "name", "fast", "deadline_secs", "step_budget", "max_degree"];
+const JOB_KEYS: [&str; 6] =
+    ["source", "name", "fast", "deadline_secs", "step_budget", "max_degree"];
 
 fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Response {
     if shared.is_shutdown() {
@@ -642,9 +643,7 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
                 Ok(d) => Some(d),
                 Err(_) => return Response::error(400, "\"deadline_secs\" out of range"),
             },
-            None => {
-                return Response::error(400, "\"deadline_secs\" must be a non-negative number")
-            }
+            None => return Response::error(400, "\"deadline_secs\" must be a non-negative number"),
         },
     };
     let step_budget = match body.get("step_budget") {
@@ -682,8 +681,7 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
     let record = {
         let mut admission = shared.admission.lock().unwrap();
         if admission.shutdown {
-            return Response::error(503, "server is shutting down")
-                .with_header("retry-after", "1");
+            return Response::error(503, "server is shutting down").with_header("retry-after", "1");
         }
         if admission.active >= shared.cfg.queue_cap + shared.cfg.workers {
             return Response::error(503, "job queue is full").with_header("retry-after", "1");
@@ -835,11 +833,7 @@ fn parse_admit(v: &Json) -> Option<AdmitParams> {
     Some(AdmitParams {
         id: parse_job_id(v.get("id")?.as_str()?)?,
         source: v.get("source")?.as_str()?.to_string(),
-        name: v
-            .get("name")
-            .filter(|n| !n.is_null())
-            .and_then(Json::as_str)
-            .map(str::to_string),
+        name: v.get("name").filter(|n| !n.is_null()).and_then(Json::as_str).map(str::to_string),
         fast: v.get("fast").and_then(Json::as_bool).unwrap_or(false),
         deadline: v
             .get("deadline_secs")
@@ -1091,13 +1085,8 @@ fn replay_record(v: &Json) -> Option<JobRecord> {
             })
         })
         .collect();
-    let events = v
-        .get("events")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .map(Json::render)
-        .collect();
+    let events =
+        v.get("events").and_then(Json::as_array).unwrap_or(&[]).iter().map(Json::render).collect();
     Some(JobRecord {
         id,
         name: v.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
@@ -1159,10 +1148,8 @@ mod tests {
         assert_eq!(p.step_budget, None);
         assert_eq!(p.max_degree, None);
         // Structurally unusable records are rejected.
-        assert!(parse_admit(&Json::parse(r#"{"type":"admitted","id":"job-1"}"#).unwrap())
-            .is_none());
-        assert!(parse_admit(&Json::parse(r#"{"type":"admitted","source":"x"}"#).unwrap())
-            .is_none());
+        assert!(parse_admit(&Json::parse(r#"{"type":"admitted","id":"job-1"}"#).unwrap()).is_none());
+        assert!(parse_admit(&Json::parse(r#"{"type":"admitted","source":"x"}"#).unwrap()).is_none());
     }
 
     #[test]

@@ -66,11 +66,8 @@ fn a_panicking_task_fails_only_its_own_job() {
     // Reference: the same source on a fault-free server.
     let clean = start(ServeConfig { workers: 2, ..ServeConfig::default() }).unwrap();
     let body = format!(r#"{{"source":{},"fast":true}}"#, src_json());
-    let id = submit(clean.local_addr(), &body)
-        .get("id")
-        .and_then(Json::as_str)
-        .unwrap()
-        .to_string();
+    let id =
+        submit(clean.local_addr(), &body).get("id").and_then(Json::as_str).unwrap().to_string();
     let reference = poll_done(clean.local_addr(), &id);
     clean.shutdown();
     assert_eq!(reference.get("valid").and_then(Json::as_bool), Some(true));
@@ -130,12 +127,7 @@ fn repeated_panics_on_one_spec_trip_the_quarantine_breaker() {
     for expected in ["task_panicked", "task_panicked", "quarantined"] {
         let id = submit(addr, &body).get("id").and_then(Json::as_str).unwrap().to_string();
         let job = poll_done(addr, &id);
-        assert_eq!(
-            job.get("stopped").and_then(Json::as_str),
-            Some(expected),
-            "{}",
-            job.render()
-        );
+        assert_eq!(job.get("stopped").and_then(Json::as_str), Some(expected), "{}", job.render());
         assert_eq!(job.get("valid").and_then(Json::as_bool), Some(false));
     }
     let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
@@ -173,12 +165,9 @@ fn admitted_but_incomplete_jobs_are_resubmitted_on_restart() {
             ))
             .unwrap();
     }
-    let handle = start(ServeConfig {
-        workers: 2,
-        journal: Some(path.clone()),
-        ..ServeConfig::default()
-    })
-    .unwrap();
+    let handle =
+        start(ServeConfig { workers: 2, journal: Some(path.clone()), ..ServeConfig::default() })
+            .unwrap();
     let addr = handle.local_addr();
     let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
     let journal_stats = stats.get("journal").expect("journal stats");
@@ -198,12 +187,9 @@ fn admitted_but_incomplete_jobs_are_resubmitted_on_restart() {
 
     // The completion journaled; a second restart replays it as done
     // instead of resubmitting.
-    let handle = start(ServeConfig {
-        workers: 2,
-        journal: Some(path.clone()),
-        ..ServeConfig::default()
-    })
-    .unwrap();
+    let handle =
+        start(ServeConfig { workers: 2, journal: Some(path.clone()), ..ServeConfig::default() })
+            .unwrap();
     let addr = handle.local_addr();
     let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
     let journal_stats = stats.get("journal").expect("journal stats");
@@ -239,20 +225,14 @@ fn a_failed_journal_append_rolls_the_admission_back() {
     let id = submit(addr, &body).get("id").and_then(Json::as_str).unwrap().to_string();
     poll_done(addr, &id);
     let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
-    let done = stats
-        .get("jobs")
-        .and_then(|j| j.get("done"))
-        .and_then(Json::as_u64);
+    let done = stats.get("jobs").and_then(|j| j.get("done")).and_then(Json::as_u64);
     assert_eq!(done, Some(1), "exactly one job was ever admitted: {}", stats.render());
     handle.shutdown();
 
     // Restart: the torn admission must not resurrect as a ghost job.
-    let handle = start(ServeConfig {
-        workers: 2,
-        journal: Some(path.clone()),
-        ..ServeConfig::default()
-    })
-    .unwrap();
+    let handle =
+        start(ServeConfig { workers: 2, journal: Some(path.clone()), ..ServeConfig::default() })
+            .unwrap();
     let addr = handle.local_addr();
     let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
     let journal_stats = stats.get("journal").expect("journal stats");

@@ -7,10 +7,10 @@
 //! be bit-identical between an HTTP submission and a direct
 //! [`Engine`] run.
 
+use gcln_engine::{Engine, Job, PipelineConfig, ProblemSpec};
 use gcln_serve::client::{request, ClientResponse};
 use gcln_serve::json::Json;
 use gcln_serve::{start, ServeConfig, ServerHandle};
-use gcln_engine::{Engine, Job, PipelineConfig, ProblemSpec};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -90,9 +90,7 @@ fn served_events(job: &Json) -> Vec<Json> {
 
 fn strip_ms(v: Json) -> Json {
     match v {
-        Json::Obj(members) => {
-            Json::Obj(members.into_iter().filter(|(k, _)| k != "ms").collect())
-        }
+        Json::Obj(members) => Json::Obj(members.into_iter().filter(|(k, _)| k != "ms").collect()),
         other => other,
     }
 }
@@ -130,8 +128,7 @@ fn e2e_round_trip_matches_direct_engine_run() {
     // equal modulo `ms` timings.
     let spec = ProblemSpec::from_source_str("fallback-unused", PS2VAR).unwrap();
     let names = spec.problem.extended_names();
-    let outcome =
-        Engine::new().run(&Job::new(spec).with_config(PipelineConfig::fast()));
+    let outcome = Engine::new().run(&Job::new(spec).with_config(PipelineConfig::fast()));
     assert!(outcome.valid, "direct run must be checker-valid");
     assert!(outcome.report.is_valid(), "checker report must accept");
 
@@ -192,8 +189,7 @@ fn concurrent_submissions_complete_deterministically() {
 
     // Race N submissions through a 2-worker pool.
     let ids: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            (0..6).map(|_| scope.spawn(|| submit(addr, &body))).collect();
+        let handles: Vec<_> = (0..6).map(|_| scope.spawn(|| submit(addr, &body))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert_eq!(ids.len(), 6);
@@ -228,9 +224,7 @@ fn queue_full_returns_503_with_retry_after() {
             && s.get("queue_depth").and_then(Json::as_u64) == Some(0)
     });
     let second = submit(addr, &slow);
-    poll_stats(addr, "queue full", |s| {
-        s.get("queue_depth").and_then(Json::as_u64) == Some(1)
-    });
+    poll_stats(addr, "queue full", |s| s.get("queue_depth").and_then(Json::as_u64) == Some(1));
 
     let rejected = post(addr, "/jobs", &slow);
     assert_eq!(rejected.status, 503, "expected backpressure: {}", rejected.body);
@@ -333,10 +327,7 @@ fn journal_replay_serves_completed_jobs_across_restart() {
     assert_eq!(after, before, "replayed record diverged from the original");
 
     let stats = get(addr, "/stats").json().unwrap();
-    let replayed = stats
-        .get("journal")
-        .and_then(|j| j.get("jobs_replayed"))
-        .and_then(Json::as_u64);
+    let replayed = stats.get("journal").and_then(|j| j.get("jobs_replayed")).and_then(Json::as_u64);
     assert_eq!(replayed, Some(1), "stats: {}", stats.render());
 
     // New submissions get fresh ids past the replayed ones and are
@@ -399,19 +390,13 @@ fn deadline_and_budget_limits_flow_through_the_api() {
 
     // A zero deadline stops before training; the partial outcome is
     // still a complete API object.
-    let id = submit(
-        addr,
-        &format!(r#"{{"source":{},"fast":true,"deadline_secs":0}}"#, src_json()),
-    );
+    let id = submit(addr, &format!(r#"{{"source":{},"fast":true,"deadline_secs":0}}"#, src_json()));
     let job = poll_done(addr, &id);
     assert_eq!(job.get("stopped").and_then(Json::as_str), Some("deadline_exceeded"));
     assert_eq!(job.get("valid").and_then(Json::as_bool), Some(false));
 
     // A one-step budget runs exactly one training attempt.
-    let id = submit(
-        addr,
-        &format!(r#"{{"source":{},"fast":true,"step_budget":1}}"#, src_json()),
-    );
+    let id = submit(addr, &format!(r#"{{"source":{},"fast":true,"step_budget":1}}"#, src_json()));
     let job = poll_done(addr, &id);
     assert_eq!(job.get("stopped").and_then(Json::as_str), Some("budget_exhausted"));
     let ran: Vec<bool> = served_events(&job)

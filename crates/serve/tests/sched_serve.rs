@@ -149,8 +149,7 @@ fn journal_compaction_bounds_the_file_and_replay_survives_restart() {
             .map(|_| {
                 let resp = submit_as(addr, None, &body);
                 assert_eq!(resp.status, 202, "{}", resp.body);
-                let id =
-                    resp.json().unwrap().get("id").and_then(Json::as_str).unwrap().to_string();
+                let id = resp.json().unwrap().get("id").and_then(Json::as_str).unwrap().to_string();
                 poll_done(addr, &id);
                 id
             })
@@ -175,11 +174,8 @@ fn journal_compaction_bounds_the_file_and_replay_survives_restart() {
     let handle = start(cfg()).unwrap();
     let addr = handle.local_addr();
     let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
-    let replayed = stats
-        .get("journal")
-        .and_then(|j| j.get("jobs_replayed"))
-        .and_then(Json::as_u64)
-        .unwrap();
+    let replayed =
+        stats.get("journal").and_then(|j| j.get("jobs_replayed")).and_then(Json::as_u64).unwrap();
     assert_eq!(replayed, lines.len() as u64, "stats: {}", stats.render());
     let last = request(addr, "GET", &format!("/jobs/{}", ids[4]), None).unwrap();
     assert_eq!(last.status, 200, "most recent job must replay");

@@ -85,13 +85,7 @@ mod tests {
         let nz2 = t.neg(z2);
         let e = t.exp(nz2);
         let out = t.sum_batch(e);
-        let report = check_gradients(
-            &mut t,
-            out,
-            &[vec![0.5, -1.0, 2.0]],
-            &[0.7, -0.2],
-            1e-5,
-        );
+        let report = check_gradients(&mut t, out, &[vec![0.5, -1.0, 2.0]], &[0.7, -0.2], 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
 
@@ -105,13 +99,8 @@ mod tests {
         let aff = t.affine(&ws, &xs, Some(b));
         let sq = t.square(aff);
         let out = t.mean_batch(sq);
-        let inputs = vec![
-            vec![0.5, -1.0, 2.0],
-            vec![1.5, 0.25, -0.75],
-            vec![-2.0, 1.0, 0.5],
-        ];
-        let report =
-            check_gradients(&mut t, out, &inputs, &[0.7, -0.2, 0.4, 0.1], 1e-5);
+        let inputs = vec![vec![0.5, -1.0, 2.0], vec![1.5, 0.25, -0.75], vec![-2.0, 1.0, 0.5]];
+        let report = check_gradients(&mut t, out, &inputs, &[0.7, -0.2, 0.4, 0.1], 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
 
@@ -133,8 +122,7 @@ mod tests {
         let z = t.mul(w, x);
         let act = t.gaussian(z, coeff);
         let out = t.sum_batch(act);
-        let report =
-            check_gradients(&mut t, out, &[vec![0.5, -1.0, 2.0]], &[0.7, 0.8], 1e-5);
+        let report = check_gradients(&mut t, out, &[vec![0.5, -1.0, 2.0]], &[0.7, 0.8], 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
 

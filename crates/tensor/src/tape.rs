@@ -92,23 +92,38 @@ enum Op {
     ///
     /// The gradient flows only through the selected branch (the condition
     /// is treated as non-differentiable, like a comparison).
-    SelectNonneg { cond: Var, nonneg: Var, neg: Var },
+    SelectNonneg {
+        cond: Var,
+        nonneg: Var,
+        neg: Var,
+    },
     /// Reduce a batch vector to the scalar sum of its entries.
     SumBatch(Var),
     /// Reduce a batch vector to the scalar mean of its entries.
     MeanBatch(Var),
     /// Fused affine combination `Σ wᵢ·xᵢ (+ bias)` — one node instead of
     /// `2k` mul/add nodes. `weights` and `xs` have equal length.
-    Affine { weights: Box<[Var]>, xs: Box<[Var]>, bias: Option<Var> },
+    Affine {
+        weights: Box<[Var]>,
+        xs: Box<[Var]>,
+        bias: Option<Var>,
+    },
     /// Fused Gaussian activation `exp(coeff · z²)`; with
     /// `coeff = −1/(2σ²)` this is the equality relaxation `exp(−z²/2σ²)`.
-    Gaussian { z: Var, coeff: Var },
+    Gaussian {
+        z: Var,
+        coeff: Var,
+    },
     /// Fused PBQU tightness loss `mean_j(1 − act(z_j))` with
     /// `act(z) = if z ≥ 0 { c2²/(z²+c2²) } else { c1²/(z²+c1²) }` —
     /// one scalar node instead of the 8-node
     /// square → add/add → div/div → select → sub → mean chain that bound
     /// learning builds per candidate subset (paper §4.2).
-    PbquLoss { z: Var, c1sq: f64, c2sq: f64 },
+    PbquLoss {
+        z: Var,
+        c1sq: f64,
+        c2sq: f64,
+    },
 }
 
 /// A computation graph with batched reverse-mode differentiation.
@@ -179,10 +194,7 @@ impl Tape {
             ),
             Op::Affine { weights, xs, bias } => {
                 let all = || weights.iter().chain(xs.iter()).chain(bias.iter());
-                (
-                    all().all(|v| self.scalar[v.0]),
-                    all().any(|v| self.requires_grad[v.0]),
-                )
+                (all().all(|v| self.scalar[v.0]), all().any(|v| self.requires_grad[v.0]))
             }
             Op::Gaussian { z, coeff } => (
                 self.scalar[z.0] && self.scalar[coeff.0],
@@ -725,7 +737,7 @@ mod tests {
     fn gaussian_matches_unfused_chain() {
         let inputs = vec![vec![0.5, -1.5, 2.0]];
         let params = [0.8, 0.3]; // w, sigma
-        // Fused: exp(coeff * (w x)^2), coeff = -1/(2 sigma^2).
+                                 // Fused: exp(coeff * (w x)^2), coeff = -1/(2 sigma^2).
         let mut t1 = Tape::new();
         let x = t1.input(0);
         let w = t1.param(0);
