@@ -27,7 +27,7 @@
 
 use crate::driver::SuiteSummary;
 use crate::{figs, tables};
-use gcln_engine::events::json_string;
+use gcln_engine::events::{json_string, result_members};
 use gcln_engine::{Engine, Event, Job, PipelineConfig, ProblemSpec};
 use std::time::Duration;
 
@@ -386,30 +386,10 @@ fn cmd_run(flags: &Flags) -> i32 {
     let problem = &job.spec.problem;
     let names = problem.extended_names();
     if json {
-        let invariants: Vec<String> = outcome
-            .loops
-            .iter()
-            .map(|li| {
-                format!(
-                    r#"{{"loop":{},"formula":{},"attempts":{}}}"#,
-                    li.loop_id,
-                    json_string(&li.formula.display(&names).to_string()),
-                    li.attempts
-                )
-            })
-            .collect();
-        let stopped = match outcome.stopped {
-            None => "null".to_string(),
-            Some(r) => format!("\"{}\"", r.as_str()),
-        };
         println!(
-            r#"{{"type":"result","problem":{},"valid":{},"stopped":{},"cegis_rounds":{},"seconds":{:.3},"invariants":[{}]}}"#,
+            r#"{{"type":"result","problem":{},{}}}"#,
             json_string(&problem.name),
-            outcome.valid,
-            stopped,
-            outcome.cegis_rounds_used,
-            outcome.runtime.as_secs_f64(),
-            invariants.join(",")
+            result_members(&outcome, &names)
         );
     } else {
         println!("program `{}`: {} loop(s)", problem.name, problem.program.num_loops);

@@ -200,8 +200,9 @@ pub fn has_nondet(program: &Program) -> bool {
     stmts(&program.body) || bexpr(&program.pre) || bexpr(&program.post)
 }
 
-/// Keeps at most `max` elements, evenly spaced across the input order.
-fn evenly_subsample<T>(items: Vec<T>, max: usize) -> Vec<T> {
+/// Keeps at most `max` elements, evenly spaced across the input order
+/// (so a cap does not bias sampled data toward small inputs).
+pub fn evenly_subsample<T>(items: Vec<T>, max: usize) -> Vec<T> {
     let n = items.len();
     if n <= max || max == 0 {
         return items;

@@ -6,6 +6,7 @@
 //! The serializer is hand-rolled: the build environment is offline and
 //! the event vocabulary is small enough that serde would be overkill.
 
+use crate::run::InferenceOutcome;
 use gcln_checker::CexKind;
 use std::fmt;
 
@@ -208,6 +209,40 @@ impl Event {
             ),
         }
     }
+}
+
+/// The keys [`result_members`] renders, in order.
+pub const RESULT_KEYS: [&str; 5] = ["valid", "stopped", "cegis_rounds", "seconds", "invariants"];
+
+/// An outcome's result members as the members of a JSON object,
+/// without braces: [`RESULT_KEYS`], i.e. `valid`, `stopped`,
+/// `cegis_rounds`, `seconds` (3 decimals) and `invariants` (each
+/// `{loop,formula,attempts}`, formulas rendered over `names`, the
+/// problem's extended variable names). `gcln run --json`'s result line
+/// and the service's job records embed this text verbatim.
+pub fn result_members(outcome: &InferenceOutcome, names: &[String]) -> String {
+    let invariants: Vec<String> = outcome
+        .loops
+        .iter()
+        .map(|li| {
+            format!(
+                r#"{{"loop":{},"formula":{},"attempts":{}}}"#,
+                li.loop_id,
+                json_string(&li.formula.display(names).to_string()),
+                li.attempts
+            )
+        })
+        .collect();
+    let values = [
+        outcome.valid.to_string(),
+        outcome.stopped.map_or_else(|| "null".to_string(), |r| json_string(r.as_str())),
+        outcome.cegis_rounds_used.to_string(),
+        format!("{:.3}", outcome.runtime.as_secs_f64()),
+        format!("[{}]", invariants.join(",")),
+    ];
+    let members: Vec<String> =
+        RESULT_KEYS.iter().zip(values).map(|(key, value)| format!("\"{key}\":{value}")).collect();
+    members.join(",")
 }
 
 /// Escapes and quotes a string for inclusion in JSON output.

@@ -21,6 +21,7 @@ use crate::fractional::{fractional_points, FractionalConfig};
 use crate::model::{train_equality_gcln, GclnConfig};
 use crate::spec::ProblemSpec;
 use crate::terms::{growth_filter, TermSpace};
+use gcln_checker::check::evenly_subsample;
 use gcln_checker::CheckReport;
 use gcln_logic::{Formula, Pred};
 use gcln_numeric::{Poly, Rat};
@@ -234,9 +235,8 @@ impl InferenceOutcome {
     }
 }
 
-/// The staged inference engine. The handle owns shared state that
-/// spans jobs: today an optional [`crate::cache::TraceCache`],
-/// tomorrow worker pools and batch scheduling.
+/// The staged inference engine. The handle owns the state shared
+/// across jobs: an optional [`crate::cache::TraceCache`].
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
     trace_cache: Option<Arc<crate::cache::TraceCache>>,
@@ -467,24 +467,6 @@ pub(crate) fn learn_fractional(
         }
     }
     (!out.is_empty()).then_some(out)
-}
-
-/// Keeps at most `max` points, evenly spaced across the collection order
-/// (so the cap does not bias the data toward small inputs).
-fn evenly_subsample<T>(items: Vec<T>, max: usize) -> Vec<T> {
-    let n = items.len();
-    if n <= max || max == 0 {
-        return items;
-    }
-    let mut out = Vec::with_capacity(max);
-    let mut next_pick = 0usize;
-    for (i, item) in items.into_iter().enumerate() {
-        if i * max >= next_pick * n {
-            out.push(item);
-            next_pick += 1;
-        }
-    }
-    out
 }
 
 /// Removes conjuncts falsified by any training point (used after CEGIS

@@ -53,11 +53,10 @@
 //! Transient faults injected by a [`gcln_faults::Faults`] plan at the
 //! `sched.task_panic` site are retried up to
 //! [`SchedConfig::max_task_retries`] times per job on a deterministic
-//! exponential backoff schedule (`retry_backoff × 2^attempt`, no
-//! wall-clock randomness in the decision). A spec-hash-keyed circuit
-//! breaker quarantines specs whose jobs died panicking
-//! [`SchedConfig::quarantine_threshold`] times: further submissions
-//! carrying that [`SubmitOptions::fault_key`] fail fast with
+//! exponential backoff schedule (1 ms × 2^(retry−1), no wall-clock
+//! randomness in the decision). A spec-hash-keyed circuit breaker
+//! quarantines specs whose jobs died panicking twice: further
+//! submissions carrying that [`SubmitOptions::fault_key`] fail fast with
 //! `stopped: quarantined` before any task runs; that outcome is the
 //! only one the scheduler builds itself rather than taking from the
 //! state machine.
@@ -102,16 +101,18 @@ pub struct SchedConfig {
     /// with `task_panicked`. Only faults injected *before* a task's
     /// closure runs are retryable; a genuine panic consumes the task.
     pub max_task_retries: u32,
-    /// Base of the deterministic retry backoff schedule: attempt `n`
-    /// (1-based) sleeps `retry_backoff × 2^(n-1)`.
-    pub retry_backoff: Duration,
     /// Pops a ring-resident job waits through before its effective
     /// priority rises one level. `None` disables aging.
     pub aging_interval: Option<u64>,
-    /// Panicked-job count per spec hash at which the circuit breaker
-    /// opens and further submissions with that fault key fail fast.
-    pub quarantine_threshold: u32,
 }
+
+/// Base of the deterministic retry backoff schedule: retry `n`
+/// (1-based) sleeps `RETRY_BACKOFF × 2^(n-1)`.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Panicked-job count per spec hash at which the circuit breaker opens
+/// and further submissions with that fault key fail fast.
+const QUARANTINE_THRESHOLD: u32 = 2;
 
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
@@ -119,9 +120,7 @@ impl Default for SchedConfig {
             workers: rayon::current_num_threads(),
             faults: Faults::disabled(),
             max_task_retries: 2,
-            retry_backoff: Duration::from_millis(1),
             aging_interval: Some(64),
-            quarantine_threshold: 2,
         }
     }
 }
@@ -440,7 +439,7 @@ impl Scheduler {
         // fast — the ticket resolves immediately with a structured
         // `quarantined` outcome and no task ever runs.
         if let Some(key) = opts.fault_key {
-            if self.shared.breaker.is_open(key, self.shared.cfg.quarantine_threshold) {
+            if self.shared.breaker.is_open(key, QUARANTINE_THRESHOLD) {
                 self.shared.metrics.job_quarantined();
                 let mut inner = run.inner.lock().unwrap();
                 inner.pending = None;
@@ -475,7 +474,7 @@ impl Scheduler {
     /// Whether the circuit breaker is currently open for `fault_key`
     /// (submissions carrying it would fail fast).
     pub fn is_quarantined(&self, fault_key: u64) -> bool {
-        self.shared.breaker.is_open(fault_key, self.shared.cfg.quarantine_threshold)
+        self.shared.breaker.is_open(fault_key, QUARANTINE_THRESHOLD)
     }
 
     /// Jobs admitted but not yet finished.
@@ -707,9 +706,7 @@ fn run_stage_task(shared: &Arc<Shared>, job: &Arc<JobRun>, task: Task, enqueued:
                 };
                 if let Some(attempt) = attempt {
                     shared.metrics.task_retried();
-                    std::thread::sleep(
-                        shared.cfg.retry_backoff * 2u32.pow(attempt.saturating_sub(1)),
-                    );
+                    std::thread::sleep(RETRY_BACKOFF * 2u32.pow(attempt.saturating_sub(1)));
                     let mut st = shared.state.lock().unwrap();
                     if st.jobs.contains_key(&job.id) {
                         let item = WorkItem::Stage(task, Instant::now());
@@ -1018,7 +1015,6 @@ mod tests {
         let cfg = SchedConfig {
             faults: Faults::parse("seed=3,sched.task_panic=1.0:2").unwrap(),
             max_task_retries: 0,
-            quarantine_threshold: 2,
             ..SchedConfig::with_workers(1)
         };
         let sched = Scheduler::new(cfg);

@@ -160,7 +160,7 @@ pub struct Journal {
     file: Mutex<File>,
     fsync: FsyncPolicy,
     faults: Faults,
-    replayed: Vec<Json>,
+    replayed: Vec<String>,
     recovery: RecoveryStats,
 }
 
@@ -177,8 +177,7 @@ impl Journal {
     /// created, or (when repair is needed) rewritten.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
-        let mut replayed = Vec::new();
-        let mut payloads: Vec<String> = Vec::new();
+        let mut replayed: Vec<String> = Vec::new();
         let mut recovery = RecoveryStats::default();
         if let Ok(existing) = File::open(&path) {
             // Raw byte lines, decoded lossily per chunk: a crash can
@@ -210,8 +209,7 @@ impl Journal {
                 match Json::parse(payload) {
                     Ok(v) if v.get("type").and_then(Json::as_str).is_some() => {
                         recovery.resynced_records += usize::from(resynced);
-                        payloads.push(payload.to_string());
-                        replayed.push(v);
+                        replayed.push(payload.to_string());
                     }
                     _ => recovery.skipped_lines += 1,
                 }
@@ -219,7 +217,7 @@ impl Journal {
         }
         if recovery.skipped_lines > 0 || recovery.resynced_records > 0 {
             // Truncate corruption, atomically.
-            write_framed(&path, &payloads)?;
+            write_framed(&path, &replayed)?;
             recovery.repaired = true;
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -248,16 +246,17 @@ impl Journal {
         &self.path
     }
 
-    /// Records replayed at open, in file order.
-    pub fn replayed(&self) -> &[Json] {
+    /// Records replayed at open, in file order: each a payload that
+    /// parses as a JSON object with a `"type"` tag, as written.
+    pub fn replayed(&self) -> &[String] {
         &self.replayed
     }
 
     /// Takes ownership of the replayed records, leaving the journal
     /// empty-handed. The server calls this once at startup so the
-    /// parsed records (each carrying a full event stream) drop after
+    /// records (each carrying a full event stream) drop after
     /// conversion instead of living in memory for the process lifetime.
-    pub fn take_replayed(&mut self) -> Vec<Json> {
+    pub fn take_replayed(&mut self) -> Vec<String> {
         std::mem::take(&mut self.replayed)
     }
 
@@ -387,7 +386,7 @@ mod tests {
         assert_eq!(j.replayed().len(), 2);
         assert_eq!(j.skipped_lines(), 1);
         assert!(j.recovery().repaired, "a corrupt tail must trigger a repair rewrite");
-        assert_eq!(j.replayed()[1].get("id").and_then(Json::as_str), Some("job-2"));
+        assert_eq!(j.replayed()[1], r#"{"type":"job","id":"job-2","valid":false}"#);
         // The repair physically truncated the garbage: a third open is
         // clean.
         let j = Journal::open(&path).unwrap();
@@ -413,7 +412,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.replayed().len(), 1, "the corrupted record must be dropped");
-        assert_eq!(j.replayed()[0].get("id").and_then(Json::as_str), Some("job-2"));
+        assert_eq!(j.replayed()[0], r#"{"type":"job","id":"job-2"}"#);
         assert_eq!(j.skipped_lines(), 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -429,7 +428,7 @@ mod tests {
         std::fs::write(&path, glued).unwrap();
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.replayed().len(), 1);
-        assert_eq!(j.replayed()[0].get("id").and_then(Json::as_str), Some("job-2"));
+        assert_eq!(j.replayed()[0], good);
         assert_eq!(j.recovery().resynced_records, 1);
         assert!(j.recovery().repaired);
         let _ = std::fs::remove_file(&path);
@@ -451,7 +450,7 @@ mod tests {
         drop(f);
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.replayed().len(), 1);
-        assert_eq!(j.replayed()[0].get("id").and_then(Json::as_str), Some("job-1"));
+        assert_eq!(j.replayed()[0], r#"{"type":"job","id":"job-1"}"#);
         assert_eq!(j.skipped_lines(), 2);
         assert!(j.recovery().repaired);
         let contents = std::fs::read_to_string(&path).unwrap();
@@ -481,9 +480,8 @@ mod tests {
         // Appends after a rewrite land in the *new* file.
         j.append(r#"{"type":"job","id":"job-10"}"#).unwrap();
         let reopened = Journal::open(&path).unwrap();
-        let ids: Vec<&str> =
-            reopened.replayed().iter().filter_map(|v| v.get("id").and_then(Json::as_str)).collect();
-        assert_eq!(ids, ["job-8", "job-9", "job-10"]);
+        let expected = [8, 9, 10].map(|i| format!(r#"{{"type":"job","id":"job-{i}"}}"#));
+        assert_eq!(reopened.replayed(), expected);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -501,14 +499,10 @@ mod tests {
         j.append(r#"{"type":"job","id":"job-3"}"#).unwrap();
         drop(j);
         let j = Journal::open(&path).unwrap();
-        let ids: Vec<&str> =
-            j.replayed().iter().filter_map(|v| v.get("id").and_then(Json::as_str)).collect();
-        assert!(!ids.contains(&"job-1"), "the torn record must not replay");
-        assert!(
-            ids.contains(&"job-2"),
-            "the record glued after the tear is recovered by magic scan"
-        );
-        assert!(ids.contains(&"job-3"), "records after the tear survive");
+        let has = |id: &str| j.replayed().iter().any(|p| p.contains(&format!(r#""{id}""#)));
+        assert!(!has("job-1"), "the torn record must not replay");
+        assert!(has("job-2"), "the record glued after the tear is recovered by magic scan");
+        assert!(has("job-3"), "records after the tear survive");
         let _ = std::fs::remove_file(&path);
     }
 

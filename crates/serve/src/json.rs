@@ -58,14 +58,27 @@ impl Json {
     ///
     /// Returns [`JsonError`] on any RFC 8259 violation.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        Json::parse_with_spans(text).map(|(v, _)| v)
+    }
+
+    /// Parses like [`Json::parse`] and also returns the exact source
+    /// text of each member value (of a top-level object) or element (of
+    /// a top-level array), in order. Journal replay serves that text
+    /// byte for byte: rendering the parsed value would reformat
+    /// numbers (`12.500` reads back as `12.5`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] on any RFC 8259 violation.
+    pub fn parse_with_spans(text: &str) -> Result<(Json, Vec<&str>), JsonError> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, spans: Vec::new() };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after document"));
         }
-        Ok(v)
+        Ok((v, p.spans.into_iter().map(|(start, end)| &text[start..end]).collect()))
     }
 
     /// Renders the value as compact JSON. Round trip: for any `v`,
@@ -180,6 +193,8 @@ fn render_number(v: f64) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Byte ranges of the top-level value's members or elements.
+    spans: Vec<(usize, usize)>,
 }
 
 impl Parser<'_> {
@@ -240,7 +255,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let start = self.pos;
             items.push(self.value(depth + 1)?);
+            if depth == 0 {
+                self.spans.push((start, self.pos));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -273,7 +292,11 @@ impl Parser<'_> {
             }
             self.pos += 1;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
+            if depth == 0 {
+                self.spans.push((start, self.pos));
+            }
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -463,6 +486,16 @@ mod tests {
     fn depth_limit_rejects_instead_of_overflowing() {
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn spans_are_the_top_level_source_text() {
+        let (v, spans) = Json::parse_with_spans(r#"{"a": 12.500 ,"b":[1, {"c":2}]}"#).unwrap();
+        assert_eq!(v.get("a"), Some(&Json::Num(12.5)));
+        assert_eq!(spans, ["12.500", r#"[1, {"c":2}]"#]);
+        let (_, spans) = Json::parse_with_spans(r#"[ 1.0,"x" ,[]]"#).unwrap();
+        assert_eq!(spans, ["1.0", r#""x""#, "[]"]);
+        assert!(Json::parse_with_spans("7").unwrap().1.is_empty());
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! ## Layers
 //!
 //! - [`json`] — strict RFC 8259 value parser/renderer (request bodies,
-//!   journal replay, and the test oracle for the engine's hand-rolled
-//!   event serializer).
+//!   journal replay — which also reads each member's source text, to
+//!   serve a replayed record byte for byte — and the test oracle for
+//!   the engine's hand-rolled event serializer).
 //! - [`http`] — incremental request reader and response writer; every
 //!   malformed input maps to a 4xx/5xx error value, never a panic.
 //! - [`cache`] — the spec cache: content-hashed memoization of
@@ -40,7 +41,11 @@
 //! - [`limiter`] — the per-client token-bucket rate limiter; remaining
 //!   allowance doubles as scheduler priority.
 //! - [`metrics`] — Prometheus text rendering of the scheduler snapshot.
-//! - [`server`] — admission, scheduler wiring, routing, replay.
+//! - [`server`] — admission, scheduler wiring, routing, replay. One
+//!   job record: a submission is parsed by one parser, whether it
+//!   arrives as a `POST /jobs` body or as a journaled admit record, and
+//!   an outcome's result members are rendered once, by
+//!   [`gcln_engine::events::result_members`], and kept as that text.
 //! - [`client`] — a minimal blocking client for tests and scripts.
 //!
 //! ## Determinism
@@ -54,16 +59,18 @@
 //! ## Failure model
 //!
 //! Admission is durable: when a journal is configured, `POST /jobs`
-//! appends an `{"type":"admitted"}` record *before* answering `202`
-//! (a failed append rolls the admission back as a `503`). A restarted
-//! server replays completed results and **resubmits** every admitted
-//! job that never journaled a completion — inference is deterministic,
-//! so the recomputed result is the one the client would have read. A
+//! appends an `{"type":"admitted"}` record — the submitted members plus
+//! `type`, `id` and `priority` — *before* answering `202` (a failed
+//! append rolls the admission back as a `503`). A restarted server
+//! replays completed results and **resubmits** every admitted job that
+//! never journaled a completion — inference is deterministic, so the
+//! recomputed result is the one the client would have read. An admit
+//! record that `POST /jobs` would reject is skipped, not resubmitted. A
 //! panicking stage task fails only its own job (`stopped:
 //! "task_panicked"` after bounded retries), repeated panics on the same
 //! spec hash trip a circuit breaker (`stopped: "quarantined"`), and
-//! socket timeouts bound how long a slowloris peer can hold a
-//! connection (`408`). The whole surface is exercised by deterministic
+//! fixed 10 s socket timeouts bound how long a slowloris peer can hold
+//! a connection (`408`). The whole surface is exercised by deterministic
 //! fault injection ([`Faults`]) — see `scripts/chaos_smoke.sh`.
 
 pub mod cache;

@@ -6,20 +6,22 @@
 //!
 //! 1. `POST /jobs` passes the per-client rate limiter (token bucket
 //!    keyed by `x-client-id` or peer IP → `429` + `Retry-After`),
-//!    parses the body, resolves the spec through the [`SpecCache`]
-//!    (content-hash memoized), and submits to the scheduler — or
-//!    answers `503` + `Retry-After` when the server is at capacity
-//!    (backpressure instead of latency collapse). The client's
+//!    parses the body into a `Submission` (the parser restart replay
+//!    uses on admit records), resolves the spec through the
+//!    [`SpecCache`] (content-hash memoized), and submits to the
+//!    scheduler — or answers `503` + `Retry-After` when the server is
+//!    at capacity (backpressure instead of latency collapse). The client's
 //!    remaining rate allowance becomes the job's scheduler priority,
 //!    so a burst-heavy client degrades its own latency first.
 //! 2. The scheduler interleaves the job's stage tasks (trace, training
 //!    attempts, extraction, checking) with every other job's across one
 //!    shared worker pool; each event is appended to the record as a
 //!    pre-serialized JSON line, in per-job order.
-//! 3. On completion the record flips to `done` and — when a journal is
-//!    configured — one JSON line is appended (and the journal is
-//!    compacted once it outgrows its size threshold), so a restarted
-//!    server replays results without re-running inference.
+//! 3. On completion the record keeps the outcome's result members as
+//!    rendered text ([`result_members`]) and flips to `done`, and —
+//!    when a journal is configured — one JSON line is appended (and the
+//!    journal is compacted once it outgrows its size threshold), so a
+//!    restarted server replays results without re-running inference.
 //!
 //! `DELETE /jobs/{id}` trips the token; the engine stops cooperatively
 //! at the next task boundary and the record keeps its partial events
@@ -39,8 +41,8 @@ use crate::journal::{FsyncPolicy, Journal};
 use crate::json::Json;
 use crate::limiter::{Admission, RateLimit, RateLimiter};
 use gcln_engine::cache::TraceCache;
-use gcln_engine::events::json_string;
-use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig};
+use gcln_engine::events::{json_string, result_members, RESULT_KEYS};
+use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig, ProblemSpec};
 use gcln_faults::{site, Faults};
 use gcln_sched::{JobEvent, SchedConfig, Scheduler, SubmitOptions};
 use std::collections::HashMap;
@@ -70,9 +72,8 @@ pub struct ServeConfig {
     /// JSON-lines job journal path (`None` = no persistence).
     pub journal: Option<PathBuf>,
     /// Compact the journal (rewrite it with only the retained job
-    /// records) when it exceeds this many bytes. `None` disables
-    /// compaction.
-    pub journal_compact_bytes: Option<u64>,
+    /// records) when it exceeds this many bytes.
+    pub journal_compact_bytes: u64,
     /// Per-client rate limit on `POST /jobs` (`None` = unlimited).
     pub rate_limit: Option<RateLimit>,
     /// Completed-job records retained in memory (oldest evicted
@@ -80,19 +81,6 @@ pub struct ServeConfig {
     /// results remain in the journal until compaction, which caps it
     /// the same way. Bounds a long-lived server's memory.
     pub max_retained_jobs: usize,
-    /// Ceiling on every job's wall-clock deadline (`None` = unlimited).
-    /// Submissions without `deadline_secs` get exactly this deadline;
-    /// requested deadlines are clamped to it. Keeps one pathological
-    /// job from pinning a worker forever.
-    pub max_job_time: Option<Duration>,
-    /// HTTP parser limits.
-    pub limits: Limits,
-    /// Socket read timeout per connection (slowloris guard — a peer
-    /// dribbling a request slower than this gets a 408).
-    /// `Duration::ZERO` disables the timeout.
-    pub read_timeout: Duration,
-    /// Socket write timeout per connection. `Duration::ZERO` disables.
-    pub write_timeout: Duration,
     /// Whether `append`ed journal records are fsynced individually.
     pub journal_fsync: FsyncPolicy,
     /// Deterministic fault injection plan, threaded into the scheduler
@@ -109,18 +97,29 @@ impl Default for ServeConfig {
             workers: 2,
             queue_cap: 16,
             journal: None,
-            journal_compact_bytes: Some(4 * 1024 * 1024),
+            journal_compact_bytes: 4 * 1024 * 1024,
             rate_limit: None,
             max_retained_jobs: 4096,
-            max_job_time: Some(Duration::from_secs(600)),
-            limits: Limits::default(),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             journal_fsync: FsyncPolicy::Never,
             faults: Faults::disabled(),
         }
     }
 }
+
+/// Ceiling on every job's wall-clock deadline: submissions without
+/// `deadline_secs` get exactly this deadline, and requested deadlines
+/// are clamped to it, so one pathological job cannot pin a worker
+/// forever.
+const MAX_JOB_TIME: Duration = Duration::from_secs(600);
+
+/// Socket read and write timeout per connection (slowloris guard: a
+/// peer dribbling a request slower than this gets a 408).
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The result members of a job that has not finished: what
+/// [`result_members`] renders for an empty outcome.
+const PENDING_RESULT: &str =
+    r#""valid":false,"stopped":null,"cegis_rounds":0,"seconds":0.000,"invariants":[]"#;
 
 /// Job lifecycle states exposed by the API.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,21 +139,12 @@ impl JobStatus {
     }
 }
 
-/// One learned invariant in API form.
-struct InvariantOut {
-    loop_id: u64,
-    formula: String,
-    attempts: u64,
-}
-
 /// Mutable job state behind the record's lock.
 struct JobState {
     status: JobStatus,
-    valid: bool,
-    stopped: Option<String>,
-    cegis_rounds: u64,
-    seconds: f64,
-    invariants: Vec<InvariantOut>,
+    /// The result members: [`PENDING_RESULT`] until the job is done,
+    /// then the outcome's [`result_members`] text.
+    result: String,
     /// Event lines, each a complete JSON object, in emission order.
     events: Vec<String>,
 }
@@ -164,11 +154,7 @@ impl JobState {
     fn queued() -> JobState {
         JobState {
             status: JobStatus::Queued,
-            valid: false,
-            stopped: None,
-            cegis_rounds: 0,
-            seconds: 0.0,
-            invariants: Vec::new(),
+            result: PENDING_RESULT.to_string(),
             events: Vec::new(),
         }
     }
@@ -181,7 +167,7 @@ struct JobRecord {
     /// Scheduler priority the job was admitted with (rate-limit
     /// headroom; 0 when rate limiting is off or after replay).
     priority: i32,
-    /// The `{"type":"admitted"}` journal payload this job was admitted
+    /// The `{"type":"admitted"}` journal record this job was admitted
     /// with — compaction retains it while the job is incomplete, so a
     /// crash after compaction still resubmits the job on restart.
     /// `None` for journal-replayed completed records.
@@ -200,34 +186,14 @@ impl JobRecord {
     /// — shared verbatim by `GET /jobs/{id}` and the journal format.
     fn body_json(&self) -> String {
         let st = self.state.lock().unwrap();
-        let stopped = match &st.stopped {
-            None => "null".to_string(),
-            Some(reason) => json_string(reason),
-        };
-        let invariants: Vec<String> = st
-            .invariants
-            .iter()
-            .map(|inv| {
-                format!(
-                    r#"{{"loop":{},"formula":{},"attempts":{}}}"#,
-                    inv.loop_id,
-                    json_string(&inv.formula),
-                    inv.attempts
-                )
-            })
-            .collect();
         format!(
-            r#""id":{},"name":{},"source_hash":"{:016x}","status":"{}","priority":{},"valid":{},"stopped":{},"cegis_rounds":{},"seconds":{:.3},"invariants":[{}],"events":[{}]"#,
+            r#""id":{},"name":{},"source_hash":"{:016x}","status":"{}","priority":{},{},"events":[{}]"#,
             json_string(&self.api_id()),
             json_string(&self.name),
             self.source_hash,
             st.status.as_str(),
             self.priority,
-            st.valid,
-            stopped,
-            st.cegis_rounds,
-            st.seconds,
-            invariants.join(","),
+            st.result,
             st.events.join(",")
         )
     }
@@ -379,13 +345,17 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let mut next_id = 1;
     let mut journal_rejected = 0;
     let mut journal_replayed = 0;
-    let mut admits: Vec<Json> = Vec::new();
+    let mut admits: Vec<(Json, String)> = Vec::new();
     if let Some(journal) = &mut journal {
-        // Drain (not borrow) the parsed records so they drop here —
-        // a long journal must not stay resident beyond startup.
-        for record in journal.take_replayed() {
+        // Drain (not borrow) the records so they drop here — a long
+        // journal must not stay resident beyond startup.
+        for payload in journal.take_replayed() {
+            let Ok((record, spans)) = Json::parse_with_spans(&payload) else {
+                journal_rejected += 1;
+                continue;
+            };
             match record.get("type").and_then(Json::as_str) {
-                Some("job") => match replay_record(&record) {
+                Some("job") => match replay_record(&record, &spans) {
                     Some(r) => {
                         journal_replayed += 1;
                         next_id = next_id.max(r.id + 1);
@@ -393,7 +363,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
                     }
                     None => journal_rejected += 1,
                 },
-                Some("admitted") => admits.push(record),
+                Some("admitted") => admits.push((record, payload)),
                 _ => journal_rejected += 1,
             }
         }
@@ -401,24 +371,33 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     }
     // Admitted-but-incomplete jobs: the server answered 202 (the admit
     // record is durable) but crashed before journaling a completion.
-    // Re-derive each submission from its admit record and recompute —
+    // Re-admit each submission from its admit record and recompute —
     // inference is deterministic, so the client reads the same result
-    // it would have gotten. Unusable admit records count as rejected.
+    // it would have gotten. A record that `POST /jobs` would reject
+    // counts as skipped.
     let mut resubmits = Vec::new();
     let mut resubmit_ids = std::collections::HashSet::new();
-    for admit in &admits {
-        let Some(p) = parse_admit(admit) else {
+    for (admit, admit_line) in admits {
+        let Some((id, priority, submission)) = parse_admit(&admit) else {
             journal_rejected += 1;
             continue;
         };
-        if jobs.contains_key(&p.id) || !resubmit_ids.insert(p.id) {
+        if jobs.contains_key(&id) || !resubmit_ids.insert(id) {
             continue; // completed (or already queued for resubmission)
         }
-        match spec_cache.fetch(&p.source, p.name.as_deref()) {
-            Ok((source_hash, mut spec)) => {
-                spec.apply_overrides(p.max_degree, &[]).expect("admission accepted this degree");
-                next_id = next_id.max(p.id + 1);
-                resubmits.push((p, source_hash, spec, admit.render()));
+        match submission.spec(&spec_cache) {
+            Ok((source_hash, spec)) => {
+                next_id = next_id.max(id + 1);
+                let record = JobRecord {
+                    id,
+                    name: spec.problem.name.clone(),
+                    source_hash,
+                    priority,
+                    admit_line: Some(admit_line),
+                    cancel: CancelToken::new(),
+                    state: Mutex::new(JobState::queued()),
+                };
+                resubmits.push((Arc::new(record), spec, submission));
             }
             Err(_) => journal_rejected += 1,
         }
@@ -451,18 +430,9 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         cfg,
     });
 
-    for (p, source_hash, spec, admit_line) in resubmits {
-        let record = Arc::new(JobRecord {
-            id: p.id,
-            name: spec.problem.name.clone(),
-            source_hash,
-            priority: p.priority,
-            admit_line: Some(admit_line),
-            cancel: CancelToken::new(),
-            state: Mutex::new(JobState::queued()),
-        });
-        shared.jobs.lock().unwrap().insert(p.id, record.clone());
-        launch_job(&shared, &record, spec, p.fast, p.deadline, p.step_budget);
+    for (record, spec, submission) in resubmits {
+        shared.jobs.lock().unwrap().insert(record.id, record.clone());
+        launch_job(&shared, &record, spec, &submission);
     }
 
     let acceptor = {
@@ -527,12 +497,11 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         std::thread::sleep(Duration::from_millis(roll % 250));
     }
     // Bounded patience per connection: a stalled peer must not pin the
-    // thread (or delay shutdown joins) forever. Zero disables.
-    let timeout = |d: Duration| (!d.is_zero()).then_some(d);
-    let _ = stream.set_read_timeout(timeout(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(timeout(shared.cfg.write_timeout));
+    // thread (or delay shutdown joins) forever.
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let peer = stream.peer_addr().ok().map(|a| a.ip());
-    let response = match read_request(&mut stream, &shared.cfg.limits) {
+    let response = match read_request(&mut stream, &Limits::default()) {
         Ok(None) => return,
         Ok(Some(request)) => route(shared, &request, peer),
         Err(e) => Response::from(e),
@@ -572,11 +541,116 @@ fn route(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Respo
     }
 }
 
-/// Allowed `POST /jobs` body keys — anything else is a 400 so typos
-/// (`"deadline"` for `"deadline_secs"`) fail loudly instead of being
+/// The submission keys. Any other key is an error, so a typo
+/// (`"deadline"` for `"deadline_secs"`) fails loudly instead of being
 /// silently ignored.
 const JOB_KEYS: [&str; 6] =
     ["source", "name", "fast", "deadline_secs", "step_budget", "max_degree"];
+
+/// The keys an admit record adds to its submission's.
+const ADMIT_KEYS: [&str; 3] = ["type", "id", "priority"];
+
+/// One job submission: a `POST /jobs` body, or the submission part of
+/// an admit record (the same members plus [`ADMIT_KEYS`]). Admission
+/// and restart replay parse it with the same [`Submission::parse`], so
+/// a restart resubmits exactly what `POST /jobs` would admit.
+struct Submission {
+    source: String,
+    name: Option<String>,
+    fast: bool,
+    deadline: Option<Duration>,
+    step_budget: Option<u64>,
+    max_degree: Option<u32>,
+}
+
+impl Submission {
+    /// Parses a submission object; `envelope` names further keys the
+    /// caller reads itself. A `null` member reads as an absent one.
+    fn parse(v: &Json, envelope: &[&str]) -> Result<Submission, String> {
+        let Json::Obj(members) = v else {
+            return Err("body must be a JSON object".to_string());
+        };
+        for (key, _) in members {
+            if !JOB_KEYS.contains(&key.as_str()) && !envelope.contains(&key.as_str()) {
+                return Err(format!("unknown key {key:?} (allowed: {})", JOB_KEYS.join(", ")));
+            }
+        }
+        let Some(source) = v.get("source").and_then(Json::as_str) else {
+            return Err("missing required string field \"source\"".to_string());
+        };
+        Ok(Submission {
+            source: source.to_string(),
+            name: optional(v, "name", "a string", |n| n.as_str().map(str::to_string))?,
+            fast: optional(v, "fast", "a boolean", Json::as_bool)?.unwrap_or(false),
+            deadline: optional(v, "deadline_secs", "a non-negative number of seconds", |d| {
+                Duration::try_from_secs_f64(d.as_f64()?).ok()
+            })?,
+            step_budget: optional(v, "step_budget", "a non-negative integer", Json::as_u64)?,
+            // The degree's range is checked with the override itself.
+            max_degree: optional(v, "max_degree", "a non-negative integer", |d| {
+                u32::try_from(d.as_u64()?).ok()
+            })?,
+        })
+    }
+
+    /// Resolves the source through the spec cache and applies the
+    /// degree override: the source hash and the spec to run.
+    fn spec(&self, cache: &SpecCache) -> Result<(u64, ProblemSpec), String> {
+        let (source_hash, mut spec) = cache
+            .fetch(&self.source, self.name.as_deref())
+            .map_err(|e| format!("source does not parse: {e}"))?;
+        spec.apply_overrides(self.max_degree, &[]).map_err(|e| e.to_string())?;
+        Ok((source_hash, spec))
+    }
+}
+
+/// Reads the optional member `key` of `v` with `read`; a member that
+/// is present, not `null`, and unreadable is an error naming `what` it
+/// must be.
+fn optional<T>(
+    v: &Json,
+    key: &str,
+    what: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match v.get(key).filter(|m| !m.is_null()) {
+        None => Ok(None),
+        Some(m) => read(m).map(Some).ok_or_else(|| format!("{key:?} must be {what}")),
+    }
+}
+
+/// The `{"type":"admitted"}` journal record for a submission body: its
+/// members as submitted, plus the [`ADMIT_KEYS`] a restart needs to
+/// re-admit the job.
+fn admit_record(id: u64, body: Json, priority: i32) -> String {
+    let mut admit = vec![
+        ("type".to_string(), Json::Str("admitted".to_string())),
+        ("id".to_string(), Json::Str(format!("job-{id}"))),
+    ];
+    if let Json::Obj(submitted) = body {
+        admit.extend(submitted);
+    }
+    admit.push(("priority".to_string(), Json::Num(f64::from(priority))));
+    Json::Obj(admit).render()
+}
+
+/// Parses an admit record into its job id, priority and submission;
+/// `None` for any record `POST /jobs` would not have admitted.
+fn parse_admit(v: &Json) -> Option<(u64, i32, Submission)> {
+    let id = parse_job_id(v.get("id")?.as_str()?)?;
+    let priority = match v.get("priority") {
+        None => 0,
+        Some(p) => json_i32(p)?,
+    };
+    Some((id, priority, Submission::parse(v, &ADMIT_KEYS).ok()?))
+}
+
+/// A JSON number that is exactly an `i32`.
+fn json_i32(v: &Json) -> Option<i32> {
+    let n = v.as_f64()?;
+    let i = n as i32;
+    (f64::from(i) == n).then_some(i)
+}
 
 fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Response {
     if shared.is_shutdown() {
@@ -605,70 +679,17 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
         return Response::error(400, "body is not UTF-8");
     };
     let body = match Json::parse(text) {
-        Ok(v @ Json::Obj(_)) => v,
-        Ok(_) => return Response::error(400, "body must be a JSON object"),
+        Ok(v) => v,
         Err(e) => return Response::error(400, &format!("body is not valid JSON: {e}")),
     };
-    if let Json::Obj(members) = &body {
-        for (key, _) in members {
-            if !JOB_KEYS.contains(&key.as_str()) {
-                return Response::error(
-                    400,
-                    &format!("unknown key {key:?} (allowed: {})", JOB_KEYS.join(", ")),
-                );
-            }
-        }
-    }
-    let Some(source) = body.get("source").and_then(Json::as_str) else {
-        return Response::error(400, "missing required string field \"source\"");
+    let submission = match Submission::parse(&body, &[]) {
+        Ok(s) => s,
+        Err(e) => return Response::error(400, &e),
     };
-    let name = match body.get("name") {
-        None => None,
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s),
-            None => return Response::error(400, "\"name\" must be a string"),
-        },
+    let (source_hash, spec) = match submission.spec(&shared.spec_cache) {
+        Ok(resolved) => resolved,
+        Err(e) => return Response::error(400, &e),
     };
-    let fast = match body.get("fast") {
-        None => false,
-        Some(v) => match v.as_bool() {
-            Some(b) => b,
-            None => return Response::error(400, "\"fast\" must be a boolean"),
-        },
-    };
-    let deadline = match body.get("deadline_secs") {
-        None => None,
-        Some(v) => match v.as_f64().filter(|s| s.is_finite() && *s >= 0.0) {
-            Some(secs) => match Duration::try_from_secs_f64(secs) {
-                Ok(d) => Some(d),
-                Err(_) => return Response::error(400, "\"deadline_secs\" out of range"),
-            },
-            None => return Response::error(400, "\"deadline_secs\" must be a non-negative number"),
-        },
-    };
-    let step_budget = match body.get("step_budget") {
-        None => None,
-        Some(v) => match v.as_u64() {
-            Some(steps) => Some(steps),
-            None => return Response::error(400, "\"step_budget\" must be a non-negative integer"),
-        },
-    };
-    // The degree's range is checked with the override itself, below.
-    let max_degree = match body.get("max_degree") {
-        None => None,
-        Some(v) => match v.as_u64().and_then(|d| u32::try_from(d).ok()) {
-            Some(d) => Some(d),
-            None => return Response::error(400, "\"max_degree\" must be a non-negative integer"),
-        },
-    };
-
-    let (source_hash, mut spec) = match shared.spec_cache.fetch(source, name) {
-        Ok(hit) => hit,
-        Err(e) => return Response::error(400, &format!("source does not parse: {e}")),
-    };
-    if let Err(e) = spec.apply_overrides(max_degree, &[]) {
-        return Response::error(400, &e.to_string());
-    }
 
     // Admission: the lock covers the capacity check and the record
     // insert, so two racing submissions cannot both squeeze past the
@@ -688,14 +709,12 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
         }
         admission.active += 1;
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let admit_line =
-            admit_json(id, source, name, fast, deadline, step_budget, max_degree, priority);
         let record = Arc::new(JobRecord {
             id,
             name: spec.problem.name.clone(),
             source_hash,
             priority,
-            admit_line: Some(admit_line),
+            admit_line: Some(admit_record(id, body, priority)),
             cancel: CancelToken::new(),
             state: Mutex::new(JobState::queued()),
         });
@@ -721,7 +740,7 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
     }
     shared.admitted.fetch_add(1, Ordering::Relaxed);
 
-    launch_job(shared, &record, spec, fast, deadline, step_budget);
+    launch_job(shared, &record, spec, &submission);
     Response::json(
         202,
         format!(
@@ -742,26 +761,17 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
 fn launch_job(
     shared: &Arc<Shared>,
     record: &Arc<JobRecord>,
-    spec: gcln_engine::ProblemSpec,
-    fast: bool,
-    deadline: Option<Duration>,
-    step_budget: Option<u64>,
+    spec: ProblemSpec,
+    submission: &Submission,
 ) {
-    let config = if fast { PipelineConfig::fast() } else { PipelineConfig::default() };
+    let config = if submission.fast { PipelineConfig::fast() } else { PipelineConfig::default() };
     let ext_names = spec.problem.extended_names();
     let mut job = Job::new(spec).with_config(config);
     job.cancel = record.cancel.clone();
     // The server-wide job-time ceiling applies even when the submission
     // asked for no deadline at all.
-    let deadline = match (deadline, shared.cfg.max_job_time) {
-        (Some(requested), Some(cap)) => Some(requested.min(cap)),
-        (None, cap) => cap,
-        (requested, None) => requested,
-    };
-    if let Some(deadline) = deadline {
-        job = job.with_deadline(deadline);
-    }
-    if let Some(steps) = step_budget {
+    job = job.with_deadline(submission.deadline.map_or(MAX_JOB_TIME, |d| d.min(MAX_JOB_TIME)));
+    if let Some(steps) = submission.step_budget {
         job = job.with_step_budget(steps);
     }
     let sink_record = record.clone();
@@ -789,67 +799,6 @@ fn launch_job(
     );
 }
 
-/// Renders the `{"type":"admitted"}` journal payload for a submission —
-/// everything needed to re-derive and resubmit the job after a crash.
-#[allow(clippy::too_many_arguments)]
-fn admit_json(
-    id: u64,
-    source: &str,
-    name: Option<&str>,
-    fast: bool,
-    deadline: Option<Duration>,
-    step_budget: Option<u64>,
-    max_degree: Option<u32>,
-    priority: i32,
-) -> String {
-    format!(
-        r#"{{"type":"admitted","id":{},"source":{},"name":{},"fast":{},"deadline_secs":{},"step_budget":{},"max_degree":{},"priority":{}}}"#,
-        json_string(&format!("job-{id}")),
-        json_string(source),
-        name.map_or_else(|| "null".to_string(), json_string),
-        fast,
-        deadline.map_or_else(|| "null".to_string(), |d| format!("{}", d.as_secs_f64())),
-        step_budget.map_or_else(|| "null".to_string(), |s| s.to_string()),
-        max_degree.map_or_else(|| "null".to_string(), |d| d.to_string()),
-        priority,
-    )
-}
-
-/// The submission parameters recovered from one admit record.
-struct AdmitParams {
-    id: u64,
-    source: String,
-    name: Option<String>,
-    fast: bool,
-    deadline: Option<Duration>,
-    step_budget: Option<u64>,
-    max_degree: Option<u32>,
-    priority: i32,
-}
-
-/// Parses an admit record; `None` rejects records missing the id or
-/// source (nothing to resubmit without them).
-fn parse_admit(v: &Json) -> Option<AdmitParams> {
-    Some(AdmitParams {
-        id: parse_job_id(v.get("id")?.as_str()?)?,
-        source: v.get("source")?.as_str()?.to_string(),
-        name: v.get("name").filter(|n| !n.is_null()).and_then(Json::as_str).map(str::to_string),
-        fast: v.get("fast").and_then(Json::as_bool).unwrap_or(false),
-        deadline: v
-            .get("deadline_secs")
-            .filter(|d| !d.is_null())
-            .and_then(Json::as_f64)
-            .and_then(|s| Duration::try_from_secs_f64(s).ok()),
-        step_budget: v.get("step_budget").filter(|s| !s.is_null()).and_then(Json::as_u64),
-        max_degree: v
-            .get("max_degree")
-            .filter(|d| !d.is_null())
-            .and_then(Json::as_u64)
-            .map(|d| d as u32),
-        priority: v.get("priority").and_then(Json::as_f64).map_or(0, |p| p as i32),
-    })
-}
-
 /// Completion hook, invoked by the scheduler worker that finished the
 /// job: publishes the outcome on the record, journals it, and applies
 /// retention (in-memory eviction + on-disk compaction).
@@ -859,22 +808,11 @@ fn finish_record(
     outcome: &gcln_engine::InferenceOutcome,
     ext_names: &[String],
 ) {
+    let result = result_members(outcome, ext_names);
     {
         let mut st = record.state.lock().unwrap();
         st.status = JobStatus::Done;
-        st.valid = outcome.valid;
-        st.stopped = outcome.stopped.map(|r| r.as_str().to_string());
-        st.cegis_rounds = outcome.cegis_rounds_used as u64;
-        st.seconds = outcome.runtime.as_secs_f64();
-        st.invariants = outcome
-            .loops
-            .iter()
-            .map(|li| InvariantOut {
-                loop_id: li.loop_id as u64,
-                formula: li.formula.display(ext_names).to_string(),
-                attempts: li.attempts as u64,
-            })
-            .collect();
+        st.result = result;
     }
     {
         let mut jobs = shared.jobs.lock().unwrap();
@@ -892,15 +830,13 @@ fn finish_record(
         if let Err(e) = journal.append(&line) {
             eprintln!("[gcln-serve] journal append failed for {}: {e}", record.api_id());
         }
-        let compact: Option<Vec<Arc<JobRecord>>> = match shared.cfg.journal_compact_bytes {
-            Some(threshold) if journal.size_bytes() > threshold => {
+        let compact: Option<Vec<Arc<JobRecord>>> =
+            (journal.size_bytes() > shared.cfg.journal_compact_bytes).then(|| {
                 let jobs = shared.jobs.lock().unwrap();
                 let mut all: Vec<Arc<JobRecord>> = jobs.values().cloned().collect();
                 all.sort_unstable_by_key(|r| r.id);
-                Some(all)
-            }
-            _ => None,
-        };
+                all
+            });
         if let Some(records) = compact {
             // Done jobs keep their result line; incomplete jobs keep
             // their admit line, so a crash after this rewrite still
@@ -1064,52 +1000,32 @@ fn evict_completed(jobs: &mut HashMap<u64, Arc<JobRecord>>, max_retained: usize)
     }
 }
 
-/// Rebuilds a completed job record from one journal object; `None`
-/// rejects structurally unusable records (missing id/status).
-fn replay_record(v: &Json) -> Option<JobRecord> {
-    let id = parse_job_id(v.get("id")?.as_str()?)?;
-    let status = v.get("status")?.as_str()?;
-    if status != "done" {
+/// Restores a completed job record from one journal object and the
+/// source text of its members ([`Json::parse_with_spans`]). The result
+/// members and events are kept as journaled, so a replayed job's body
+/// is byte-identical to the one served before the restart. `None`
+/// rejects a record that is not done or lacks a member.
+fn replay_record(v: &Json, spans: &[&str]) -> Option<JobRecord> {
+    let Json::Obj(members) = v else { return None };
+    let raw = |key: &str| members.iter().position(|(k, _)| k == key).map(|i| spans[i]);
+    if v.get("status")?.as_str()? != "done" {
         return None;
     }
-    let invariants = v
-        .get("invariants")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|inv| {
-            Some(InvariantOut {
-                loop_id: inv.get("loop")?.as_u64()?,
-                formula: inv.get("formula")?.as_str()?.to_string(),
-                attempts: inv.get("attempts")?.as_u64()?,
-            })
-        })
-        .collect();
-    let events =
-        v.get("events").and_then(Json::as_array).unwrap_or(&[]).iter().map(Json::render).collect();
+    let result: Option<Vec<String>> =
+        RESULT_KEYS.iter().map(|key| Some(format!("{}:{}", json_string(key), raw(key)?))).collect();
+    v.get("events")?.as_array()?;
+    let (_, events) = Json::parse_with_spans(raw("events")?).ok()?;
     Some(JobRecord {
-        id,
-        name: v.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
-        source_hash: v
-            .get("source_hash")
-            .and_then(Json::as_str)
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .unwrap_or(0),
-        priority: v.get("priority").and_then(Json::as_f64).map_or(0, |p| p as i32),
+        id: parse_job_id(v.get("id")?.as_str()?)?,
+        name: v.get("name")?.as_str()?.to_string(),
+        source_hash: u64::from_str_radix(v.get("source_hash")?.as_str()?, 16).ok()?,
+        priority: json_i32(v.get("priority")?)?,
         admit_line: None,
         cancel: CancelToken::new(),
         state: Mutex::new(JobState {
             status: JobStatus::Done,
-            valid: v.get("valid").and_then(Json::as_bool).unwrap_or(false),
-            stopped: v
-                .get("stopped")
-                .filter(|s| !s.is_null())
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            cegis_rounds: v.get("cegis_rounds").and_then(Json::as_u64).unwrap_or(0),
-            seconds: v.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-            invariants,
-            events,
+            result: result?.join(","),
+            events: events.into_iter().map(str::to_string).collect(),
         }),
     })
 }
@@ -1120,36 +1036,44 @@ mod tests {
 
     #[test]
     fn admit_records_roundtrip() {
-        let line = admit_json(
-            7,
-            "inputs n; while (i < n) { i = i + 1; }",
-            Some("count"),
-            true,
-            Some(Duration::from_secs_f64(2.5)),
-            Some(3),
-            Some(4),
-            -2,
-        );
+        // What admission journals parses back to the submitted values.
+        let body = Json::parse(
+            r#"{"source":"inputs n; while (i < n) { i = i + 1; }","name":"count","fast":true,
+                "deadline_secs":2.5,"step_budget":3,"max_degree":4}"#,
+        )
+        .unwrap();
+        let line = admit_record(7, body, -2);
         let v = Json::parse(&line).unwrap();
         assert_eq!(v.get("type").and_then(Json::as_str), Some("admitted"));
-        let p = parse_admit(&v).unwrap();
-        assert_eq!(p.id, 7);
-        assert_eq!(p.name.as_deref(), Some("count"));
-        assert!(p.fast);
-        assert_eq!(p.deadline, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(p.step_budget, Some(3));
-        assert_eq!(p.max_degree, Some(4));
-        assert_eq!(p.priority, -2);
-        // Null optionals survive the roundtrip as None.
-        let line = admit_json(8, "x", None, false, None, None, None, 0);
-        let p = parse_admit(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(p.name, None);
-        assert_eq!(p.deadline, None);
-        assert_eq!(p.step_budget, None);
-        assert_eq!(p.max_degree, None);
-        // Structurally unusable records are rejected.
-        assert!(parse_admit(&Json::parse(r#"{"type":"admitted","id":"job-1"}"#).unwrap()).is_none());
-        assert!(parse_admit(&Json::parse(r#"{"type":"admitted","source":"x"}"#).unwrap()).is_none());
+        let (id, priority, sub) = parse_admit(&v).unwrap();
+        assert_eq!((id, priority), (7, -2));
+        assert_eq!(sub.source, "inputs n; while (i < n) { i = i + 1; }");
+        assert_eq!(sub.name.as_deref(), Some("count"));
+        assert!(sub.fast);
+        assert_eq!(sub.deadline, Some(Duration::from_secs_f64(2.5)));
+        assert_eq!(sub.step_budget, Some(3));
+        assert_eq!(sub.max_degree, Some(4));
+        // Earlier admit records spelled absent members `null`: they
+        // still replay, with those members absent.
+        let old = r#"{"type":"admitted","id":"job-8","source":"x","name":null,"fast":false,
+            "deadline_secs":null,"step_budget":null,"max_degree":null,"priority":0}"#;
+        let (id, priority, sub) = parse_admit(&Json::parse(old).unwrap()).unwrap();
+        assert_eq!((id, priority), (8, 0));
+        assert_eq!(sub.name, None);
+        assert_eq!(sub.deadline, None);
+        assert_eq!(sub.step_budget, None);
+        assert_eq!(sub.max_degree, None);
+        // No id, or a submission `POST /jobs` would reject: not re-admitted.
+        for bad in [
+            r#"{"type":"admitted","id":"job-1"}"#,
+            r#"{"type":"admitted","source":"x"}"#,
+            r#"{"type":"admitted","id":"job-1","source":"x","max_degree":4294967299}"#,
+            r#"{"type":"admitted","id":"job-1","source":"x","deadline_secs":-1}"#,
+            r#"{"type":"admitted","id":"job-1","source":"x","colour":"red"}"#,
+            r#"{"type":"admitted","id":"job-1","source":"x","priority":1.5}"#,
+        ] {
+            assert!(parse_admit(&Json::parse(bad).unwrap()).is_none(), "{bad}");
+        }
     }
 
     #[test]
@@ -1162,25 +1086,27 @@ mod tests {
 
     #[test]
     fn replay_rejects_unusable_records() {
-        let good = Json::parse(
-            r#"{"type":"job","id":"job-4","status":"done","valid":true,
-                "invariants":[{"loop":0,"formula":"x == 0","attempts":2}],
-                "events":[{"event":"job_finished","valid":true,"cegis_rounds":0,"ms":1.0}]}"#,
-        )
-        .unwrap();
-        let record = replay_record(&good).unwrap();
+        let body = r#""id":"job-4","name":"ps2","source_hash":"00000000000000ff","status":"done","priority":0,"valid":true,"stopped":null,"cegis_rounds":0,"seconds":0.120,"invariants":[{"loop":0,"formula":"x == 0","attempts":2}],"events":[{"event":"stage_finished","round":0,"stage":"check","ms":12.500},{"event":"job_finished","valid":true,"cegis_rounds":0,"ms":13.000}]"#;
+        let replay = |body: &str| {
+            let line = format!(r#"{{"type":"job",{body}}}"#);
+            let (v, spans) = Json::parse_with_spans(&line).unwrap();
+            replay_record(&v, &spans)
+        };
+        let record = replay(body).unwrap();
         assert_eq!(record.id, 4);
-        let st = record.state.lock().unwrap();
-        assert!(st.valid);
-        assert_eq!(st.invariants.len(), 1);
-        assert_eq!(st.events.len(), 1);
-        drop(st);
-        for bad in [
-            r#"{"type":"job","status":"done"}"#,
-            r#"{"type":"job","id":"job-1"}"#,
-            r#"{"type":"job","id":"nope","status":"done"}"#,
-        ] {
-            assert!(replay_record(&Json::parse(bad).unwrap()).is_none(), "{bad}");
+        // Served back byte for byte, number formatting included.
+        assert_eq!(record.body_json(), body);
+        // Not done, a malformed id, or any member missing: rejected.
+        let mut bad = vec![
+            body.replace(r#""status":"done""#, r#""status":"running""#),
+            body.replace("job-4", "nope"),
+        ];
+        let Json::Obj(members) = Json::parse(&format!("{{{body}}}")).unwrap() else { panic!() };
+        for (key, _) in members {
+            bad.push(body.replacen(&format!("\"{key}\":"), &format!("\"x{key}\":"), 1));
+        }
+        for b in &bad {
+            assert!(replay(b).is_none(), "{b}");
         }
     }
 
@@ -1194,15 +1120,7 @@ mod tests {
                 priority: 0,
                 admit_line: None,
                 cancel: CancelToken::new(),
-                state: Mutex::new(JobState {
-                    status,
-                    valid: false,
-                    stopped: None,
-                    cegis_rounds: 0,
-                    seconds: 0.0,
-                    invariants: Vec::new(),
-                    events: Vec::new(),
-                }),
+                state: Mutex::new(JobState { status, ..JobState::queued() }),
             })
         };
         let mut jobs = HashMap::new();

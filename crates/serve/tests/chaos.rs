@@ -3,8 +3,9 @@
 //! asserts the documented containment boundary — a panicking stage task
 //! fails only its own job, repeated panics trip the spec-hash
 //! quarantine breaker, a failed journal append rolls the admission
-//! back, and admitted-but-incomplete journal records are resubmitted
-//! (and recomputed bit-identically) after a restart.
+//! back, admitted-but-incomplete journal records are resubmitted (and
+//! recomputed bit-identically) after a restart, and admit records that
+//! admission would reject are skipped there.
 //!
 //! The out-of-process kill -9 variant lives in
 //! `scripts/chaos_smoke.sh`.
@@ -198,6 +199,50 @@ fn admitted_but_incomplete_jobs_are_resubmitted_on_restart() {
     let replayed = request(addr, "GET", "/jobs/job-1", None).unwrap();
     assert_eq!(replayed.status, 200);
     assert!(replayed.body.contains(r#""status":"done""#));
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn admit_records_that_admission_would_reject_are_skipped_on_restart() {
+    let path = temp_path("unadmittable.jsonl");
+    let _ = std::fs::remove_file(&path);
+    // CRC-valid admit records whose submissions `POST /jobs` answers
+    // with 400: each is counted as skipped, none is resubmitted, and
+    // none stops the server from starting.
+    let cases = [
+        (1, r#""max_degree":0"#, "degree below the range"),
+        (2, r#""max_degree":4294967299"#, "degree beyond u32"),
+        (3, r#""deadline_secs":-1"#, "negative deadline"),
+        (4, r#""colour":"red""#, "unknown key"),
+    ];
+    {
+        let journal = Journal::open(&path).unwrap();
+        for (id, member, why) in cases {
+            let record = format!(
+                r#"{{"type":"admitted","id":"job-{id}","source":{},"fast":true,{member}}}"#,
+                src_json()
+            );
+            journal.append(&record).unwrap_or_else(|e| panic!("{why}: {e}"));
+        }
+    }
+    let handle =
+        start(ServeConfig { workers: 2, journal: Some(path.clone()), ..ServeConfig::default() })
+            .expect("start survives unadmittable admit records");
+    let addr = handle.local_addr();
+    let stats = request(addr, "GET", "/stats", None).unwrap().json().unwrap();
+    let journal_stats = stats.get("journal").expect("journal stats");
+    assert_eq!(
+        journal_stats.get("lines_skipped").and_then(Json::as_u64),
+        Some(cases.len() as u64),
+        "{}",
+        stats.render()
+    );
+    assert_eq!(journal_stats.get("jobs_resubmitted").and_then(Json::as_u64), Some(0));
+    for (id, _, why) in cases {
+        let resp = request(addr, "GET", &format!("/jobs/job-{id}"), None).unwrap();
+        assert_eq!(resp.status, 404, "{why}: {}", resp.body);
+    }
     handle.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -315,6 +315,7 @@ fn journal_replay_serves_completed_jobs_across_restart() {
     let id = submit(addr, &format!(r#"{{"source":{},"fast":true}}"#, src_json()));
     let before = poll_done(addr, &id);
     assert_eq!(before.get("valid").and_then(Json::as_bool), Some(true));
+    let live = get(addr, &format!("/jobs/{id}")).body;
     handle.shutdown();
 
     // Second lifetime: the completed job is served from the journal —
@@ -325,6 +326,10 @@ fn journal_replay_serves_completed_jobs_across_restart() {
     assert_eq!(resp.status, 200, "replayed job missing: {}", resp.body);
     let after = resp.json().unwrap();
     assert_eq!(after, before, "replayed record diverged from the original");
+    // The journaled text is served as it was, byte for byte: `name`,
+    // `source_hash` and the result members (`seconds` keeps its three
+    // decimals), and the events too (`ms` keeps its three decimals).
+    assert_eq!(resp.body, live, "replayed body is not the live body byte for byte");
 
     let stats = get(addr, "/stats").json().unwrap();
     let replayed = stats.get("journal").and_then(|j| j.get("jobs_replayed")).and_then(Json::as_u64);

@@ -137,7 +137,7 @@ fn journal_compaction_bounds_the_file_and_replay_survives_restart() {
         journal: Some(path.clone()),
         // Retain only 2 completed records; compact on every append.
         max_retained_jobs: 2,
-        journal_compact_bytes: Some(1),
+        journal_compact_bytes: 1,
         ..ServeConfig::default()
     };
 

@@ -3,7 +3,10 @@
 # start `gcln serve` on an ephemeral port, submit one job, poll it to
 # completion, verify the learned invariant is checker-valid, hit
 # /healthz and /stats, then shut down cleanly via POST /shutdown and
-# assert the process exits 0.
+# assert the process exits 0. Then restart `gcln serve` on the same
+# journal and check that the job replays as done with the same result
+# (`valid` and `invariants`), and that the restarted server also exits
+# cleanly.
 #
 # Usage: scripts/serve_smoke.sh [path-to-gcln-binary]
 
@@ -16,24 +19,47 @@ if [ ! -x "$bin" ]; then
 fi
 
 workdir="$(mktemp -d)"
-log="$workdir/serve.log"
+pid=""
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-"$bin" serve --port 0 --workers 1 --queue-cap 4 --journal "$workdir/jobs.jsonl" >"$log" 2>&1 &
-pid=$!
+# Starts `gcln serve` on the journal, logging to $1, and scrapes the
+# ephemeral port from its listening line; sets `log`, `pid` and `port`.
+start_server() {
+  log="$1"
+  "$bin" serve --port 0 --workers 1 --queue-cap 4 --journal "$workdir/jobs.jsonl" >"$log" 2>&1 &
+  pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log" | head -1)"
+    [ -n "$port" ] && break
+    kill -0 "$pid" 2>/dev/null || { echo "server died early:"; cat "$log"; exit 1; }
+    sleep 0.1
+  done
+  [ -n "$port" ] || { echo "server never reported its port:"; cat "$log"; exit 1; }
+  echo "serve smoke: port $port (pid $pid)"
+}
 
-# Wait for the listening line and scrape the ephemeral port.
-port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log" | head -1)"
-  [ -n "$port" ] && break
-  kill -0 "$pid" 2>/dev/null || { echo "server died early:"; cat "$log"; exit 1; }
-  sleep 0.1
-done
-[ -n "$port" ] || { echo "server never reported its port:"; cat "$log"; exit 1; }
-echo "serve smoke: port $port (pid $pid)"
+# After a POST /shutdown: the server exits 0 within a bounded wait and
+# logs its clean-stop line.
+expect_clean_exit() {
+  for _ in $(seq 1 100); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$pid" 2>/dev/null; then
+    echo "server did not exit after /shutdown:"; cat "$log"; exit 1
+  fi
+  code=0
+  wait "$pid" || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "server exited with code $code:"; cat "$log"; exit 1
+  fi
+  grep -q "gcln-serve stopped" "$log" || { echo "missing clean-stop line:"; cat "$log"; exit 1; }
+}
 
-python3 - "$port" <<'EOF'
+start_server "$workdir/serve.log"
+
+python3 - "$port" "$workdir/result.json" <<'EOF'
 import json
 import sys
 import time
@@ -77,6 +103,8 @@ assert job["valid"] is True, job
 assert job["stopped"] is None, job
 assert any(e["event"] == "job_finished" for e in job["events"]), job
 print("serve smoke: invariant", job["invariants"][0]["formula"])
+with open(sys.argv[2], "w") as f:
+    json.dump({"id": job_id, "valid": job["valid"], "invariants": job["invariants"]}, f)
 
 status, stats = call("GET", "/stats")
 assert status == 200 and stats["jobs"]["done"] >= 1, stats
@@ -114,22 +142,41 @@ status, bye = call("POST", "/shutdown")
 assert status == 200 and bye["ok"], bye
 print("serve smoke: shutdown requested")
 EOF
-
-# Clean exit within a bounded wait.
-for _ in $(seq 1 100); do
-  kill -0 "$pid" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "$pid" 2>/dev/null; then
-  echo "server did not exit after /shutdown:"; cat "$log"; exit 1
-fi
-code=0
-wait "$pid" || code=$?
-if [ "$code" -ne 0 ]; then
-  echo "server exited with code $code:"; cat "$log"; exit 1
-fi
-grep -q "gcln-serve stopped" "$log" || { echo "missing clean-stop line:"; cat "$log"; exit 1; }
+expect_clean_exit
 
 # The journal recorded the completed job.
 grep -q '"type":"job"' "$workdir/jobs.jsonl" || { echo "journal is empty"; exit 1; }
-echo "serve smoke: OK (clean shutdown, journal written)"
+
+# Restart on the same journal: the job replays as done, with the result
+# the first server served, and no inference runs again.
+start_server "$workdir/restart.log"
+python3 - "$port" "$workdir/result.json" <<'EOF'
+import json
+import sys
+import urllib.request
+
+base = f"http://127.0.0.1:{sys.argv[1]}"
+with open(sys.argv[2]) as f:
+    before = json.load(f)
+
+def call(method, path):
+    req = urllib.request.Request(base + path, method=method)
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        return resp.status, json.loads(resp.read().decode())
+
+status, job = call("GET", f"/jobs/{before['id']}")
+assert status == 200, (status, job)
+assert job["status"] == "done", job
+assert job["valid"] == before["valid"], (job["valid"], before)
+assert job["invariants"] == before["invariants"], (job["invariants"], before)
+status, stats = call("GET", "/stats")
+assert status == 200, stats
+assert stats["journal"]["jobs_replayed"] == 1, stats
+assert stats["journal"]["jobs_resubmitted"] == 0, stats
+print("serve smoke: restart replayed", before["id"], "with the same result")
+
+status, bye = call("POST", "/shutdown")
+assert status == 200 and bye["ok"], bye
+EOF
+expect_clean_exit
+echo "serve smoke: OK (clean shutdown, journal written, restart replays the job)"
