@@ -8,7 +8,7 @@
 //! (and, for disjunctions, the clause covers the data).
 
 use gcln_engine::data::{collect_loop_states, Dataset};
-use gcln_engine::extract::{extract_formula, ExtractConfig};
+use gcln_engine::extract::extract_formula;
 use gcln_engine::model::TrainedGcln;
 use gcln_engine::terms::{growth_filter, TermSpace};
 use gcln_logic::Formula;
@@ -151,7 +151,7 @@ pub fn train_template_cln(problem: &Problem, template: ClnTemplate, seed: u64) -
         final_loss,
         epochs_run: max_epochs,
     };
-    let formula = extract_formula(&model, &space, &points, &ExtractConfig::default());
+    let formula = extract_formula(&model, &space, &points);
     let expected_atoms = n_lits;
     let converged = final_loss < 0.05 && formula.atoms().len() >= expected_atoms;
     ClnRun { converged, formula: Some(formula), final_loss }

@@ -1,12 +1,10 @@
 //! Criterion benches: one per pipeline stage plus end-to-end problems,
 //! backing the timing claims in EXPERIMENTS.md.
 
-use criterion::{criterion_group, criterion_main, Criterion, Estimate};
-use gcln_bench::mixed::{
-    mixed_jobs, profile_job, replay_job_granularity, replay_stage_graph, JobProfile,
-};
-use gcln_checker::{check, Candidate, CheckerConfig};
-use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+use criterion::{criterion_group, criterion_main, Criterion};
+use gcln_bench::mixed::mixed_jobs;
+use gcln_checker::{check, Candidate};
+use gcln_engine::bounds::learn_bounds;
 use gcln_engine::data::{collect_loop_states, Dataset};
 use gcln_engine::model::{train_equality_gcln, GclnConfig};
 use gcln_engine::terms::{growth_filter, TermSpace};
@@ -67,9 +65,8 @@ fn bench_bounds(c: &mut Criterion) {
         let keep = growth_filter(&space, &points, 1e10);
         let space = space.select(&keep);
         let columns = Dataset::from_points(points.clone(), &space, Some(10.0)).columns();
-        let config = BoundsConfig::default();
         c.bench_function(&format!("bounds_{name}_loop0"), |b| {
-            b.iter(|| learn_bounds(&space, &points, &columns, &config))
+            b.iter(|| learn_bounds(&space, &points, &columns))
         });
     }
 }
@@ -128,10 +125,9 @@ fn bench_checker(c: &mut Criterion) {
     let inputs: Vec<Vec<i128>> = (0..=60).map(|n| vec![n]).collect();
     let extend = |s: &[i128]| s.to_vec();
     let candidates = [Candidate { loop_id: 0, formula: formula.clone() }];
-    let config = CheckerConfig::default();
     c.bench_function("checker_check_sqrt1", |b| {
         b.iter(|| {
-            let report = check(&problem.program, &inputs, &extend, &candidates, &config);
+            let report = check(&problem.program, &inputs, &extend, &candidates);
             assert!(report.is_valid());
             report
         })
@@ -172,17 +168,10 @@ fn bench_end_to_end(c: &mut Criterion) {
 }
 
 /// The mixed-workload scheduling bench (8 small + 2 large problems at
-/// 4 workers; see `gcln_bench::mixed`). Two kinds of rows:
-///
-/// - `sched/mixed_stage_graph_4w` — measured wall clock of the real
-///   batch through the real scheduler. Meaningful on ≥ 4-core
-///   hardware; on a single-core container it collapses to total work.
-/// - `sched/mixed_makespan_{stage,whole}_4w` — deterministic makespan
-///   replay over per-task durations profiled solo in this same run:
-///   the 4-worker wall clock that stage-task and whole-job scheduling
-///   produce when workers are real parallel resources. The stage/whole
-///   ratio here is the utilization win (gated ≥ 1.3× by the `mixed`
-///   module's tests).
+/// 4 workers; see `gcln_bench::mixed`): `sched/mixed_stage_graph_4w` is
+/// the measured wall clock of the batch through the real scheduler.
+/// Meaningful on ≥ 4-core hardware; on a single-core container it
+/// collapses to total work.
 fn bench_sched_mixed(c: &mut Criterion) {
     let run_batch = || {
         let sched = Scheduler::new(SchedConfig::with_workers(4));
@@ -195,36 +184,6 @@ fn bench_sched_mixed(c: &mut Criterion) {
     group.sample_size(5);
     group.bench_function("mixed_stage_graph_4w", |b| b.iter(run_batch));
     group.finish();
-
-    // The profiling pass costs a full serial batch; skip it when a CLI
-    // name filter excludes the replay rows (same contains-semantics as
-    // the shim's own filtering).
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    if filter.is_some_and(|f| {
-        !"sched/mixed_makespan_whole_4w".contains(f.as_str())
-            && !"sched/mixed_makespan_stage_4w".contains(f.as_str())
-    }) {
-        return;
-    }
-    let engine = Engine::new();
-    let profiles: Vec<JobProfile> =
-        mixed_jobs().iter().map(|job| profile_job(&engine, job)).collect();
-    let replay_row = |name: &str, seconds: f64| Estimate {
-        name: name.to_string(),
-        mean_ns: seconds * 1e9,
-        median_ns: seconds * 1e9,
-        stddev_ns: 0.0,
-        samples: 1,
-        iters_per_sample: 1,
-    };
-    let whole = replay_job_granularity(&profiles, 4);
-    let stage = replay_stage_graph(&profiles, 4);
-    println!(
-        "sched/mixed makespan replay @4w: whole {whole:.3}s, stage {stage:.3}s, {:.2}x",
-        whole / stage
-    );
-    c.record_external(replay_row("sched/mixed_makespan_whole_4w", whole));
-    c.record_external(replay_row("sched/mixed_makespan_stage_4w", stage));
 }
 
 criterion_group!(

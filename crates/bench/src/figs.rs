@@ -2,9 +2,9 @@
 //! former one-binary-per-figure zoo. Each function prints the same
 //! output its standalone binary did.
 
-use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+use gcln_engine::bounds::learn_bounds;
 use gcln_engine::data::{normalize_row, Dataset};
-use gcln_engine::fractional::{fractional_points, FractionalConfig};
+use gcln_engine::fractional::{fractional_points, INTERVAL};
 use gcln_engine::terms::TermSpace;
 use gcln_lang::interp::{run_program, RunConfig};
 use gcln_logic::fuzzy::{gated_tconorm, gated_tnorm, TNorm};
@@ -156,7 +156,7 @@ pub fn fig8() {
     }
     println!("\n(8c) fractional samples (0.5 grid):");
     println!("{:>8} {:>8} {:>8} {:>8} {:>8} {:>8}", "x", "y", "y^3", "y^4", "x0", "y0");
-    let data = fractional_points(&p, 0, &FractionalConfig::default()).unwrap();
+    let data = fractional_points(&p, 0, INTERVAL).unwrap();
     for pt in data.points.iter().filter(|pt| pt[1].fract() != 0.0).take(12) {
         println!(
             "{:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
@@ -178,7 +178,7 @@ pub fn fig10() {
     let points: Vec<Vec<f64>> =
         (0..60).map(|n| vec![n as f64, (n as f64).sqrt().floor()]).collect();
     let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-    let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
+    let bounds = learn_bounds(&space, &points, &ds.columns());
     println!("kept bounds (tight fits):");
     for b in &bounds {
         let score: f64 = points.iter().map(|p| pbqu_ge(b.poly.eval_f64(p), 1.0, 50.0)).sum::<f64>()

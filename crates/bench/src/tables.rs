@@ -229,7 +229,7 @@ pub fn table4(runs: u64) {
                 let cln = train_template_cln(&problem, ClnTemplate::for_problem(&problem), seed)
                     .converged;
                 let config = PipelineConfig {
-                    gcln: GclnConfig { max_epochs: 1000, seed, ..GclnConfig::default() },
+                    gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
                     kernel_completion: false, // pure-model stability, no exact assist
                     max_attempts: 1,
                     cegis_rounds: 1,
@@ -265,7 +265,7 @@ pub fn inspect(name: &str, bounds: bool) -> bool {
         return false;
     };
     if bounds {
-        use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+        use gcln_engine::bounds::learn_bounds;
         use gcln_engine::data::{collect_loop_states, Dataset};
         use gcln_engine::terms::{growth_filter, TermSpace};
         let points = collect_loop_states(&problem, 0, 120, 2);
@@ -274,7 +274,7 @@ pub fn inspect(name: &str, bounds: bool) -> bool {
         let space = space.select(&keep);
         println!("terms: {:?}", (0..space.len()).map(|i| space.term_name(i)).collect::<Vec<_>>());
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let learned = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
+        let learned = learn_bounds(&space, &points, &ds.columns());
         for b in &learned {
             println!("{}", b.display(&problem.extended_names()));
         }

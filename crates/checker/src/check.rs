@@ -67,40 +67,18 @@ pub struct Counterexample {
     pub reachable: bool,
 }
 
-/// Checker limits and sampling parameters.
-#[derive(Clone, Debug)]
-pub struct CheckerConfig {
-    /// Execution limits/seed for program runs.
-    pub run: RunConfig,
-    /// Number of `nondet` seeds to try per input tuple (1 suffices for
-    /// deterministic programs).
-    pub nondet_seeds: u64,
-    /// Mutations generated around each sampled trace state for the
-    /// bounded consecution/post checks.
-    pub mutations_per_state: usize,
-    /// Max |Δ| applied to a variable by one mutation.
-    pub mutation_radius: i128,
-    /// Cap on trace states used per loop for bounded checks.
-    pub max_states_per_loop: usize,
-    /// Gröbner limits for the symbolic phase.
-    pub groebner: GroebnerLimits,
-    /// RNG seed for mutations.
-    pub seed: u64,
-}
-
-impl Default for CheckerConfig {
-    fn default() -> Self {
-        CheckerConfig {
-            run: RunConfig::default(),
-            nondet_seeds: 2,
-            mutations_per_state: 6,
-            mutation_radius: 3,
-            max_states_per_loop: 150,
-            groebner: GroebnerLimits::default(),
-            seed: 0xC0FFEE,
-        }
-    }
-}
+/// `nondet` seeds tried per input tuple (1 suffices for deterministic
+/// programs).
+const NONDET_SEEDS: u64 = 2;
+/// Mutations generated around each sampled trace state for the bounded
+/// consecution and postcondition checks.
+const MUTATIONS_PER_STATE: usize = 6;
+/// Max |Δ| applied to a variable by one mutation.
+const MUTATION_RADIUS: i128 = 3;
+/// Cap on trace states used per loop for bounded checks.
+const MAX_STATES_PER_LOOP: usize = 150;
+/// RNG seed for mutations.
+const MUTATION_SEED: u64 = 0xC0FFEE;
 
 /// Result of checking a set of candidates.
 #[derive(Clone, Debug, Default)]
@@ -315,10 +293,9 @@ pub fn check(
     input_tuples: &[Vec<i128>],
     extend: &(dyn Fn(&[i128]) -> Vec<i128> + Sync),
     candidates: &[Candidate],
-    config: &CheckerConfig,
 ) -> CheckReport {
     let mut report = CheckReport::default();
-    let seeds = if has_nondet(program) { config.nondet_seeds.max(1) } else { 1 };
+    let seeds = if has_nondet(program) { NONDET_SEEDS } else { 1 };
     let immutable_pre = immutable_pre_conjuncts(program);
     let respects_pre =
         |state: &[i128]| immutable_pre.iter().all(|c| eval_bool_in(c, state, 0) == Some(true));
@@ -328,8 +305,7 @@ pub fn check(
     let mut exit_envs: Vec<Vec<i128>> = Vec::new();
     for inputs in input_tuples {
         for seed in 0..seeds {
-            let run =
-                run_program(program, inputs, &RunConfig { max_steps: config.run.max_steps, seed });
+            let run = run_program(program, inputs, &RunConfig { seed, ..RunConfig::default() });
             if run.outcome != Outcome::Completed {
                 continue;
             }
@@ -342,7 +318,7 @@ pub fn check(
     // Subsample evenly so the cap keeps states from across the whole
     // input range rather than only the smallest inputs.
     for states in &mut loop_states {
-        *states = evenly_subsample(std::mem::take(states), config.max_states_per_loop);
+        *states = evenly_subsample(std::mem::take(states), MAX_STATES_PER_LOOP);
     }
 
     // Extend each surviving trace state once; phases 1–2 evaluate every
@@ -380,15 +356,15 @@ pub fn check(
     // (the exact draw order of the historical per-candidate loop), then
     // the per-candidate work fans out over rayon with an order-preserving
     // merge — results are bit-identical at any thread count.
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(MUTATION_SEED);
     let mutation_plans: Vec<Vec<(usize, i128)>> = candidates
         .iter()
         .map(|cand| {
             let mut plan = Vec::new();
             for state in &loop_states[cand.loop_id] {
-                for _ in 0..config.mutations_per_state {
+                for _ in 0..MUTATIONS_PER_STATE {
                     let idx = rng.gen_range(0..state.len());
-                    let delta = rng.gen_range(-config.mutation_radius..=config.mutation_radius);
+                    let delta = rng.gen_range(-MUTATION_RADIUS..=MUTATION_RADIUS);
                     plan.push((idx, delta));
                 }
             }
@@ -409,7 +385,6 @@ pub fn check(
                 &mutation_plans[ci],
                 &respects_pre,
                 seeds,
-                config,
             )
         })
         .collect();
@@ -430,10 +405,10 @@ pub fn check(
             // collected separately so the exit states need no bulk clone.
             let mut mutated_states: Vec<(Vec<i128>, bool)> = Vec::new();
             for (state, _) in &post_states {
-                for _ in 0..config.mutations_per_state {
+                for _ in 0..MUTATIONS_PER_STATE {
                     let mut m = state.clone();
                     let idx = rng.gen_range(0..m.len());
-                    m[idx] += rng.gen_range(-config.mutation_radius..=config.mutation_radius);
+                    m[idx] += rng.gen_range(-MUTATION_RADIUS..=MUTATION_RADIUS);
                     if respects_pre(&m) {
                         mutated_states.push((m, false));
                     }
@@ -478,7 +453,6 @@ fn check_consecution(
     mutation_plan: &[(usize, i128)],
     respects_pre: &(dyn Fn(&[i128]) -> bool + Sync),
     seeds: u64,
-    config: &CheckerConfig,
 ) -> ConsecutionOutcome {
     let mut out = ConsecutionOutcome::default();
     let eval = |ext_state: &[i128]| -> bool {
@@ -492,8 +466,11 @@ fn check_consecution(
             // One Gröbner basis for the whole candidate instead of one
             // per (conjunct, path) composition.
             let nonzero: Vec<Poly> = eqs.iter().filter(|g| !g.is_zero()).cloned().collect();
-            let gb =
-                if nonzero.is_empty() { None } else { groebner_basis(&nonzero, config.groebner) };
+            let gb = if nonzero.is_empty() {
+                None
+            } else {
+                groebner_basis(&nonzero, GroebnerLimits::default())
+            };
             let mut scratch = ReduceScratch::default();
             let mut all_proved = true;
             'outer: for p in &eqs {
@@ -536,7 +513,7 @@ fn check_consecution(
                     program,
                     cand.loop_id,
                     state,
-                    &RunConfig { max_steps: config.run.max_steps, seed },
+                    &RunConfig { seed, ..RunConfig::default() },
                 ) {
                     out.bounded_checks += 1;
                     if *sat_here.get_or_insert_with(|| eval(ext_state)) && !eval(&extend(&next)) {
@@ -552,7 +529,7 @@ fn check_consecution(
         }
         // Mutated neighbours: possibly-unreachable states satisfying
         // I ∧ LC whose successors must stay in I.
-        for _ in 0..config.mutations_per_state {
+        for _ in 0..MUTATIONS_PER_STATE {
             let &(idx, delta) = plan.next().expect("mutation plan covers all states");
             let mut mutated = state.clone();
             mutated[idx] += delta;
@@ -562,7 +539,7 @@ fn check_consecution(
             if loop_guard_holds(program, cand.loop_id, &mutated, 0) != Some(true) {
                 continue;
             }
-            if let Ok(next) = step_loop(program, cand.loop_id, &mutated, &config.run) {
+            if let Ok(next) = step_loop(program, cand.loop_id, &mutated, &RunConfig::default()) {
                 out.bounded_checks += 1;
                 if !eval(&extend(&next)) {
                     out.warnings.push(Counterexample {
@@ -604,13 +581,8 @@ mod tests {
         let names = p.vars.clone();
         let f =
             parse_formula("t == 2 * a + 1 && s == a^2 + 2 * a + 1 && a^2 <= n", &names).unwrap();
-        let report = check(
-            &p,
-            &inputs(40),
-            &|s| s.to_vec(),
-            &[Candidate { loop_id: 0, formula: f }],
-            &CheckerConfig::default(),
-        );
+        let report =
+            check(&p, &inputs(40), &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: f }]);
         assert!(report.is_valid(), "cex: {:?}", report.counterexamples.first());
         assert!(report.symbolically_proved >= 2, "equalities should be Gröbner-proved");
         assert!(report.bounded_checks > 50);
@@ -622,13 +594,8 @@ mod tests {
         let names = p.vars.clone();
         // t == 2a (wrong offset) fails immediately on the first state.
         let f = parse_formula("t == 2 * a", &names).unwrap();
-        let report = check(
-            &p,
-            &inputs(10),
-            &|s| s.to_vec(),
-            &[Candidate { loop_id: 0, formula: f }],
-            &CheckerConfig::default(),
-        );
+        let report =
+            check(&p, &inputs(10), &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: f }]);
         assert!(!report.is_valid());
         assert!(report
             .counterexamples
@@ -646,12 +613,11 @@ mod tests {
         let names = p.vars.clone();
         let good = parse_formula("x <= 8", &names).unwrap();
         let bad = parse_formula("x <= 7", &names).unwrap();
-        let cfg = CheckerConfig::default();
         let r_good =
-            check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: good }], &cfg);
+            check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: good }]);
         assert!(r_good.is_valid(), "cex: {:?}", r_good.counterexamples.first());
         let r_bad =
-            check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: bad }], &cfg);
+            check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: bad }]);
         assert!(!r_bad.is_valid());
     }
 
@@ -667,26 +633,16 @@ mod tests {
         let names = p.vars.clone();
         // `true` is inductive but cannot prove post.
         let weak = Formula::True;
-        let report = check(
-            &p,
-            &inputs(6),
-            &|s| s.to_vec(),
-            &[Candidate { loop_id: 0, formula: weak }],
-            &CheckerConfig::default(),
-        );
+        let report =
+            check(&p, &inputs(6), &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: weak }]);
         assert!(
             report.counterexamples.iter().any(|c| c.kind == CexKind::Postcondition),
             "weak invariant should fail the post check"
         );
         // The proper invariant x <= n passes.
         let strong = parse_formula("x <= n", &names).unwrap();
-        let report = check(
-            &p,
-            &inputs(6),
-            &|s| s.to_vec(),
-            &[Candidate { loop_id: 0, formula: strong }],
-            &CheckerConfig::default(),
-        );
+        let report =
+            check(&p, &inputs(6), &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: strong }]);
         assert!(report.is_valid(), "cex: {:?}", report.counterexamples.first());
     }
 
@@ -719,13 +675,7 @@ mod tests {
         };
         let tuples: Vec<Vec<i128>> =
             (1..=8).flat_map(|a| (1..=8).map(move |b| vec![a, b])).collect();
-        let report = check(
-            &p,
-            &tuples,
-            &extend,
-            &[Candidate { loop_id: 0, formula: f }],
-            &CheckerConfig::default(),
-        );
+        let report = check(&p, &tuples, &extend, &[Candidate { loop_id: 0, formula: f }]);
         assert!(report.is_valid(), "cex: {:?}", report.counterexamples.first());
     }
 

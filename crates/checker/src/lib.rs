@@ -24,7 +24,7 @@ pub mod transition;
 
 pub use check::{
     check, has_nondet, immutable_pre_conjuncts, project_to_program, Candidate, CexKind,
-    CheckReport, CheckerConfig, Counterexample,
+    CheckReport, Counterexample,
 };
 pub use implication::{equalities_imply, equality_polys, implies_bounded};
 pub use transition::transition_paths;

@@ -2,7 +2,7 @@
 //! and reject corrupted versions of them. This is the end-to-end
 //! validation of the Z3-substitute.
 
-use gcln_checker::{check, Candidate, CheckReport, CheckerConfig};
+use gcln_checker::{check, Candidate, CheckReport};
 use gcln_logic::{Formula, Pred};
 use gcln_numeric::{Poly, Rat};
 use gcln_problems::{nla::nla_suite, sample_inputs, Problem};
@@ -10,7 +10,7 @@ use gcln_problems::{nla::nla_suite, sample_inputs, Problem};
 fn check_problem(problem: &Problem, candidates: Vec<Candidate>) -> CheckReport {
     let tuples = sample_inputs(problem, 120);
     let extend = |s: &[i128]| problem.extend_state(s);
-    check(&problem.program, &tuples, &extend, &candidates, &CheckerConfig::default())
+    check(&problem.program, &tuples, &extend, &candidates)
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! warn, and immutable-input precondition conjuncts gate the mutation
 //! sampler.
 
-use gcln_checker::{check, immutable_pre_conjuncts, Candidate, CexKind, CheckerConfig};
+use gcln_checker::{check, immutable_pre_conjuncts, Candidate, CexKind};
 use gcln_lang::parse_program;
 use gcln_logic::parse_formula;
 
@@ -46,13 +46,7 @@ fn divbin_style_invariant_warns_but_is_not_refuted() {
     let names = p.vars.clone();
     let inv = parse_formula("A == q * b + r && r >= 0 && r < b", &names).unwrap();
     let tuples: Vec<Vec<i128>> = (0..30).flat_map(|a| (1..6).map(move |b| vec![a, b])).collect();
-    let report = check(
-        &p,
-        &tuples,
-        &|s| s.to_vec(),
-        &[Candidate { loop_id: 1, formula: inv }],
-        &CheckerConfig::default(),
-    );
+    let report = check(&p, &tuples, &|s| s.to_vec(), &[Candidate { loop_id: 1, formula: inv }]);
     assert!(report.is_valid(), "cex: {:?}", report.counterexamples.first());
     // The parity-structure warnings exist (odd mutated b) but do not
     // refute — this is the documented posture.
@@ -68,13 +62,7 @@ fn reachable_consecution_violation_is_a_hard_counterexample() {
     let p = parse_program("x = 0; while (x < 10) { x = x + 1; }").unwrap();
     let names = p.vars.clone();
     let inv = parse_formula("x <= 6", &names).unwrap();
-    let report = check(
-        &p,
-        &[vec![]],
-        &|s| s.to_vec(),
-        &[Candidate { loop_id: 0, formula: inv }],
-        &CheckerConfig::default(),
-    );
+    let report = check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: inv }]);
     assert!(!report.is_valid());
     assert!(report.counterexamples.iter().all(|c| c.reachable));
 }
@@ -84,13 +72,7 @@ fn cegis_feedback_exposes_only_reachable_states() {
     let p = parse_program("x = 0; while (x < 10) { x = x + 1; }").unwrap();
     let names = p.vars.clone();
     let inv = parse_formula("x <= 6", &names).unwrap();
-    let report = check(
-        &p,
-        &[vec![]],
-        &|s| s.to_vec(),
-        &[Candidate { loop_id: 0, formula: inv }],
-        &CheckerConfig::default(),
-    );
+    let report = check(&p, &[vec![]], &|s| s.to_vec(), &[Candidate { loop_id: 0, formula: inv }]);
     let feedback = report.reachable_cex_states(0);
     assert!(!feedback.is_empty());
     // Every feedback state is a genuine loop-head state of the program.

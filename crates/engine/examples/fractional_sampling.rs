@@ -5,13 +5,12 @@
 //!
 //! Run with `cargo run --release --example fractional_sampling`.
 
-use gcln_engine::fractional::{fractional_points, FractionalConfig};
+use gcln_engine::fractional::{fractional_points, INTERVAL};
 use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("ps4").expect("ps4 in NLA suite");
-    let data = fractional_points(&problem, 0, &FractionalConfig::default())
-        .expect("ps4 supports fractional sampling");
+    let data = fractional_points(&problem, 0, INTERVAL).expect("ps4 supports fractional sampling");
     println!("relaxed variables: {:?} (pinned to {:?})", data.names, data.init_values);
     println!("{:>8} {:>8} {:>8} {:>8}", "x", "y", "x0", "y0");
     for p in data.points.iter().take(12) {

@@ -10,7 +10,7 @@
 //! whose mean PBQU activation falls below a threshold (loose fits,
 //! Fig. 10's dashed lines) are discarded.
 //!
-//! At most [`BoundsConfig::max_bounds`] bounds are kept, one subset's
+//! At most 64 bounds are kept, one subset's
 //! best at a time in subset order before any second bounds. Subsets are
 //! therefore learned in order and learning stops once the cap is full:
 //! on wide term spaces the single-term subsets alone fill it.
@@ -25,41 +25,34 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-/// Settings for bound learning.
+/// PBQU below-boundary constant (§6 training value).
+const C1: f64 = 1.0;
+/// PBQU above-boundary constant (§6 training value).
+const C2: f64 = 50.0;
+/// Adam settings for bound training.
+const OPTIMIZER: OptimizerConfig = OptimizerConfig { learning_rate: 0.05, decay: 0.999 };
+/// Keep a bound only if its mean PBQU activation reaches this.
+const ACTIVATION_THRESHOLD: f64 = 0.55;
+/// Denominator budgets for rounding weights.
+const DENOMINATORS: [i128; 3] = [1, 2, 4];
+/// RNG seed for weight initialization.
+const SEED: u64 = 11;
+
+/// The bound-learning settings this module's tests vary; the pipeline
+/// always learns at the default.
 #[derive(Clone, Debug)]
-pub struct BoundsConfig {
-    /// PBQU below-boundary constant (paper training value: 1).
-    pub c1: f64,
-    /// PBQU above-boundary constant (paper training value: 50).
-    pub c2: f64,
+struct BoundsConfig {
     /// Epochs per candidate subset.
-    pub epochs: usize,
-    /// Adam settings for bound training.
-    pub optimizer: OptimizerConfig,
-    /// Keep a bound only if its mean PBQU activation reaches this.
-    pub activation_threshold: f64,
-    /// Denominator budgets for rounding weights.
-    pub denominators: Vec<i128>,
+    epochs: usize,
     /// Hard cap on emitted bounds: each subset's tightest bound first, in
     /// subset order, then each one's second, and so on (see
     /// [`learn_bounds`]).
-    pub max_bounds: usize,
-    /// RNG seed for weight initialization.
-    pub seed: u64,
+    max_bounds: usize,
 }
 
 impl Default for BoundsConfig {
     fn default() -> Self {
-        BoundsConfig {
-            c1: 1.0,
-            c2: 50.0,
-            epochs: 150,
-            optimizer: OptimizerConfig { learning_rate: 0.05, decay: 0.999 },
-            activation_threshold: 0.55,
-            denominators: vec![1, 2, 4],
-            max_bounds: 64,
-            seed: 11,
-        }
+        BoundsConfig { epochs: 150, max_bounds: 64 }
     }
 }
 
@@ -78,7 +71,7 @@ pub struct LearnedBound {
 /// `points` are raw (unnormalized) term-space points; `columns` are the
 /// normalized per-term columns used for gradient training.
 ///
-/// At most `config.max_bounds` bounds are returned, deduplicated by
+/// At most 64 bounds are returned, deduplicated by
 /// polynomial and allocated **round-robin across subsets**: every
 /// subset's best bound is admitted, in subset order, before any subset
 /// places its second. A global score-only cut would let large families
@@ -93,7 +86,12 @@ pub struct LearnedBound {
 /// been learned without filling the cap does the round-robin go on to
 /// second and later bounds. The output equals learning every subset
 /// first (see the `early_stop_matches_full_round_robin` test).
-pub fn learn_bounds(
+pub fn learn_bounds(space: &TermSpace, points: &[Vec<f64>], columns: &[Vec<f64>]) -> Vec<Atom> {
+    learn_bounds_with(space, points, columns, &BoundsConfig::default())
+}
+
+/// [`learn_bounds`] at the given settings.
+fn learn_bounds_with(
     space: &TermSpace,
     points: &[Vec<f64>],
     columns: &[Vec<f64>],
@@ -102,7 +100,7 @@ pub fn learn_bounds(
     if points.is_empty() {
         return Vec::new();
     }
-    let candidates = Candidates::new(space, points, columns, config);
+    let candidates = Candidates::new(space, points, columns, config.epochs);
     let n = candidates.subsets.len();
     let chunk = rayon::current_num_threads() * SUBSETS_PER_THREAD;
     let mut out = Vec::new();
@@ -159,7 +157,8 @@ struct Candidates<'a> {
     space: &'a TermSpace,
     points: &'a [Vec<f64>],
     columns: &'a [Vec<f64>],
-    config: &'a BoundsConfig,
+    /// Training epochs per subset.
+    epochs: usize,
     subsets: Vec<Vec<usize>>,
     draw_plans: Vec<Vec<f64>>,
 }
@@ -169,7 +168,7 @@ impl<'a> Candidates<'a> {
         space: &'a TermSpace,
         points: &'a [Vec<f64>],
         columns: &'a [Vec<f64>],
-        config: &'a BoundsConfig,
+        epochs: usize,
     ) -> Self {
         // Term indices by degree (excluding the constant term).
         let deg1: Vec<usize> =
@@ -202,7 +201,7 @@ impl<'a> Candidates<'a> {
         // which thread learns it nor on where learning stops. A trained
         // subset of size `k` draws `2k` values for its two random inits
         // plus one bias initialization per init (`2^k + 2` inits).
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let draw_plans: Vec<Vec<f64>> = subsets
             .iter()
             .map(|subset| {
@@ -214,7 +213,7 @@ impl<'a> Candidates<'a> {
                 (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect()
             })
             .collect();
-        Candidates { space, points, columns, config, subsets, draw_plans }
+        Candidates { space, points, columns, epochs, subsets, draw_plans }
     }
 
     /// Learns subset `si`'s bounds that pass the activation threshold,
@@ -225,7 +224,7 @@ impl<'a> Candidates<'a> {
         let directions: Vec<Vec<f64>> = if subset.len() == 1 {
             vec![vec![1.0], vec![-1.0]]
         } else {
-            train_directions(subset, self.columns, self.config, &self.draw_plans[si])
+            train_directions(subset, self.columns, self.epochs, &self.draw_plans[si])
         };
         // Raw term columns for this subset, evaluated once — every
         // direction × denominator rounding below reuses them.
@@ -235,8 +234,8 @@ impl<'a> Candidates<'a> {
             .collect();
         let mut subset_bounds: Vec<LearnedBound> = directions
             .iter()
-            .filter_map(|dir| round_and_tighten(subset, dir, &raw_cols, self.space, self.config))
-            .filter(|bound| bound.score >= self.config.activation_threshold)
+            .filter_map(|dir| round_and_tighten(subset, dir, &raw_cols, self.space))
+            .filter(|bound| bound.score >= ACTIVATION_THRESHOLD)
             .collect();
         subset_bounds.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
         subset_bounds
@@ -252,7 +251,7 @@ impl<'a> Candidates<'a> {
 fn train_directions(
     subset: &[usize],
     columns: &[Vec<f64>],
-    config: &BoundsConfig,
+    epochs: usize,
     draws: &[f64],
 ) -> Vec<Vec<f64>> {
     let k = subset.len();
@@ -308,15 +307,15 @@ fn train_directions(
     let n = xs[0].len();
     // ∂loss/∂act for `loss = mean(1 − act)`.
     let g_act = -(1.0 / n as f64);
-    let (c1sq, c2sq) = (config.c1 * config.c1, config.c2 * config.c2);
+    let (c1sq, c2sq) = (C1 * C1, C2 * C2);
     let mut z = vec![0.0; n];
     let mut gz = vec![0.0; n];
     let mut grads = vec![0.0; k + 1];
     for init in &inits {
         let mut params = init.clone();
         params.push(next_draw() * 0.1);
-        let mut adam = Adam::new(k + 1, config.optimizer);
-        for _ in 0..config.epochs {
+        let mut adam = Adam::new(k + 1, OPTIMIZER);
+        for _ in 0..epochs {
             z.fill(params[k]);
             for (&w, x) in params.iter().zip(&xs) {
                 for (zj, &xj) in z.iter_mut().zip(*x) {
@@ -354,7 +353,6 @@ fn round_and_tighten(
     direction: &[f64],
     raw_cols: &[Vec<f64>],
     space: &TermSpace,
-    config: &BoundsConfig,
 ) -> Option<LearnedBound> {
     let max_abs = direction.iter().fold(0.0f64, |a, &w| a.max(w.abs()));
     if max_abs < 1e-9 {
@@ -362,7 +360,7 @@ fn round_and_tighten(
     }
     let num_points = raw_cols.first().map_or(0, Vec::len);
     let mut best: Option<LearnedBound> = None;
-    for &den in &config.denominators {
+    for den in DENOMINATORS {
         let Some(coeffs) = direction
             .iter()
             .map(|&w| Rat::approximate(w / max_abs, den))
@@ -394,8 +392,8 @@ fn round_and_tighten(
         // Tight bias: -min, as a rational (training data is integral or
         // dyadic so this is exact in practice).
         let bias = Rat::approximate(-min, 1 << 20)?;
-        let score = values.iter().map(|v| pbqu_ge(v - min, config.c1, config.c2)).sum::<f64>()
-            / values.len() as f64;
+        let score =
+            values.iter().map(|v| pbqu_ge(v - min, C1, C2)).sum::<f64>() / values.len() as f64;
         let arity = space.names.len();
         let mut poly = Poly::constant(bias, arity);
         for (&t, c) in subset.iter().zip(&coeffs) {
@@ -449,7 +447,7 @@ mod tests {
         let space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let points = sqrt_points();
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
+        let bounds = learn_bounds(&space, &points, &ds.columns());
         assert!(!bounds.is_empty());
         let target = gcln_logic::parse_poly("n - a^2", &space.names).unwrap();
         let found = bounds.iter().any(|b| b.poly.normalize_content() == target.normalize_content());
@@ -463,7 +461,7 @@ mod tests {
         let space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let points = sqrt_points();
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
+        let bounds = learn_bounds(&space, &points, &ds.columns());
         for b in &bounds {
             assert!(
                 crate::extract::atom_fits(&b.poly, Pred::Ge, &points, 1e-9),
@@ -479,7 +477,7 @@ mod tests {
         let space = TermSpace::enumerate(names(&["x"]), 1);
         let points: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
+        let bounds = learn_bounds(&space, &points, &ds.columns());
         // x >= 0 should be found (bias 0, tight at x=0).
         let target = gcln_logic::parse_poly("x", &space.names).unwrap();
         assert!(
@@ -511,12 +509,12 @@ mod tests {
         for (space, points, subset) in cases {
             let ds = Dataset::from_points(points, space, Some(10.0));
             let columns = ds.columns();
-            let config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
+            let epochs = 40;
             let k = subset.len();
             let num_inits = (1usize << k) + 2;
-            let mut rng = StdRng::seed_from_u64(config.seed);
+            let mut rng = StdRng::seed_from_u64(SEED);
             let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
-            let direct = train_directions(&subset, &columns, &config, &draws);
+            let direct = train_directions(&subset, &columns, epochs, &draws);
 
             // Tape reference: same init construction, same draw order.
             let mut draws_it = draws.iter().copied();
@@ -526,7 +524,7 @@ mod tests {
             let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
             let bias = tape.param(k);
             let z = tape.affine(&ws, &xs, Some(bias));
-            let loss = tape.pbqu_loss(z, config.c1, config.c2);
+            let loss = tape.pbqu_loss(z, C1, C2);
             let sub_columns: Vec<Vec<f64>> = subset.iter().map(|&t| columns[t].clone()).collect();
             let mut inits: Vec<Vec<f64>> = Vec::new();
             for bits in 0..(1u32 << (k - 1)) {
@@ -546,8 +544,8 @@ mod tests {
             for init in inits {
                 let mut params: Vec<f64> = init;
                 params.push(next_draw() * 0.1);
-                let mut adam = Adam::new(k + 1, config.optimizer);
-                for _ in 0..config.epochs {
+                let mut adam = Adam::new(k + 1, OPTIMIZER);
+                for _ in 0..epochs {
                     let (_, grads) = tape.eval_with_grad(loss, &sub_columns, &params);
                     adam.step(&mut params, &grads);
                     project_unit_l2(&mut params[..k]);
@@ -575,7 +573,7 @@ mod tests {
     ) -> (Vec<Atom>, Option<(usize, usize)>) {
         let ds = Dataset::from_points(points.to_vec(), space, Some(10.0));
         let columns = ds.columns();
-        let candidates = Candidates::new(space, points, &columns, config);
+        let candidates = Candidates::new(space, points, &columns, config.epochs);
         let results: Vec<Vec<LearnedBound>> =
             (0..candidates.subsets.len()).map(|si| candidates.learn(si)).collect();
         let mut seen: Vec<Poly> = Vec::new();
@@ -615,8 +613,7 @@ mod tests {
                 vec![x, y, x * y + 2.0 * x + 1.0]
             })
             .collect();
-        let with_cap =
-            |max_bounds| BoundsConfig { epochs: 40, max_bounds, ..BoundsConfig::default() };
+        let with_cap = |max_bounds| BoundsConfig { epochs: 40, max_bounds };
         let sqrt_config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
         let sqrt_space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let cases = [
@@ -641,7 +638,7 @@ mod tests {
                 _ => assert!(filled.is_none() && want.len() < config.max_bounds),
             }
             let ds = Dataset::from_points(points.clone(), space, Some(10.0));
-            let got = learn_bounds(space, &points, &ds.columns(), &config);
+            let got = learn_bounds_with(space, &points, &ds.columns(), &config);
             assert_eq!(got, want, "{name}: early stop changed the bounds");
         }
     }
@@ -649,7 +646,7 @@ mod tests {
     #[test]
     fn empty_data_yields_no_bounds() {
         let space = TermSpace::enumerate(names(&["x"]), 1);
-        let bounds = learn_bounds(&space, &[], &[], &BoundsConfig::default());
+        let bounds = learn_bounds(&space, &[], &[]);
         assert!(bounds.is_empty());
     }
 
@@ -672,7 +669,7 @@ mod tests {
             }
         }
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns(), &BoundsConfig::default());
+        let bounds = learn_bounds(&space, &points, &ds.columns());
         let target = gcln_logic::parse_poly("2*p + q - r - 1", &space.names).unwrap();
         assert!(
             bounds.iter().any(|b| b.poly.normalize_content() == target.normalize_content()),

@@ -11,8 +11,8 @@
 //! - **Trace caching** (owned by the engine, this module): the Trace
 //!   stage re-runs the program interpreter over the sampled input grid
 //!   on every job. Trace collection is a pure function of the problem
-//!   (source, input ranges, extended terms) and the trace-relevant
-//!   pipeline settings, so a [`TraceCache`] keyed by that tuple returns
+//!   (source, input ranges, extended terms) and the pipeline's
+//!   `max_inputs`, so a [`TraceCache`] keyed by that tuple returns
 //!   bit-identical training data without re-execution.
 //!
 //! Both are built on [`ContentCache`]: keys are FNV-1a 64-bit content
@@ -157,7 +157,7 @@ impl<V> ContentCache<V> {
 }
 
 /// A shared memo of Trace-stage results keyed by
-/// `(source, input ranges, extended terms, trace config)`.
+/// `(source, input ranges, extended terms, max_inputs)`.
 ///
 /// Trace collection is deterministic (seeded interpreter runs over a
 /// deterministic input grid), so serving a cached entry is guaranteed
@@ -184,8 +184,8 @@ impl TraceCache {
     /// The cache tag for a problem/config pair — the full identity the
     /// cache verifies on every hit. Only trace-relevant inputs
     /// contribute: the source text, the (possibly overridden) input
-    /// ranges, the extended terms, and the four pipeline settings the
-    /// Trace stage reads. Settings that only affect later stages
+    /// ranges, the extended terms, and `max_inputs`, the one pipeline
+    /// setting the Trace stage reads. Settings that only affect later stages
     /// (epochs, attempts, CEGIS rounds, …) are deliberately excluded so
     /// e.g. `--fast` and default jobs share trace entries.
     pub fn tag(problem: &Problem, config: &PipelineConfig) -> String {
@@ -200,10 +200,7 @@ impl TraceCache {
             tag.push_str(&t.name());
             tag.push(';');
         }
-        tag.push_str(&format!(
-            "\u{1}{}|{}|{}|{}",
-            config.max_inputs, config.trace_seeds, config.max_samples_per_loop, config.widen_factor
-        ));
+        tag.push_str(&format!("\u{1}{}", config.max_inputs));
         tag
     }
 
@@ -237,13 +234,10 @@ mod tests {
         // Training-only knobs share the trace entry.
         let fast = PipelineConfig::fast();
         assert_eq!(k0, TraceCache::key(&spec.problem, &fast));
-        // Trace knobs split it.
+        // The one trace knob splits it.
         let mut t = base.clone();
         t.max_inputs += 1;
         assert_ne!(k0, TraceCache::key(&spec.problem, &t));
-        let mut w = base.clone();
-        w.widen_factor += 1;
-        assert_ne!(k0, TraceCache::key(&spec.problem, &w));
         // Overridden input ranges split it too.
         let mut spec2 = ProblemSpec::from_source_str("s", SRC).unwrap();
         spec2.apply_overrides(None, &[(0, 5)]).unwrap();

@@ -14,23 +14,13 @@ use crate::terms::TermSpace;
 use gcln_logic::{Atom, CompiledPoly, Formula, Pred};
 use gcln_numeric::{Poly, Rat};
 
-/// Extraction settings.
-#[derive(Clone, Debug)]
-pub struct ExtractConfig {
-    /// Denominator budgets to try, in order (§6: 10, 15, 30).
-    pub denominators: Vec<i128>,
-    /// Gate threshold for keeping clauses/literals (Algorithm 1: 0.5).
-    pub gate_threshold: f64,
-    /// Float fallback tolerance for fit checking (used only when a point
-    /// cannot be represented exactly).
-    pub fit_tol: f64,
-}
-
-impl Default for ExtractConfig {
-    fn default() -> Self {
-        ExtractConfig { denominators: vec![10, 15, 30], gate_threshold: 0.5, fit_tol: 1e-4 }
-    }
-}
+/// Denominator budgets to try, in order (§6: 10, 15, 30).
+const DENOMINATORS: [i128; 3] = [10, 15, 30];
+/// Gate threshold for keeping clauses and literals (Algorithm 1: 0.5).
+const GATE_THRESHOLD: f64 = 0.5;
+/// Float fallback tolerance for fit checking (used only when a point
+/// cannot be represented exactly).
+pub(crate) const FIT_TOL: f64 = 1e-4;
 
 /// Converts an f64 point to exact rationals (training points are integers
 /// or dyadic fractions from fractional sampling, so this is exact).
@@ -102,28 +92,18 @@ pub fn atom_fits(poly: &Poly, pred: Pred, points: &[Vec<f64>], tol: f64) -> bool
 
 /// Rounds a literal's weights to a polynomial atom `p = 0` that fits the
 /// data, or `None`. Weights are scaled so `max |w| = 1` first (§3).
-pub fn round_equality(
-    weights: &[f64],
-    space: &TermSpace,
-    points: &[Vec<f64>],
-    config: &ExtractConfig,
-) -> Option<Atom> {
-    round_equality_on(weights, space, &FitPoints::new(points), config)
+pub fn round_equality(weights: &[f64], space: &TermSpace, points: &[Vec<f64>]) -> Option<Atom> {
+    round_equality_on(weights, space, &FitPoints::new(points))
 }
 
 /// [`round_equality`] over pre-converted points.
-fn round_equality_on(
-    weights: &[f64],
-    space: &TermSpace,
-    fit: &FitPoints<'_>,
-    config: &ExtractConfig,
-) -> Option<Atom> {
+fn round_equality_on(weights: &[f64], space: &TermSpace, fit: &FitPoints<'_>) -> Option<Atom> {
     let max_abs = weights.iter().fold(0.0f64, |a, &w| a.max(w.abs()));
     if max_abs < 1e-9 {
         return None;
     }
     let arity = space.names.len();
-    for &den in &config.denominators {
+    for den in DENOMINATORS {
         let mut poly = Poly::zero(arity);
         for (w, m) in weights.iter().zip(&space.monomials) {
             let c = Rat::approximate(w / max_abs, den)?;
@@ -134,8 +114,8 @@ fn round_equality_on(
         if poly.is_zero() || poly.is_constant() {
             continue;
         }
-        let poly = reduce_monomial_content(poly.normalize_content(), fit, config.fit_tol);
-        if fit.fits(&poly, Pred::Eq, config.fit_tol) {
+        let poly = reduce_monomial_content(poly.normalize_content(), fit);
+        if fit.fits(&poly, Pred::Eq, FIT_TOL) {
             return Some(Atom::new(poly, Pred::Eq));
         }
     }
@@ -145,13 +125,13 @@ fn round_equality_on(
 /// If every term shares a monomial factor (e.g. `n·(2a − t + 1)`), try the
 /// factored-out polynomial; keep it when it still fits the data (it is
 /// the stronger invariant).
-fn reduce_monomial_content(poly: Poly, fit: &FitPoints<'_>, tol: f64) -> Poly {
+fn reduce_monomial_content(poly: Poly, fit: &FitPoints<'_>) -> Poly {
     let content = poly.monomial_content();
     if content.is_one() {
         return poly;
     }
     let reduced = poly.div_monomial(&content).normalize_content();
-    if !reduced.is_constant() && fit.fits(&reduced, Pred::Eq, tol) {
+    if !reduced.is_constant() && fit.fits(&reduced, Pred::Eq, FIT_TOL) {
         reduced
     } else {
         poly
@@ -165,7 +145,6 @@ fn round_equality_partial(
     weights: &[f64],
     space: &TermSpace,
     fit: &FitPoints<'_>,
-    config: &ExtractConfig,
 ) -> Option<(Atom, Vec<bool>)> {
     let max_abs = weights.iter().fold(0.0f64, |a, &w| a.max(w.abs()));
     if max_abs < 1e-9 {
@@ -173,7 +152,7 @@ fn round_equality_partial(
     }
     let arity = space.names.len();
     let mut best: Option<(Atom, Vec<bool>, usize)> = None;
-    for &den in &config.denominators {
+    for den in DENOMINATORS {
         let mut poly = Poly::zero(arity);
         for (w, m) in weights.iter().zip(&space.monomials) {
             let c = Rat::approximate(w / max_abs, den)?;
@@ -184,8 +163,8 @@ fn round_equality_partial(
         if poly.is_zero() || poly.is_constant() {
             continue;
         }
-        let poly = reduce_monomial_content(poly.normalize_content(), fit, config.fit_tol);
-        let cover = fit.cover(&poly, Pred::Eq, config.fit_tol);
+        let poly = reduce_monomial_content(poly.normalize_content(), fit);
+        let cover = fit.cover(&poly, Pred::Eq, FIT_TOL);
         let count = cover.iter().filter(|&&b| b).count();
         if best.as_ref().is_none_or(|(_, _, c)| count > *c) {
             best = Some((Atom::new(poly, Pred::Eq), cover, count));
@@ -196,29 +175,24 @@ fn round_equality_partial(
 
 /// Algorithm 1: extracts the CNF formula of a trained model, validated
 /// against the training points.
-pub fn extract_formula(
-    model: &TrainedGcln,
-    space: &TermSpace,
-    points: &[Vec<f64>],
-    config: &ExtractConfig,
-) -> Formula {
+pub fn extract_formula(model: &TrainedGcln, space: &TermSpace, points: &[Vec<f64>]) -> Formula {
     let fit = FitPoints::new(points);
     let mut clauses: Vec<Formula> = Vec::new();
     for (ci, &cg) in model.clause_gates.iter().enumerate() {
-        if cg <= config.gate_threshold {
+        if cg <= GATE_THRESHOLD {
             continue;
         }
         let open_literals: Vec<usize> = model.literal_gates[ci]
             .iter()
             .enumerate()
-            .filter_map(|(li, &g)| (g > config.gate_threshold).then_some(li))
+            .filter_map(|(li, &g)| (g > GATE_THRESHOLD).then_some(li))
             .collect();
         match open_literals.len() {
             0 => continue,
             1 => {
                 // Single literal: must fit everything.
                 if let Some(atom) =
-                    round_equality_on(&model.weights[ci][open_literals[0]], space, &fit, config)
+                    round_equality_on(&model.weights[ci][open_literals[0]], space, &fit)
                 {
                     clauses.push(Formula::Atom(atom));
                 }
@@ -230,7 +204,7 @@ pub fn extract_formula(
                 let mut covered = vec![false; points.len()];
                 for &li in &open_literals {
                     if let Some((atom, cover)) =
-                        round_equality_partial(&model.weights[ci][li], space, &fit, config)
+                        round_equality_partial(&model.weights[ci][li], space, &fit)
                     {
                         for (c, &k) in covered.iter_mut().zip(&cover) {
                             *c = *c || k;
@@ -272,7 +246,7 @@ mod tests {
         w[idx("1")] = 3.0 / 14.0f64.sqrt() + 1e-3;
         w[idx("x")] = 2.0 / 14.0f64.sqrt();
         w[idx("y")] = -1.0 / 14.0f64.sqrt();
-        let atom = round_equality(&w, &space, &points, &ExtractConfig::default()).unwrap();
+        let atom = round_equality(&w, &space, &points).unwrap();
         // 3 + 2x - y = 0 (content-normalized, leading coefficient sign
         // canonical).
         assert_eq!(atom.pred, Pred::Eq);
@@ -289,7 +263,7 @@ mod tests {
         let mut w = vec![0.0; space.len()];
         w[idx("x")] = 1.0;
         w[idx("y")] = 1.0;
-        assert!(round_equality(&w, &space, &points, &ExtractConfig::default()).is_none());
+        assert!(round_equality(&w, &space, &points).is_none());
     }
 
     #[test]
@@ -305,7 +279,7 @@ mod tests {
             ..GclnConfig::default()
         };
         let model = train_equality_gcln(&ds.columns(), &cfg);
-        let formula = extract_formula(&model, &space, &raw, &ExtractConfig::default());
+        let formula = extract_formula(&model, &space, &raw);
         let expected = gcln_logic::parse_formula("z == 6 * n + 6", &space.names).unwrap();
         // Every extracted conjunct must hold on data; the expected
         // invariant must appear among them.
@@ -329,7 +303,7 @@ mod tests {
             final_loss: 0.0,
             epochs_run: 1,
         };
-        let f = extract_formula(&model, &space, &[vec![1.0]], &ExtractConfig::default());
+        let f = extract_formula(&model, &space, &[vec![1.0]]);
         assert_eq!(f, Formula::True);
     }
 
@@ -376,7 +350,7 @@ mod tests {
             points.push(vec![3.0 * z, y, z]);
             points.push(vec![-(y + z), y, z]);
         }
-        let f = extract_formula(&model, &space, &points, &ExtractConfig::default());
+        let f = extract_formula(&model, &space, &points);
         let text = f.display(&space.names).to_string();
         assert!(text.contains("||"), "disjunction survives: {text}");
         assert_eq!(f.conjuncts().len(), 2, "two conjuncts: {text}");

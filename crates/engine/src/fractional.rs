@@ -13,26 +13,16 @@
 use gcln_lang::interp::{loop_guard_holds, run_program, step_loop, Outcome, RunConfig};
 use gcln_problems::Problem;
 
-/// Settings for fractional sampling.
-#[derive(Clone, Debug)]
-pub struct FractionalConfig {
-    /// Grid interval for initial-value offsets; the paper starts at 0.5
-    /// and refines to 0.25.
-    pub interval: f64,
-    /// Offsets applied per variable: `-radius ..= radius` in steps of
-    /// `interval`.
-    pub radius: f64,
-    /// Loop iterations sampled per fractional start.
-    pub steps: usize,
-    /// Cap on relaxed variables (grid size is exponential in them).
-    pub max_relaxed_vars: usize,
-}
-
-impl Default for FractionalConfig {
-    fn default() -> Self {
-        FractionalConfig { interval: 0.5, radius: 1.0, steps: 6, max_relaxed_vars: 4 }
-    }
-}
+/// The first grid interval for initial-value offsets; the paper starts
+/// at 0.5 and refines to 0.25.
+pub const INTERVAL: f64 = 0.5;
+/// Offsets applied per variable: `-RADIUS ..= RADIUS` in steps of the
+/// interval.
+const RADIUS: f64 = 1.0;
+/// Loop iterations sampled per fractional start.
+const STEPS: usize = 6;
+/// Cap on relaxed variables (grid size is exponential in them).
+const MAX_RELAXED_VARS: usize = 4;
 
 /// Fractional samples for one loop: rows over `[V..., V0...]`.
 #[derive(Clone, Debug)]
@@ -47,13 +37,14 @@ pub struct FractionalData {
     pub points: Vec<Vec<f64>>,
 }
 
-/// Generates fractional samples for `loop_id`, or `None` when the loop is
-/// unsuitable (its local variables are not initialized to run-independent
-/// constants, or there are too many of them).
+/// Generates fractional samples for `loop_id` on an offset grid of the
+/// given `interval`, or `None` when the loop is unsuitable (its local
+/// variables are not initialized to run-independent constants, or there
+/// are too many of them).
 pub fn fractional_points(
     problem: &Problem,
     loop_id: usize,
-    config: &FractionalConfig,
+    interval: f64,
 ) -> Option<FractionalData> {
     let program = &problem.program;
     let num_inputs = program.inputs.len();
@@ -74,7 +65,7 @@ pub fn fractional_points(
         return None;
     }
     let var_indices: Vec<usize> = (num_inputs..program.num_vars()).collect();
-    if var_indices.is_empty() || var_indices.len() > config.max_relaxed_vars {
+    if var_indices.is_empty() || var_indices.len() > MAX_RELAXED_VARS {
         return None;
     }
     for s in &first_states[1..] {
@@ -96,11 +87,11 @@ pub fn fractional_points(
     // 3. Fractional starts on the offset grid, iterated with the real
     // interpreter.
     let mut offsets = vec![0.0f64];
-    let mut o = config.interval;
-    while o <= config.radius + 1e-9 {
+    let mut o = interval;
+    while o <= RADIUS + 1e-9 {
         offsets.push(o);
         offsets.push(-o);
-        o += config.interval;
+        o += interval;
     }
     let mut starts: Vec<Vec<f64>> = vec![Vec::new()];
     for _ in &var_indices {
@@ -125,7 +116,7 @@ pub fn fractional_points(
             env[v] = init + off;
         }
         let v0: Vec<f64> = var_indices.iter().map(|&v| env[v]).collect();
-        for _ in 0..config.steps {
+        for _ in 0..STEPS {
             let mut row: Vec<f64> = var_indices.iter().map(|&v| env[v]).collect();
             row.extend(&v0);
             points.push(row);
@@ -157,7 +148,7 @@ mod tests {
         // Fig. 8: relaxed ps4 samples satisfy the *relaxed* invariant
         // 4x − y⁴ − 2y³ − y² − 4x₀ + y₀⁴ + 2y₀³ + y₀² = 0.
         let problem = nla_problem("ps4").unwrap();
-        let data = fractional_points(&problem, 0, &FractionalConfig::default()).unwrap();
+        let data = fractional_points(&problem, 0, INTERVAL).unwrap();
         assert_eq!(data.names, vec!["x", "y", "x0", "y0"]);
         assert!(data.points.len() > 50);
         let mut fractional_seen = false;
@@ -176,7 +167,7 @@ mod tests {
     #[test]
     fn pinning_values_are_the_true_initials() {
         let problem = nla_problem("ps4").unwrap();
-        let data = fractional_points(&problem, 0, &FractionalConfig::default()).unwrap();
+        let data = fractional_points(&problem, 0, INTERVAL).unwrap();
         assert_eq!(data.init_values, vec![0.0, 0.0]); // x = 0, y = 0
     }
 
@@ -185,24 +176,14 @@ mod tests {
         // divbin's r starts at A (input-dependent): no constant pin
         // exists, so fractional sampling must decline.
         let problem = nla_problem("divbin").unwrap();
-        assert!(fractional_points(&problem, 0, &FractionalConfig::default()).is_none());
+        assert!(fractional_points(&problem, 0, INTERVAL).is_none());
     }
 
     #[test]
     fn finer_interval_generates_more_points() {
         let problem = nla_problem("ps5").unwrap();
-        let coarse = fractional_points(
-            &problem,
-            0,
-            &FractionalConfig { interval: 0.5, ..FractionalConfig::default() },
-        )
-        .unwrap();
-        let fine = fractional_points(
-            &problem,
-            0,
-            &FractionalConfig { interval: 0.25, ..FractionalConfig::default() },
-        )
-        .unwrap();
+        let coarse = fractional_points(&problem, 0, 0.5).unwrap();
+        let fine = fractional_points(&problem, 0, 0.25).unwrap();
         assert!(fine.points.len() > coarse.points.len());
     }
 }

@@ -16,8 +16,8 @@
 
 use crate::data::{collect_loop_states, Dataset};
 use crate::events::{Event, StopReason};
-use crate::extract::{extract_formula, FitPoints};
-use crate::fractional::{fractional_points, FractionalConfig};
+use crate::extract::{extract_formula, FitPoints, FIT_TOL};
+use crate::fractional::fractional_points;
 use crate::model::{train_equality_gcln, GclnConfig};
 use crate::spec::ProblemSpec;
 use crate::terms::{growth_filter, TermSpace};
@@ -32,23 +32,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pipeline settings; the defaults mirror the paper's §6 configuration
-/// with the ablation switches of Table 3.
+/// with the ablation switches of Table 3. The stage settings no caller
+/// varies are constants of their stage modules: PBQU training in
+/// [`crate::bounds`], rounding in [`crate::extract`], sampling in
+/// [`crate::fractional`], and the checker in `gcln_checker::check`.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Equality-model hyperparameters.
+    /// Equality-model hyperparameters. Each training attempt derives its
+    /// own `seed`, `dropout_rate` and `weight_reg` from [`Self::seed`],
+    /// the attempt, and the two ablation switches below, so the values
+    /// given here for those three fields are ignored.
     pub gcln: GclnConfig,
-    /// Inequality-bound hyperparameters.
-    pub bounds: crate::bounds::BoundsConfig,
-    /// Extraction settings (denominators 10/15/30).
-    pub extract: crate::extract::ExtractConfig,
-    /// Fractional-sampling settings.
-    pub fractional: FractionalConfig,
-    /// Checker settings.
-    pub checker: gcln_checker::CheckerConfig,
     /// Input tuples sampled for trace collection.
     pub max_inputs: usize,
-    /// `nondet` seeds per input during trace collection.
-    pub trace_seeds: u64,
     /// Row normalization target (`None` ablates data normalization).
     pub normalize: Option<f64>,
     /// Term dropout (Table 3 ablation switch).
@@ -57,27 +53,28 @@ pub struct PipelineConfig {
     pub enable_weight_reg: bool,
     /// Fractional sampling (Table 3 ablation switch).
     pub enable_fractional: bool,
-    /// Whether to learn PBQU inequality bounds.
-    pub learn_inequalities: bool,
     /// Exact kernel completion of the equality conjunction after
     /// training (see [`crate::kernel`]); disabled for the pure-model
     /// stability study.
     pub kernel_completion: bool,
-    /// Growth-filter magnitude cap.
-    pub magnitude_cap: f64,
     /// Training attempts per loop; dropout decays 0.3 → 0 across them
     /// (§6: "decrease by 0.1 after each failed attempt").
     pub max_attempts: usize,
     /// CEGIS rounds (counterexample feedback) after the first check.
     pub cegis_rounds: usize,
-    /// Input-range widening factor for checking, so bounds overfitted to
-    /// the training range are refuted.
-    pub widen_factor: i128,
-    /// Cap on training samples per loop.
-    pub max_samples_per_loop: usize,
     /// Master seed.
     pub seed: u64,
 }
+
+/// `nondet` seeds per input during trace collection.
+const TRACE_SEEDS: u64 = 2;
+/// Cap on training samples per loop (validation gets twice as many).
+const MAX_SAMPLES_PER_LOOP: usize = 400;
+/// Input-range widening factor for checking, so bounds overfitted to the
+/// training range are refuted.
+const WIDEN_FACTOR: i128 = 2;
+/// Growth-filter magnitude cap.
+pub(crate) const MAGNITUDE_CAP: f64 = 1e10;
 
 impl PipelineConfig {
     /// The quick single-program profile (`gcln run --fast`, and served
@@ -97,23 +94,14 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             gcln: GclnConfig::default(),
-            bounds: crate::bounds::BoundsConfig::default(),
-            extract: crate::extract::ExtractConfig::default(),
-            fractional: FractionalConfig::default(),
-            checker: gcln_checker::CheckerConfig::default(),
             max_inputs: 120,
-            trace_seeds: 2,
             normalize: Some(10.0),
             enable_dropout: true,
             enable_weight_reg: true,
             enable_fractional: true,
-            learn_inequalities: true,
             kernel_completion: true,
-            magnitude_cap: 1e10,
             max_attempts: 4,
             cegis_rounds: 2,
-            widen_factor: 2,
-            max_samples_per_loop: 400,
             seed: 20,
         }
     }
@@ -249,7 +237,7 @@ impl Engine {
     }
 
     /// Attaches a shared Trace-stage cache: jobs whose
-    /// `(source, input ranges, extended terms, trace config)` tuple has
+    /// `(source, input ranges, extended terms, max_inputs)` tuple has
     /// been seen before reuse the collected training data instead of
     /// re-running the interpreter. Trace collection is deterministic,
     /// so cached runs stay bit-identical to cold runs.
@@ -357,8 +345,8 @@ pub(crate) fn collect_trace(
     }
     let points: Vec<Vec<Vec<f64>>> = (0..num_loops)
         .map(|l| {
-            let pts = collect_loop_states(problem, l, config.max_inputs, config.trace_seeds);
-            evenly_subsample(pts, config.max_samples_per_loop)
+            let pts = collect_loop_states(problem, l, config.max_inputs, TRACE_SEEDS);
+            evenly_subsample(pts, MAX_SAMPLES_PER_LOOP)
         })
         .collect();
     let widened = widened_input_tuples(problem, config);
@@ -375,12 +363,11 @@ pub(crate) fn collect_trace(
         // conjunct must fit these before it reaches the checker, which
         // kills bounds overfitted to the training range (our substitute
         // for Z3's unbounded refutation).
-        let widened_problem = widen_ranges(problem, config);
+        let widened_problem = widen_ranges(problem);
         validation_points = (0..num_loops)
             .map(|l| {
-                let pts =
-                    collect_loop_states(&widened_problem, l, config.max_inputs, config.trace_seeds);
-                evenly_subsample(pts, config.max_samples_per_loop * 2)
+                let pts = collect_loop_states(&widened_problem, l, config.max_inputs, TRACE_SEEDS);
+                evenly_subsample(pts, MAX_SAMPLES_PER_LOOP * 2)
             })
             .collect();
         if let Some((c, t)) = cache_tag {
@@ -413,21 +400,21 @@ pub(crate) fn absorb(formula: &Formula) -> Formula {
     Formula::and(kept).simplify()
 }
 
-/// Fractional-sampling equality learning: train on relaxed samples over
-/// `V ∪ V0`, pin `V0` to the true initial values, validate on the integer
-/// data, and return the surviving equality atoms (over the extended
-/// space).
+/// Fractional-sampling equality learning: train on relaxed samples (on an
+/// offset grid of the given `interval`) over `V ∪ V0`, pin `V0` to the
+/// true initial values, validate on the integer data, and return the
+/// surviving equality atoms (over the extended space).
 pub(crate) fn learn_fractional(
     problem: &Problem,
     loop_id: usize,
     ext_names: &[String],
     integer_points: &[Vec<f64>],
     config: &PipelineConfig,
-    frac_cfg: &FractionalConfig,
+    interval: f64,
 ) -> Option<Vec<gcln_logic::Atom>> {
-    let data = fractional_points(problem, loop_id, frac_cfg)?;
+    let data = fractional_points(problem, loop_id, interval)?;
     let space = TermSpace::enumerate(data.names.clone(), problem.max_degree);
-    let keep = growth_filter(&space, &data.points, config.magnitude_cap);
+    let keep = growth_filter(&space, &data.points, MAGNITUDE_CAP);
     let space = space.select(&keep);
     let ds = Dataset::from_points(data.points.clone(), &space, config.normalize);
     if ds.is_empty() {
@@ -440,7 +427,7 @@ pub(crate) fn learn_fractional(
         ..config.gcln.clone()
     };
     let model = train_equality_gcln(&ds.columns(), &gcln_cfg);
-    let relaxed = extract_formula(&model, &space, &data.points, &config.extract);
+    let relaxed = extract_formula(&model, &space, &data.points);
 
     // Pin V0: substitution mapping [V..., V0...] into the extended space.
     let ext_arity = ext_names.len();
@@ -457,9 +444,7 @@ pub(crate) fn learn_fractional(
     let fit = FitPoints::new(integer_points);
     let mut out = Vec::new();
     for atom in pinned.atoms() {
-        if atom.pred == Pred::Eq
-            && !atom.poly.is_zero()
-            && fit.fits(&atom.poly, Pred::Eq, config.extract.fit_tol)
+        if atom.pred == Pred::Eq && !atom.poly.is_zero() && fit.fits(&atom.poly, Pred::Eq, FIT_TOL)
         {
             let mut a = atom.clone();
             a.poly = a.poly.normalize_content();
@@ -499,21 +484,21 @@ pub(crate) fn bound_direction(poly: &Poly) -> Poly {
 }
 
 /// The problem with the upper end of every input range widened by
-/// `widen_factor` (shared by validation-point collection and checker
+/// [`WIDEN_FACTOR`] (shared by validation-point collection and checker
 /// tuple sampling — the two must never diverge).
-fn widen_ranges(problem: &Problem, config: &PipelineConfig) -> Problem {
+fn widen_ranges(problem: &Problem) -> Problem {
     let mut widened = problem.clone();
     for (lo, hi) in &mut widened.input_ranges {
         let span = (*hi - *lo).max(1);
-        *hi += span * (config.widen_factor - 1).max(0);
+        *hi += span * (WIDEN_FACTOR - 1);
     }
     widened
 }
 
 /// Input tuples for checking: the training ranges widened by
-/// `widen_factor` so range-overfitted bounds get refuted.
+/// [`WIDEN_FACTOR`] so range-overfitted bounds get refuted.
 fn widened_input_tuples(problem: &Problem, config: &PipelineConfig) -> Vec<Vec<i128>> {
-    gcln_problems::sample_inputs(&widen_ranges(problem, config), config.max_inputs)
+    gcln_problems::sample_inputs(&widen_ranges(problem), config.max_inputs)
 }
 
 #[cfg(test)]

@@ -39,12 +39,13 @@ use crate::bounds::learn_bounds;
 use crate::data::Dataset;
 use crate::events::{Event, Stage, StopReason};
 use crate::extract::extract_formula;
-use crate::fractional::FractionalConfig;
+use crate::fractional::INTERVAL;
 use crate::kernel::kernel_equalities;
 use crate::model::{train_equality_gcln, GclnConfig, TrainedGcln};
 use crate::run::{
     absorb, bound_direction, collect_trace, learn_fractional, prune_falsified_conjuncts,
     CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig, TraceCollection,
+    MAGNITUDE_CAP,
 };
 use crate::terms::{growth_filter_with_duplicates, TermSpace};
 use gcln_checker::{check, Candidate, CheckReport};
@@ -506,7 +507,7 @@ impl StagedJob {
                     if self.config.kernel_completion {
                         tasks.push(self.kernel_task(l, &lr.setup));
                     }
-                    if self.config.learn_inequalities && !lr.setup.ds_empty {
+                    if !lr.setup.ds_empty {
                         tasks.push(self.bounds_task(l, &lr.setup));
                     }
                     let scratch = ExtractScratch {
@@ -579,7 +580,7 @@ impl StagedJob {
                     // so it is charged against the step budget like a
                     // restart attempt.
                     if want_fractional && self.take_steps(1) == 1 {
-                        let task = self.fractional_task(l, self.config.fractional.interval);
+                        let task = self.fractional_task(l, INTERVAL);
                         self.phase = Phase::FractionalWait { round, loop_id: l, second: false };
                         return self.run(vec![task]);
                     }
@@ -602,7 +603,7 @@ impl StagedJob {
                     }
                     let retry = !self.cur.as_ref().expect("scratch").1.used_fractional && !second;
                     if retry && self.take_steps(1) == 1 {
-                        let task = self.fractional_task(l, self.config.fractional.interval / 2.0);
+                        let task = self.fractional_task(l, INTERVAL / 2.0);
                         self.phase = Phase::FractionalWait { round, loop_id: l, second: true };
                         return self.run(vec![task]);
                     }
@@ -750,11 +751,9 @@ impl StagedJob {
     fn finalize_loop(&mut self, round: usize, l: usize) {
         let (lr, scratch) = self.cur.take().expect("extract scratch");
         let mut parts = scratch.best_eq;
-        if self.config.learn_inequalities && !lr.setup.ds_empty {
-            for atom in scratch.bound_atoms {
-                if !self.banned[l].contains(&bound_direction(&atom.poly)) {
-                    parts.push(Formula::Atom(atom));
-                }
+        for atom in scratch.bound_atoms {
+            if !self.banned[l].contains(&bound_direction(&atom.poly)) {
+                parts.push(Formula::Atom(atom));
             }
         }
         let formula = absorb(&Formula::and(parts).simplify());
@@ -810,7 +809,7 @@ impl StagedJob {
         let points = self.points[loop_id].clone();
         self.task(TaskKind::Setup, move || {
             let space_all = TermSpace::enumerate(ext_names.to_vec(), problem.max_degree);
-            let filtered = growth_filter_with_duplicates(&space_all, &points, config.magnitude_cap);
+            let filtered = growth_filter_with_duplicates(&space_all, &points, MAGNITUDE_CAP);
             let space = space_all.select(&filtered.keep);
             let ds = Dataset::from_points((*points).clone(), &space, config.normalize);
             let ds_empty = ds.is_empty();
@@ -866,12 +865,11 @@ impl StagedJob {
         model: Arc<TrainedGcln>,
         setup: &LoopSetup,
     ) -> Task {
-        let config = self.config.clone();
         let space = setup.space.clone();
         let points = self.points[loop_id].clone();
         self.task(TaskKind::Extract, move || Out::Extract {
             attempt,
-            formula: extract_formula(&model, &space, &points, &config.extract),
+            formula: extract_formula(&model, &space, &points),
         })
     }
 
@@ -884,12 +882,11 @@ impl StagedJob {
     }
 
     fn bounds_task(&mut self, loop_id: usize, setup: &LoopSetup) -> Task {
-        let config = self.config.clone();
         let space = setup.space.clone();
         let columns = setup.columns.clone();
         let points = self.points[loop_id].clone();
         self.task(TaskKind::Bounds, move || Out::Bounds {
-            atoms: learn_bounds(&space, &points, &columns, &config.bounds),
+            atoms: learn_bounds(&space, &points, &columns),
         })
     }
 
@@ -898,17 +895,13 @@ impl StagedJob {
         let config = self.config.clone();
         let ext_names = self.ext_names.clone();
         let points = self.points[loop_id].clone();
-        self.task(TaskKind::Fractional, move || {
-            let frac_cfg = FractionalConfig { interval, ..config.fractional.clone() };
-            Out::Fractional {
-                atoms: learn_fractional(&problem, loop_id, &ext_names, &points, &config, &frac_cfg),
-            }
+        self.task(TaskKind::Fractional, move || Out::Fractional {
+            atoms: learn_fractional(&problem, loop_id, &ext_names, &points, &config, interval),
         })
     }
 
     fn check_task(&mut self) -> Task {
         let problem = self.problem.clone();
-        let config = self.config.clone();
         let widened = self.widened.clone();
         let candidates: Vec<Candidate> = self
             .loops
@@ -917,7 +910,7 @@ impl StagedJob {
             .collect();
         self.task(TaskKind::Check, move || {
             let extend = |s: &[i128]| problem.extend_state(s);
-            Out::Check(check(&problem.program, &widened, &extend, &candidates, &config.checker))
+            Out::Check(check(&problem.program, &widened, &extend, &candidates))
         })
     }
 

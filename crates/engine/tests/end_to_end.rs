@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full workflow of paper Fig. 3 on
 //! representative problems from both suites.
 
-use gcln_checker::{check, equalities_imply, equality_polys, Candidate, CheckerConfig};
+use gcln_checker::{check, equalities_imply, equality_polys, Candidate};
 use gcln_engine::{
     Engine, Event, GclnConfig, InferenceOutcome, Job, PipelineConfig, ProblemSpec, Stage,
 };
@@ -62,7 +62,7 @@ fn learned_invariants_are_checkable_artifacts() {
         .collect();
     let tuples = sample_inputs(&problem, 50);
     let extend = |s: &[i128]| problem.extend_state(s);
-    let report = check(&problem.program, &tuples, &extend, &candidates, &CheckerConfig::default());
+    let report = check(&problem.program, &tuples, &extend, &candidates);
     assert!(report.is_valid());
 }
 
@@ -117,8 +117,7 @@ fn ground_truths_accepted_by_checker_via_facade() {
             .collect();
         let tuples = sample_inputs(&problem, 80);
         let extend = |s: &[i128]| problem.extend_state(s);
-        let report =
-            check(&problem.program, &tuples, &extend, &candidates, &CheckerConfig::default());
+        let report = check(&problem.program, &tuples, &extend, &candidates);
         assert!(report.is_valid(), "{name}: {:?}", report.counterexamples.first());
     }
 }

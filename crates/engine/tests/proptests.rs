@@ -1,9 +1,9 @@
 //! Property tests for the G-CLN core: extraction round-trips, bound
 //! validity, normalization invariances, and term-space combinatorics.
 
-use gcln_engine::bounds::{learn_bounds, BoundsConfig};
+use gcln_engine::bounds::learn_bounds;
 use gcln_engine::data::{normalize_row, Dataset};
-use gcln_engine::extract::{atom_fits, round_equality, ExtractConfig};
+use gcln_engine::extract::{atom_fits, round_equality};
 use gcln_engine::terms::{growth_filter_with_duplicates, TermSpace};
 use gcln_logic::Pred;
 use gcln_numeric::Rat;
@@ -69,7 +69,7 @@ proptest! {
         let scale = 1.0 / (num_a.abs().max(num_b) as f64);
         w[idx("x")] = num_a as f64 * scale + noise;
         w[idx("y")] = -num_b as f64 * scale - noise / 2.0;
-        let atom = round_equality(&w, &space, &points, &ExtractConfig::default());
+        let atom = round_equality(&w, &space, &points);
         prop_assert!(atom.is_some(), "direction lost");
         let atom = atom.unwrap();
         prop_assert!(atom_fits(&atom.poly, Pred::Eq, &points, 1e-9));
@@ -94,8 +94,7 @@ proptest! {
         };
         let points: Vec<Vec<f64>> = (0..n_points).map(|_| vec![next(), next()]).collect();
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let config = BoundsConfig { epochs: 60, ..BoundsConfig::default() };
-        let bounds = learn_bounds(&space, &points, &ds.columns(), &config);
+        let bounds = learn_bounds(&space, &points, &ds.columns());
         for b in &bounds {
             prop_assert!(
                 atom_fits(&b.poly, Pred::Ge, &points, 1e-9),

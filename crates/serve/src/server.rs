@@ -430,8 +430,15 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         cfg,
     });
 
+    shared.jobs.lock().unwrap().extend(resubmits.iter().map(|(r, _, _)| (r.id, r.clone())));
+    // A rejected record would otherwise stay on disk and be counted
+    // again at every later restart.
+    if journal_rejected > 0 {
+        if let Some(journal) = &shared.journal {
+            compact_journal(&shared, journal);
+        }
+    }
     for (record, spec, submission) in resubmits {
-        shared.jobs.lock().unwrap().insert(record.id, record.clone());
         launch_job(&shared, &record, spec, &submission);
     }
 
@@ -830,37 +837,37 @@ fn finish_record(
         if let Err(e) = journal.append(&line) {
             eprintln!("[gcln-serve] journal append failed for {}: {e}", record.api_id());
         }
-        let compact: Option<Vec<Arc<JobRecord>>> =
-            (journal.size_bytes() > shared.cfg.journal_compact_bytes).then(|| {
-                let jobs = shared.jobs.lock().unwrap();
-                let mut all: Vec<Arc<JobRecord>> = jobs.values().cloned().collect();
-                all.sort_unstable_by_key(|r| r.id);
-                all
-            });
-        if let Some(records) = compact {
-            // Done jobs keep their result line; incomplete jobs keep
-            // their admit line, so a crash after this rewrite still
-            // resubmits them on restart.
-            let lines: Vec<String> = records
-                .iter()
-                .filter_map(|r| {
-                    if r.state.lock().unwrap().status == JobStatus::Done {
-                        Some(format!(r#"{{"type":"job",{}}}"#, r.body_json()))
-                    } else {
-                        r.admit_line.clone()
-                    }
-                })
-                .collect();
-            match journal.rewrite(&lines) {
-                Ok(()) => {
-                    shared.compactions.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => eprintln!("[gcln-serve] journal compaction failed: {e}"),
-            }
+        if journal.size_bytes() > shared.cfg.journal_compact_bytes {
+            compact_journal(shared, journal);
         }
     }
     shared.completed.fetch_add(1, Ordering::Relaxed);
     shared.admission.lock().unwrap().active -= 1;
+}
+
+/// Rewrites the journal from the retained job records. Done jobs keep
+/// their result line; incomplete jobs keep their admit line, so a crash
+/// after this rewrite still resubmits them on restart. Callers hold the
+/// journal gate, or run before any job can complete.
+fn compact_journal(shared: &Shared, journal: &Journal) {
+    let mut records: Vec<Arc<JobRecord>> = shared.jobs.lock().unwrap().values().cloned().collect();
+    records.sort_unstable_by_key(|r| r.id);
+    let lines: Vec<String> = records
+        .iter()
+        .filter_map(|r| {
+            if r.state.lock().unwrap().status == JobStatus::Done {
+                Some(format!(r#"{{"type":"job",{}}}"#, r.body_json()))
+            } else {
+                r.admit_line.clone()
+            }
+        })
+        .collect();
+    match journal.rewrite(&lines) {
+        Ok(()) => {
+            shared.compactions.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(e) => eprintln!("[gcln-serve] journal compaction failed: {e}"),
+    }
 }
 
 /// Parses `job-<n>` into the numeric id.

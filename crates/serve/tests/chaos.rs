@@ -5,7 +5,7 @@
 //! quarantine breaker, a failed journal append rolls the admission
 //! back, admitted-but-incomplete journal records are resubmitted (and
 //! recomputed bit-identically) after a restart, and admit records that
-//! admission would reject are skipped there.
+//! admission would reject are skipped there and compacted away.
 //!
 //! The out-of-process kill -9 variant lives in
 //! `scripts/chaos_smoke.sh`.
@@ -208,8 +208,8 @@ fn admit_records_that_admission_would_reject_are_skipped_on_restart() {
     let path = temp_path("unadmittable.jsonl");
     let _ = std::fs::remove_file(&path);
     // CRC-valid admit records whose submissions `POST /jobs` answers
-    // with 400: each is counted as skipped, none is resubmitted, and
-    // none stops the server from starting.
+    // with 400: each is counted as skipped once, none is resubmitted,
+    // and none stops the server from starting.
     let cases = [
         (1, r#""max_degree":0"#, "degree below the range"),
         (2, r#""max_degree":4294967299"#, "degree beyond u32"),
@@ -243,6 +243,16 @@ fn admit_records_that_admission_would_reject_are_skipped_on_restart() {
         let resp = request(addr, "GET", &format!("/jobs/job-{id}"), None).unwrap();
         assert_eq!(resp.status, 404, "{why}: {}", resp.body);
     }
+    handle.shutdown();
+    // The first restart compacted the skipped records away, so the next
+    // one does not count them again.
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(!text.contains("admitted"), "skipped records stay on disk: {text}");
+    let handle =
+        start(ServeConfig { journal: Some(path.clone()), ..ServeConfig::default() }).unwrap();
+    let stats = request(handle.local_addr(), "GET", "/stats", None).unwrap().json().unwrap();
+    let skipped = stats.get("journal").and_then(|j| j.get("lines_skipped")).and_then(Json::as_u64);
+    assert_eq!(skipped, Some(0), "{}", stats.render());
     handle.shutdown();
     let _ = std::fs::remove_file(&path);
 }
