@@ -6,16 +6,19 @@
 //! gcln run <file.loop|registry-name> [--fast] [--json] [--deadline S]
 //!          [--steps N] [--max-degree D] [--range LO:HI ...]
 //! gcln suite nla|linear [--fast] [--json] [--limit N] [--expect N] [--workers N] [name ...]
-//! gcln table2 [--fast] [--json] [--expect N] [--workers N] [name ...]
 //! gcln table3 [--all | name ...]
 //! gcln table4 [--runs N]
-//! gcln code2inv [--limit N] [--json] [--expect N] [--workers N]
-//! gcln table1                 # alias of `fig 4`
 //! gcln fig <1|2|4|6|7|8|10> [args]
 //! gcln inspect <problem> [--bounds]
 //! gcln serve [--port P] [--workers N] [--queue-cap N] [--journal PATH] [--rate-limit RPS]
 //!            [--journal-fsync always|never] [--faults SPEC]
 //! ```
+//!
+//! `gcln suite nla` is the paper's Table 2 (27 NLA problems) and
+//! `gcln suite linear` its §6.4 linear benchmark (124 problems); Table 1
+//! is the normalized half of `gcln fig 4`. Every `--fast` — on `run`, on
+//! `suite`, and a served job's `fast` field — means the one reduced
+//! profile, [`PipelineConfig::fast`].
 //!
 //! `--faults` (or the `GCLN_FAULTS` environment variable) arms
 //! deterministic fault injection for chaos testing, e.g.
@@ -31,14 +34,13 @@ use gcln_engine::events::{json_string, result_members};
 use gcln_engine::{Engine, Event, Job, PipelineConfig, ProblemSpec};
 use std::time::Duration;
 
-const USAGE: &str = "usage: gcln <run|suite|table1|table2|table3|table4|code2inv|fig|inspect|serve> [args]
+const USAGE: &str = "usage: gcln <run|suite|table3|table4|fig|inspect|serve> [args]
   run <file.loop|name> [--fast] [--json] [--deadline S] [--steps N] [--max-degree D] [--range LO:HI ...]
   suite <nla|linear>   [--fast] [--json] [--limit N] [--expect N] [--workers N] [name ...]
-  table2               [--fast] [--json] [--expect N] [--workers N] [name ...]
+                       (nla = Table 2, linear = the 124-problem linear suite of §6.4)
   table3               [--all | name ...]
   table4               [--runs N]
-  code2inv             [--limit N] [--json] [--expect N] [--workers N]
-  fig <1|2|4|6|7|8|10> [args]
+  fig <1|2|4|6|7|8|10> [args]              (Table 1 is part of fig 4)
   inspect <problem>    [--bounds]
   serve                [--port P] [--workers N] [--queue-cap N] [--journal PATH] [--rate-limit RPS]
                        [--journal-fsync always|never] [--faults SPEC]";
@@ -197,10 +199,8 @@ pub fn main_with_args(args: &[String]) -> i32 {
     let allowed: &[&str] = match cmd.as_str() {
         "run" => &["--fast", "--json", "--deadline", "--steps", "--max-degree", "--range"],
         "suite" => &["--fast", "--json", "--limit", "--expect", "--workers"],
-        "table2" => &["--fast", "--json", "--expect", "--workers"],
         "table3" => &["--all"],
         "table4" => &["--runs"],
-        "code2inv" => &["--limit", "--json", "--expect", "--workers"],
         "inspect" => &["--bounds"],
         "serve" => &[
             "--port",
@@ -239,10 +239,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 }
             }
         }
-        "table2" => {
-            let summary = tables::table2(&flags.rest, flags.fast, flags.json, flags.workers);
-            expect_code(&summary, flags.expect)
-        }
         "table3" => {
             let mut args = flags.rest.clone();
             if flags.all {
@@ -253,16 +249,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
         }
         "table4" => {
             tables::table4(flags.runs.unwrap_or(20));
-            0
-        }
-        "code2inv" => {
-            let summary =
-                tables::code2inv(flags.limit.unwrap_or(usize::MAX), flags.json, flags.workers);
-            expect_code(&summary, flags.expect)
-        }
-        "table1" => {
-            // Table 1 is the normalized half of the Figure 4 output.
-            figs::fig4();
             0
         }
         "fig" => {
@@ -598,6 +584,10 @@ mod tests {
         assert_eq!(main_with_args(&["suite".into(), "jupiter".into()]), 1);
         assert_eq!(main_with_args(&["fig".into(), "99".into()]), 1);
         assert_eq!(main_with_args(&["run".into()]), 1);
+        // The retired suite commands are unknown: `suite` replaces them.
+        for retired in ["table1", "table2", "code2inv"] {
+            assert_eq!(main_with_args(&[retired.into()]), 1, "{retired}");
+        }
         assert_eq!(main_with_args(&["help".into()]), 0);
     }
 }

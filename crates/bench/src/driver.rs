@@ -1,8 +1,7 @@
-//! The shared suite driver: every multi-problem experiment (Table 2,
-//! the linear/Code2Inv suite, ad-hoc `gcln suite` runs) goes through
+//! The shared suite driver: both suite experiments of `gcln suite`
+//! (Table 2's NLA problems and the §6.4 linear suite) go through
 //! [`run_suite`], which owns the scheduler fan-out, completion-order
-//! progress reporting, solved-criterion tallying, and JSON output —
-//! logic that used to be copy-pasted across the per-table binaries.
+//! progress reporting, solved-criterion tallying, and JSON records.
 //!
 //! Problems run through the `gcln-sched` stage-graph scheduler (one
 //! shared worker pool, stage-task granularity) rather than a
@@ -38,9 +37,11 @@ pub struct ProblemRow {
     pub seconds: f64,
     /// CEGIS rounds consumed.
     pub cegis_rounds: usize,
-    /// Paper-reported degree (NLA only; 0 otherwise).
+    /// Degree column: the paper's Table 2 value (NLA), else the
+    /// problem's own polynomial degree.
     pub table_degree: u32,
-    /// Paper-reported variable count (NLA only; 0 otherwise).
+    /// Variables column: the paper's Table 2 value (NLA), else the
+    /// program's variable count.
     pub table_vars: usize,
 }
 
@@ -114,12 +115,7 @@ impl SuiteSummary {
 /// solved criterion. Progress lines stream to stderr in completion
 /// order (so long runs are watchable); the returned rows are in input
 /// order, so tabular output stays deterministic.
-pub fn run_suite(suite: &str, problems: &[Problem], config: &PipelineConfig) -> SuiteSummary {
-    run_suite_with(suite, problems, config, None)
-}
-
-/// [`run_suite`] with an explicit scheduler worker count.
-pub fn run_suite_with(
+pub fn run_suite(
     suite: &str,
     problems: &[Problem],
     config: &PipelineConfig,

@@ -1,15 +1,17 @@
 //! # gcln-bench — experiment harnesses for every table and figure
 //!
 //! One `gcln` binary fronts every experiment (see [`cli`]):
-//! `gcln table2` (main NLA results), `gcln table3` (ablation),
-//! `gcln table4` (stability), `gcln code2inv` (linear suite),
-//! `gcln suite nla|linear` (generic suite runs), `gcln fig <n>` (figure
-//! data series), `gcln run <file.loop>` (arbitrary programs through the
+//! `gcln suite nla` (Table 2, the NLA results), `gcln suite linear` (the
+//! §6.4 linear suite), `gcln table3` (ablation), `gcln table4`
+//! (stability), `gcln fig <n>` (figure data series; Table 1 is part of
+//! `fig 4`), `gcln run <file.loop>` (arbitrary programs through the
 //! staged engine), and `gcln inspect` (single-problem diagnostics).
+//! `--fast` on `run` and `suite` selects the one reduced profile,
+//! [`gcln_engine::PipelineConfig::fast`].
 //! Criterion benches live in `benches/`; per-stage timings come from the
 //! stage events of `gcln run <problem> --json`.
 //!
-//! The [`driver`] module owns the shared suite machinery (rayon
+//! The [`driver`] module owns the shared suite machinery (scheduler
 //! fan-out, completion-order progress, tallying, JSON records); this
 //! root holds the shared "solved" criterion: a problem counts as solved
 //! when the pipeline's invariant (a) passes the checker and (b) implies

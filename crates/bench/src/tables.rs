@@ -1,115 +1,18 @@
-//! Table and suite experiments (`gcln table2|table3|table4|code2inv|
-//! suite|inspect`), rebuilt on the shared [`crate::driver`]. The stdout
-//! formats of the former standalone binaries are preserved.
+//! Table and suite experiments (`gcln suite|table3|table4|inspect`);
+//! the suites run on the shared [`crate::driver`].
 
-use crate::driver::{run_suite_with, SuiteSummary};
+use crate::driver::{run_suite, SuiteSummary};
 use crate::{secs, solve_status};
 use gcln_baselines::cln::{train_template_cln, ClnTemplate};
 use gcln_engine::{Engine, GclnConfig, Job, PipelineConfig};
-use gcln_problems::linear::linear_suite;
 use gcln_problems::nla::{nla_problem, nla_suite};
 use gcln_problems::{find_problem, Problem};
 use rayon::prelude::*;
 
-/// Emits the driver's JSON records (one object per problem + a summary
-/// record) to stdout.
-pub fn emit_json(summary: &SuiteSummary) {
-    for row in &summary.rows {
-        println!("{}", row.to_json());
-    }
-    println!("{}", summary.to_json());
-}
-
-/// The suite-level `--fast` profile, shared by `table2` and `suite` so
-/// the same flag means the same run on the same problems. (It differs
-/// deliberately from [`PipelineConfig::fast`], the cheaper
-/// single-program profile of `gcln run`.)
-fn fast_suite_config() -> PipelineConfig {
-    PipelineConfig {
-        gcln: GclnConfig { max_epochs: 1200, ..GclnConfig::default() },
-        max_attempts: 2,
-        ..PipelineConfig::default()
-    }
-}
-
-/// **Table 2**: per-problem results on the 27-problem NLA nonlinear
-/// benchmark (problem, degree, #vars, G-CLN solved?, runtime).
-pub fn table2(filter: &[String], fast: bool, json: bool, workers: Option<usize>) -> SuiteSummary {
-    let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    let problems: Vec<Problem> =
-        nla_suite().into_iter().filter(|p| filter.is_empty() || filter.contains(&p.name)).collect();
-    if !json {
-        println!("Table 2: NLA nonlinear loop invariant benchmark (27 problems)");
-        println!(
-            "{:<10} {:>6} {:>6} {:>8} {:>9}  note",
-            "problem", "deg", "vars", "G-CLN", "time(s)"
-        );
-    }
-    let summary = run_suite_with("nla", &problems, &config, workers);
-    if json {
-        emit_json(&summary);
-        return summary;
-    }
-    for row in &summary.rows {
-        println!(
-            "{:<10} {:>6} {:>6} {:>8} {:>9.1}  {}",
-            row.name,
-            row.table_degree,
-            row.table_vars,
-            if row.solved { "yes" } else { "NO" },
-            row.seconds,
-            row.note()
-        );
-    }
-    println!(
-        "solved {}/{}; avg per-problem {:.1}s (contended across {} scheduler worker(s)), wall {:.1}s \
-         (paper, sequential: 26/27, 53.3s; use --workers 1 for comparable per-problem times)",
-        summary.solved,
-        summary.attempted,
-        summary.total_seconds / summary.attempted.max(1) as f64,
-        summary.workers,
-        summary.wall_seconds,
-    );
-    summary
-}
-
-/// **§6.4 linear benchmark**: the pipeline over the 124-problem linear
-/// (Code2Inv-shape) suite. The paper solves all 124 in under 30 s each.
-pub fn code2inv(limit: usize, json: bool, workers: Option<usize>) -> SuiteSummary {
-    let config = PipelineConfig {
-        gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
-        max_attempts: 2,
-        ..PipelineConfig::default()
-    };
-    let problems: Vec<Problem> = linear_suite().into_iter().take(limit).collect();
-    if !json {
-        println!("Linear (Code2Inv-shape) suite: {} problems", problems.len());
-    }
-    let summary = run_suite_with("linear", &problems, &config, workers);
-    if json {
-        emit_json(&summary);
-        return summary;
-    }
-    for row in &summary.rows {
-        match &row.failure {
-            None => println!("{:<14} solved  {:>6.1}s", row.name, row.seconds),
-            Some(e) => println!("{:<14} FAILED  {:>6.1}s  {:?}", row.name, row.seconds, e),
-        }
-    }
-    println!(
-        "solved {}/{}; avg {:.1}s, max {:.1}s (contended across {} scheduler worker(s); \
-         paper, sequential: 124/124, < 30s each — use --workers 1 to compare)",
-        summary.solved,
-        summary.attempted,
-        summary.total_seconds / summary.attempted.max(1) as f64,
-        summary.max_seconds,
-        summary.workers,
-    );
-    summary
-}
-
-/// `gcln suite nla|linear`: the generic suite runner (driver-native
-/// output; the pretty paper tables stay on `table2`/`code2inv`).
+/// `gcln suite nla|linear`: one of the paper's two suite experiments —
+/// **Table 2** (the 27 NLA problems) or the **§6.4 linear benchmark**
+/// (124 Code2Inv-shape problems) — filtered by name and cut to `limit`
+/// problems. `None` for an unknown suite name.
 pub fn suite(
     which: &str,
     fast: bool,
@@ -123,25 +26,48 @@ pub fn suite(
         .filter(|p| filter.is_empty() || filter.contains(&p.name))
         .take(limit)
         .collect();
-    let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    let summary = run_suite_with(which, &problems, &config, workers);
-    if json {
-        emit_json(&summary);
-    } else {
-        for row in &summary.rows {
-            println!(
-                "{:<14} {:>8} {:>9.1}s  {}",
-                row.name,
-                if row.solved { "solved" } else { "FAILED" },
-                row.seconds,
-                row.note()
-            );
-        }
+    let (title, paper) = match which {
+        "nla" => ("Table 2: NLA nonlinear benchmark", "26/27, 53.3s in all"),
+        _ => ("§6.4: linear (Code2Inv-shape) benchmark", "124/124, < 30s each"),
+    };
+    if !json {
+        println!("{title}, {} problems", problems.len());
         println!(
-            "solved {}/{}; wall {:.1}s across {} scheduler worker(s)",
-            summary.solved, summary.attempted, summary.wall_seconds, summary.workers,
+            "{:<14} {:>4} {:>5} {:>7} {:>8}  note",
+            "problem", "deg", "vars", "solved", "time(s)"
         );
     }
+    let config = if fast { PipelineConfig::fast() } else { PipelineConfig::default() };
+    let summary = run_suite(which, &problems, &config, workers);
+    if json {
+        for row in &summary.rows {
+            println!("{}", row.to_json());
+        }
+        println!("{}", summary.to_json());
+        return Some(summary);
+    }
+    for row in &summary.rows {
+        let line = format!(
+            "{:<14} {:>4} {:>5} {:>7} {:>8.1}  {}",
+            row.name,
+            row.table_degree,
+            row.table_vars,
+            if row.solved { "yes" } else { "NO" },
+            row.seconds,
+            row.note()
+        );
+        println!("{}", line.trim_end());
+    }
+    println!(
+        "solved {}/{}; avg {:.1}s, max {:.1}s per problem (contended across {} scheduler \
+         worker(s)), wall {:.1}s (paper, sequential: {paper}; use --workers 1 to compare)",
+        summary.solved,
+        summary.attempted,
+        summary.total_seconds / summary.attempted.max(1) as f64,
+        summary.max_seconds,
+        summary.workers,
+        summary.wall_seconds,
+    );
     Some(summary)
 }
 

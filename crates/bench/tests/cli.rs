@@ -191,3 +191,17 @@ fn suite_expect_threshold_gates_the_exit_code() {
     let out = gcln(&["suite", "nla", "--json", "no-such-problem"]);
     assert_eq!(out.status.code(), Some(0));
 }
+
+#[test]
+fn run_fast_uses_the_second_cegis_round() {
+    // lin-branch-07's first check finds a counterexample; the fast
+    // profile's second CEGIS round repairs the invariant, as it does in
+    // `gcln suite linear --fast`.
+    let out = gcln(&["run", "lin-branch-07", "--fast", "--json"]);
+    assert!(out.status.success(), "exit {:?}", out.status.code());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let result =
+        stdout.lines().find(|l| l.starts_with(r#"{"type":"result""#)).expect("result record");
+    assert_eq!(json_field(result, "valid"), Some("true"), "{result}");
+    assert_eq!(json_field(result, "cegis_rounds"), Some("2"), "{result}");
+}

@@ -1,20 +1,17 @@
 //! Run the pipeline on a few problems of the 124-problem linear suite
 //! (the paper's §6.4 Code2Inv experiment, regenerated — see the
-//! `gcln_problems::linear` module docs).
+//! `gcln_problems::linear` module docs), with the same reduced profile
+//! as `gcln suite linear --fast`.
 //!
 //! Run with `cargo run --release --example linear_suite`.
 
-use gcln_engine::{Engine, GclnConfig, Job, PipelineConfig};
+use gcln_engine::{Engine, Job, PipelineConfig};
 use gcln_problems::linear::linear_suite;
 
 fn main() {
-    let config = PipelineConfig {
-        gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
-        max_attempts: 2,
-        ..PipelineConfig::default()
-    };
     for problem in linear_suite().into_iter().take(8) {
-        let outcome = Engine::new().run(&Job::new(problem.clone()).with_config(config.clone()));
+        let outcome =
+            Engine::new().run(&Job::new(problem.clone()).with_config(PipelineConfig::fast()));
         let names = problem.extended_names();
         println!(
             "{:<14} valid={} {}",

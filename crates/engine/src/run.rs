@@ -77,14 +77,15 @@ const WIDEN_FACTOR: i128 = 2;
 pub(crate) const MAGNITUDE_CAP: f64 = 1e10;
 
 impl PipelineConfig {
-    /// The quick single-program profile (`gcln run --fast`, and served
-    /// jobs that ask for `fast`): fewer epochs, two restart attempts,
-    /// one CEGIS round.
+    /// The one reduced profile, behind every `--fast`: `gcln run --fast`,
+    /// `gcln suite nla|linear --fast`, and served jobs that ask for
+    /// `fast`. 800 epochs and 2 training attempts per loop instead of
+    /// 2000 and 4; the default 2 CEGIS rounds, which only run when the
+    /// first check finds a counterexample.
     pub fn fast() -> PipelineConfig {
         PipelineConfig {
             gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
             max_attempts: 2,
-            cegis_rounds: 1,
             ..PipelineConfig::default()
         }
     }

@@ -762,17 +762,7 @@ impl StagedJob {
         // historically reports one consumed attempt.
         let attempts =
             if lr.setup.ds_empty { 1 } else { lr.models.iter().filter(|m| m.is_some()).count() };
-        let (validated, dropped) = prune_falsified_conjuncts(&formula, &self.validation_points[l]);
-        if std::env::var("GCLN_DEBUG").is_ok() {
-            eprintln!(
-                "[round {round}] loop {l}: learned {} conjuncts, validation dropped {}",
-                formula.conjuncts().len(),
-                dropped.len()
-            );
-            for d in &dropped {
-                eprintln!("  dropped: {}", d.display(&self.ext_names));
-            }
-        }
+        let (validated, _) = prune_falsified_conjuncts(&formula, &self.validation_points[l]);
         let formula_text = validated.display(&self.ext_names).to_string();
         self.emit(Event::InvariantLearned {
             round,

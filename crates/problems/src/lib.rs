@@ -139,9 +139,11 @@ pub struct Problem {
     pub ext_terms: Vec<ExtTerm>,
     /// Documented ground-truth invariants.
     pub ground_truth: Vec<GroundTruth>,
-    /// Polynomial degree reported in the paper's Table 2 (NLA only).
+    /// Polynomial degree reported in the paper's Table 2 (NLA); for
+    /// other problems, [`Problem::max_degree`].
     pub table_degree: u32,
-    /// Variable count reported in the paper's Table 2 (NLA only).
+    /// Variable count reported in the paper's Table 2 (NLA); for other
+    /// problems, the program's variable count.
     pub table_vars: usize,
     /// Whether the paper's G-CLN solves it (only `knuth` is false).
     pub expected_solved: bool,
@@ -195,8 +197,7 @@ pub(crate) struct ProblemBuilder {
     input_ranges: Vec<(i128, i128)>,
     ext_terms: Vec<ExtTerm>,
     ground_truth: Vec<GroundTruth>,
-    table_degree: u32,
-    table_vars: usize,
+    table: Option<(u32, usize)>,
     expected_solved: bool,
 }
 
@@ -210,8 +211,7 @@ impl ProblemBuilder {
             input_ranges: Vec::new(),
             ext_terms: Vec::new(),
             ground_truth: Vec::new(),
-            table_degree: 2,
-            table_vars: 0,
+            table: None,
             expected_solved: true,
         }
     }
@@ -237,8 +237,7 @@ impl ProblemBuilder {
     }
 
     pub(crate) fn table(mut self, degree: u32, vars: usize) -> Self {
-        self.table_degree = degree;
-        self.table_vars = vars;
+        self.table = Some((degree, vars));
         self
     }
 
@@ -256,6 +255,8 @@ impl ProblemBuilder {
             "problem `{}`: one sampling range per input",
             self.name
         );
+        let (table_degree, table_vars) =
+            self.table.unwrap_or((self.max_degree, program.num_vars()));
         Problem {
             name: self.name,
             suite: self.suite,
@@ -265,8 +266,8 @@ impl ProblemBuilder {
             input_ranges: self.input_ranges,
             ext_terms: self.ext_terms,
             ground_truth: self.ground_truth,
-            table_degree: self.table_degree,
-            table_vars: self.table_vars,
+            table_degree,
+            table_vars,
             expected_solved: self.expected_solved,
         }
     }

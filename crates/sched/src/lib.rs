@@ -51,10 +51,9 @@
 //! (`stopped: task_panicked`, events up to the panic intact) — the
 //! ticket always resolves and neighbor jobs stay bit-identical.
 //! Transient faults injected by a [`gcln_faults::Faults`] plan at the
-//! `sched.task_panic` site are retried up to
-//! [`SchedConfig::max_task_retries`] times per job on a deterministic
-//! exponential backoff schedule (1 ms × 2^(retry−1), no wall-clock
-//! randomness in the decision). A spec-hash-keyed circuit breaker
+//! `sched.task_panic` site are retried up to two times per job on a
+//! deterministic exponential backoff schedule (1 ms × 2^(retry−1), no
+//! wall-clock randomness in the decision). A spec-hash-keyed circuit breaker
 //! quarantines specs whose jobs died panicking twice: further
 //! submissions carrying that [`SubmitOptions::fault_key`] fail fast with
 //! `stopped: quarantined` before any task runs; that outcome is the
@@ -97,14 +96,15 @@ pub struct SchedConfig {
     pub workers: usize,
     /// Fault-injection plan (disabled by default; see [`gcln_faults`]).
     pub faults: Faults,
-    /// Transient-fault retries granted per job before the job fails
-    /// with `task_panicked`. Only faults injected *before* a task's
-    /// closure runs are retryable; a genuine panic consumes the task.
-    pub max_task_retries: u32,
     /// Pops a ring-resident job waits through before its effective
     /// priority rises one level. `None` disables aging.
     pub aging_interval: Option<u64>,
 }
+
+/// Transient-fault retries granted per job before the job fails with
+/// `task_panicked`. Only faults injected *before* a task's closure runs
+/// are retryable; a genuine panic consumes the task.
+const MAX_TASK_RETRIES: u32 = 2;
 
 /// Base of the deterministic retry backoff schedule: retry `n`
 /// (1-based) sleeps `RETRY_BACKOFF × 2^(n-1)`.
@@ -119,7 +119,6 @@ impl Default for SchedConfig {
         SchedConfig {
             workers: rayon::current_num_threads(),
             faults: Faults::disabled(),
-            max_task_retries: 2,
             aging_interval: Some(64),
         }
     }
@@ -697,12 +696,10 @@ fn run_stage_task(shared: &Arc<Shared>, job: &Arc<JobRun>, task: Task, enqueued:
                 // exponential backoff schedule while budget remains.
                 let attempt = {
                     let mut inner = job.inner.lock().unwrap();
-                    (inner.failed.is_none() && inner.retries < shared.cfg.max_task_retries).then(
-                        || {
-                            inner.retries += 1;
-                            inner.retries
-                        },
-                    )
+                    (inner.failed.is_none() && inner.retries < MAX_TASK_RETRIES).then(|| {
+                        inner.retries += 1;
+                        inner.retries
+                    })
                 };
                 if let Some(attempt) = attempt {
                     shared.metrics.task_retried();
@@ -938,17 +935,19 @@ mod tests {
         assert!(h.valid);
     }
 
-    /// Exactly one injected panic (probability 1.0, fire limit 1, no
-    /// retries): the unlucky job fails with a structured
+    /// Five injected panics (probability 1.0, fire limit 5) against two
+    /// jobs with two retries each: while the plan fires no task
+    /// succeeds, so each job holds just its trace task, and exactly one
+    /// job takes a third panic. It fails with a structured
     /// `task_panicked` partial outcome, every ticket resolves, and the
-    /// surviving job is bit-identical to its solo run.
+    /// surviving job (at most two retries) is bit-identical to its solo
+    /// run.
     #[test]
     fn injected_task_panic_fails_only_its_job_and_neighbors_match_solo() {
         let solo_ps2 = Engine::new().run(&quick_job("ps2"));
         let solo_ps3 = Engine::new().run(&quick_job("ps3"));
         let cfg = SchedConfig {
-            faults: Faults::parse("seed=1,sched.task_panic=1.0:1").unwrap(),
-            max_task_retries: 0,
+            faults: Faults::parse("seed=1,sched.task_panic=1.0:5").unwrap(),
             ..SchedConfig::with_workers(2)
         };
         let sched = Scheduler::new(cfg);
@@ -960,9 +959,10 @@ mod tests {
         let m = sched.metrics();
         sched.shutdown();
         assert_eq!(m.tasks_panicked, 1);
+        assert_eq!(m.tasks_retried, 4);
         let failed: Vec<usize> =
             (0..2).filter(|&i| outcomes[i].stopped == Some(StopReason::TaskPanicked)).collect();
-        assert_eq!(failed.len(), 1, "exactly one job absorbs the single injected panic");
+        assert_eq!(failed.len(), 1, "exactly one job exhausts its retries");
         for (i, outcome) in outcomes.iter().enumerate() {
             let solo = if i == 0 { &solo_ps2 } else { &solo_ps3 };
             if failed[0] == i {
@@ -992,7 +992,6 @@ mod tests {
         let solo = Engine::new().run(&quick_job("ps2"));
         let cfg = SchedConfig {
             faults: Faults::parse("seed=9,sched.task_panic=1.0:2").unwrap(),
-            max_task_retries: 2,
             ..SchedConfig::with_workers(1)
         };
         let sched = Scheduler::new(cfg);
@@ -1006,15 +1005,15 @@ mod tests {
         assert_eq!(strip_ms(&outcome.events), strip_ms(&solo.events));
     }
 
-    /// The circuit breaker: two jobs sharing a fault key die panicking,
-    /// the third submission with that key fails fast with
+    /// The circuit breaker: two jobs sharing a fault key die panicking
+    /// (three injected panics each, one past the retry budget), the
+    /// third submission with that key fails fast with
     /// `stopped: quarantined` (no task runs), while a different key
     /// still executes normally.
     #[test]
     fn quarantine_trips_after_two_panicked_jobs_on_the_same_key() {
         let cfg = SchedConfig {
-            faults: Faults::parse("seed=3,sched.task_panic=1.0:2").unwrap(),
-            max_task_retries: 0,
+            faults: Faults::parse("seed=3,sched.task_panic=1.0:6").unwrap(),
             ..SchedConfig::with_workers(1)
         };
         let sched = Scheduler::new(cfg);

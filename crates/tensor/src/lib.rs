@@ -8,8 +8,8 @@
 //!   G-CLN and PBQU training kernels are tested against.
 //! - [`fastmath`]: the shared `exp` and canonical reductions that keep
 //!   the tape and those kernels bit-identical.
-//! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996) and
-//!   SGD, plus the unit-L2 weight projection of §5.1.2.
+//! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996),
+//!   plus the unit-L2 weight projection of §5.1.2.
 //! - [`gradcheck`]: finite-difference validation of the reverse pass.
 //!
 //! # Examples
@@ -41,5 +41,5 @@ pub mod gradcheck;
 pub mod optim;
 pub mod tape;
 
-pub use optim::{Adam, OptimizerConfig, Sgd};
+pub use optim::{Adam, OptimizerConfig};
 pub use tape::{Tape, Var};

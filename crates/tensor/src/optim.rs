@@ -1,10 +1,9 @@
-//! First-order optimizers for tape parameters.
+//! The first-order optimizer for tape parameters.
 //!
 //! The paper trains G-CLNs with Adam (learning rate 0.01, multiplicative
 //! decay 0.9996, max 5000 epochs); [`Adam`] reproduces that update rule.
-//! [`Sgd`] exists for tests and ablations.
 
-/// Configuration shared by the optimizers.
+/// Optimizer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct OptimizerConfig {
     /// Initial learning rate.
@@ -36,7 +35,7 @@ impl Default for OptimizerConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Adam {
-    config: OptimizerConfig,
+    decay: f64,
     beta1: f64,
     beta2: f64,
     epsilon: f64,
@@ -50,7 +49,7 @@ impl Adam {
     /// Creates an Adam optimizer for `n` parameters.
     pub fn new(n: usize, config: OptimizerConfig) -> Adam {
         Adam {
-            config,
+            decay: config.decay,
             beta1: 0.9,
             beta2: 0.999,
             epsilon: 1e-8,
@@ -94,44 +93,7 @@ impl Adam {
             // equivalent trainers bit-identical.
             params[i] = (params[i] - self.lr * m_hat / (v_hat.sqrt() + self.epsilon)) + 0.0;
         }
-        self.lr *= self.config.decay;
-    }
-
-    /// Resets moments and step count (keeps the configured learning rate).
-    pub fn reset(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
-        self.lr = self.config.learning_rate;
-    }
-}
-
-/// Plain stochastic gradient descent with learning-rate decay.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    config: OptimizerConfig,
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(config: OptimizerConfig) -> Sgd {
-        Sgd { config, lr: config.learning_rate }
-    }
-
-    /// Applies one SGD update in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` and `grads` differ in length.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "gradient count mismatch");
-        for (p, g) in params.iter_mut().zip(grads) {
-            if g.is_finite() {
-                *p -= self.lr * g;
-            }
-        }
-        self.lr *= self.config.decay;
+        self.lr *= self.decay;
     }
 }
 
@@ -192,26 +154,6 @@ mod tests {
         adam.step(&mut p, &[f64::NAN, 0.0]);
         assert_eq!(p[0], 1.0);
         assert!(p.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut p = vec![4.0];
-        let mut sgd = Sgd::new(OptimizerConfig { learning_rate: 0.1, decay: 1.0 });
-        for _ in 0..100 {
-            let g = vec![2.0 * p[0]];
-            sgd.step(&mut p, &g);
-        }
-        assert!(p[0].abs() < 1e-4);
-    }
-
-    #[test]
-    fn adam_reset_clears_state() {
-        let mut adam = Adam::new(1, OptimizerConfig { learning_rate: 0.01, decay: 0.9 });
-        let mut p = vec![1.0];
-        adam.step(&mut p, &[1.0]);
-        adam.reset();
-        assert_eq!(adam.learning_rate(), 0.01);
     }
 
     #[test]
