@@ -1,17 +1,6 @@
-//! # gcln-baselines — the comparison systems of Table 2 and Table 4
+//! # gcln-baselines — the comparison system of Table 4
 //!
-//! Faithful re-implementations of the baselines' *decision behaviour*:
-//!
-//! - [`cln`]: the ungated, template-based CLN (CLN2INV) for the Table 4
-//!   stability study.
-//! - [`guess_and_check`]: polynomial-kernel equality solving (learns no
-//!   inequalities or disjunctions).
-//! - [`octahedral`]: NumInv-style `±x ±y ≤ c` bound inference (learns no
-//!   nonlinear or 3-variable inequalities).
-//! - [`pie`]: PIE-style predicate enumeration (explodes on nonlinear
-//!   grammars).
+//! [`cln`]: the ungated, template-based CLN (CLN2INV) for the Table 4
+//! stability study, which `gcln table4` runs against the G-CLN.
 
 pub mod cln;
-pub mod guess_and_check;
-pub mod octahedral;
-pub mod pie;

@@ -34,11 +34,11 @@ fn bench_training_epochs(c: &mut Criterion) {
     let space = space.select(&keep);
     let ds = Dataset::from_points(points, &space, Some(10.0));
     let columns = ds.columns();
+    // Dropout 0.3, weight projection on and seed 7, as in every recorded
+    // run of these rows, so their history stays comparable.
+    let cfg = GclnConfig { max_epochs: 100 };
     c.bench_function("gcln_training_100_epochs_ps2", |b| {
-        b.iter(|| {
-            let cfg = GclnConfig { max_epochs: 100, ..GclnConfig::default() };
-            train_equality_gcln(&columns, &cfg)
-        })
+        b.iter(|| train_equality_gcln(&columns, &cfg, 0.3, true, 7))
     });
 
     // Loop 0 of egcd2 at its own degree: a wide term space, where each
@@ -49,9 +49,8 @@ fn bench_training_epochs(c: &mut Criterion) {
     let keep = growth_filter(&space, &points, 1e10);
     let space = space.select(&keep);
     let columns = Dataset::from_points(points, &space, Some(10.0)).columns();
-    let cfg = GclnConfig { max_epochs: 100, ..GclnConfig::default() };
     c.bench_function("gcln_training_100_epochs_egcd2", |b| {
-        b.iter(|| train_equality_gcln(&columns, &cfg))
+        b.iter(|| train_equality_gcln(&columns, &cfg, 0.3, true, 7))
     });
 }
 
@@ -155,7 +154,7 @@ fn bench_checker(c: &mut Criterion) {
 fn bench_end_to_end(c: &mut Criterion) {
     let problem = nla_problem("ps2").unwrap();
     let config = PipelineConfig {
-        gcln: GclnConfig { max_epochs: 600, ..GclnConfig::default() },
+        gcln: GclnConfig { max_epochs: 600 },
         max_attempts: 1,
         cegis_rounds: 1,
         ..PipelineConfig::default()

@@ -9,7 +9,6 @@
 //! gcln table3 [--all | name ...]
 //! gcln table4 [--runs N]
 //! gcln fig <1|2|4|6|7|8|10> [args]
-//! gcln inspect <problem> [--bounds]
 //! gcln serve [--port P] [--workers N] [--queue-cap N] [--journal PATH] [--rate-limit RPS]
 //!            [--journal-fsync always|never] [--faults SPEC]
 //! ```
@@ -34,14 +33,13 @@ use gcln_engine::events::{json_string, result_members};
 use gcln_engine::{Engine, Event, Job, PipelineConfig, ProblemSpec};
 use std::time::Duration;
 
-const USAGE: &str = "usage: gcln <run|suite|table3|table4|fig|inspect|serve> [args]
+const USAGE: &str = "usage: gcln <run|suite|table3|table4|fig|serve> [args]
   run <file.loop|name> [--fast] [--json] [--deadline S] [--steps N] [--max-degree D] [--range LO:HI ...]
   suite <nla|linear>   [--fast] [--json] [--limit N] [--expect N] [--workers N] [name ...]
                        (nla = Table 2, linear = the 124-problem linear suite of §6.4)
   table3               [--all | name ...]
   table4               [--runs N]
   fig <1|2|4|6|7|8|10> [args]              (Table 1 is part of fig 4)
-  inspect <problem>    [--bounds]
   serve                [--port P] [--workers N] [--queue-cap N] [--journal PATH] [--rate-limit RPS]
                        [--journal-fsync always|never] [--faults SPEC]";
 
@@ -50,7 +48,6 @@ const USAGE: &str = "usage: gcln <run|suite|table3|table4|fig|inspect|serve> [ar
 struct Flags {
     fast: bool,
     json: bool,
-    bounds: bool,
     all: bool,
     deadline: Option<f64>,
     steps: Option<u64>,
@@ -79,7 +76,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         match arg.as_str() {
             "--fast" => f.fast = true,
             "--json" => f.json = true,
-            "--bounds" => f.bounds = true,
             "--all" => f.all = true,
             "--deadline" => {
                 let secs: f64 =
@@ -157,7 +153,6 @@ impl Flags {
         let set: &[(&str, bool)] = &[
             ("--fast", self.fast),
             ("--json", self.json),
-            ("--bounds", self.bounds),
             ("--all", self.all),
             ("--deadline", self.deadline.is_some()),
             ("--steps", self.steps.is_some()),
@@ -201,7 +196,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
         "suite" => &["--fast", "--json", "--limit", "--expect", "--workers"],
         "table3" => &["--all"],
         "table4" => &["--runs"],
-        "inspect" => &["--bounds"],
         "serve" => &[
             "--port",
             "--workers",
@@ -274,17 +268,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 }
             }
             0
-        }
-        "inspect" => {
-            let Some(name) = flags.rest.first() else {
-                eprintln!("error: inspect needs a problem name\n{USAGE}");
-                return 1;
-            };
-            if tables::inspect(name, flags.bounds) {
-                0
-            } else {
-                1
-            }
         }
         "serve" => cmd_serve(&flags),
         "help" | "--help" | "-h" => {
@@ -588,6 +571,9 @@ mod tests {
         for retired in ["table1", "table2", "code2inv"] {
             assert_eq!(main_with_args(&[retired.into()]), 1, "{retired}");
         }
+        // `inspect` is retired too: `run <name>` and `suite` print its
+        // report.
+        assert_eq!(main_with_args(&["inspect".into(), "ps2".into()]), 1);
         assert_eq!(main_with_args(&["help".into()]), 0);
     }
 }

@@ -4,8 +4,8 @@
 //! `gcln suite nla` (Table 2, the NLA results), `gcln suite linear` (the
 //! §6.4 linear suite), `gcln table3` (ablation), `gcln table4`
 //! (stability), `gcln fig <n>` (figure data series; Table 1 is part of
-//! `fig 4`), `gcln run <file.loop>` (arbitrary programs through the
-//! staged engine), and `gcln inspect` (single-problem diagnostics).
+//! `fig 4`), and `gcln run <file.loop>` (arbitrary programs through the
+//! staged engine).
 //! `--fast` on `run` and `suite` selects the one reduced profile,
 //! [`gcln_engine::PipelineConfig::fast`].
 //! Criterion benches live in `benches/`; per-stage timings come from the

@@ -15,14 +15,14 @@ pub fn mixed_jobs() -> Vec<Job> {
     // the parallelizable training batch (not the serial checker)
     // dominates — the workload shape the scheduler exists for.
     let small = PipelineConfig {
-        gcln: GclnConfig { max_epochs: 100, ..GclnConfig::default() },
+        gcln: GclnConfig { max_epochs: 100 },
         max_inputs: 30,
         max_attempts: 1,
         cegis_rounds: 0,
         ..PipelineConfig::default()
     };
     let large = PipelineConfig {
-        gcln: GclnConfig { max_epochs: 2500, ..GclnConfig::default() },
+        gcln: GclnConfig { max_epochs: 2500 },
         max_inputs: 30,
         max_attempts: 4,
         cegis_rounds: 0,

@@ -1,8 +1,8 @@
-//! Table and suite experiments (`gcln suite|table3|table4|inspect`);
+//! Table and suite experiments (`gcln suite|table3|table4`);
 //! the suites run on the shared [`crate::driver`].
 
 use crate::driver::{run_suite, SuiteSummary};
-use crate::{secs, solve_status};
+use crate::solve_status;
 use gcln_baselines::cln::{train_template_cln, ClnTemplate};
 use gcln_engine::{Engine, GclnConfig, Job, PipelineConfig};
 use gcln_problems::nla::{nla_problem, nla_suite};
@@ -81,7 +81,7 @@ pub fn table3(args: &[String]) {
         // kernel completion (which would mask them) is disabled in every
         // column.
         let mut c = PipelineConfig {
-            gcln: GclnConfig { max_epochs: 1600, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 1600 },
             max_attempts: 4,
             cegis_rounds: 1,
             max_inputs: 60,
@@ -155,7 +155,7 @@ pub fn table4(runs: u64) {
                 let cln = train_template_cln(&problem, ClnTemplate::for_problem(&problem), seed)
                     .converged;
                 let config = PipelineConfig {
-                    gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
+                    gcln: GclnConfig { max_epochs: 1000 },
                     kernel_completion: false, // pure-model stability, no exact assist
                     max_attempts: 1,
                     cegis_rounds: 1,
@@ -180,43 +180,4 @@ pub fn table4(runs: u64) {
         cln_total / problems.len() as f64,
         gcln_total / problems.len() as f64
     );
-}
-
-/// `gcln inspect`: ad-hoc single-problem diagnostics (the former `dbg` /
-/// `dbg2` scratch binaries). Prints the pipeline outcome per loop; with
-/// `bounds`, also the raw `learn_bounds` output for loop 0.
-pub fn inspect(name: &str, bounds: bool) -> bool {
-    let Some(problem) = find_problem(name) else {
-        eprintln!("unknown problem `{name}`");
-        return false;
-    };
-    if bounds {
-        use gcln_engine::bounds::learn_bounds;
-        use gcln_engine::data::{collect_loop_states, Dataset};
-        use gcln_engine::terms::{growth_filter, TermSpace};
-        let points = collect_loop_states(&problem, 0, 120, 2);
-        let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
-        let keep = growth_filter(&space, &points, 1e10);
-        let space = space.select(&keep);
-        println!("terms: {:?}", (0..space.len()).map(|i| space.term_name(i)).collect::<Vec<_>>());
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let learned = learn_bounds(&space, &points, &ds.columns());
-        for b in &learned {
-            println!("{}", b.display(&problem.extended_names()));
-        }
-        return true;
-    }
-    let outcome = Engine::new().run(&Job::new(problem.clone()));
-    let names = problem.extended_names();
-    println!(
-        "valid: {}  cegis: {}  time: {}s",
-        outcome.valid,
-        outcome.cegis_rounds_used,
-        secs(outcome.runtime)
-    );
-    for li in &outcome.loops {
-        println!("loop {}: {}", li.loop_id, li.formula.display(&names));
-    }
-    println!("status: {:?}", solve_status(&problem, &outcome));
-    true
 }

@@ -12,6 +12,13 @@
 //! projection (§5.1.2), and term dropout (§5.1.3). Gates are clamped to
 //! `[0, 1]` after every step.
 //!
+//! The §6 hyperparameters are the constants below (`m` = 10, `n` = 2,
+//! σ annealed from 5 to 0.1, Adam at lr 0.01 and decay 0.9996, the λ₁/λ₂
+//! schedules). Only the epoch count is configured ([`GclnConfig`]); the
+//! dropout rate, the weight projection switch and the seed are arguments
+//! of [`train_equality_gcln`], because the engine derives them per
+//! training attempt.
+//!
 //! Each epoch's data loss and gradients come from one fused kernel that
 //! walks the batch in tiles of 32 samples, forward then backward, with
 //! no graph and no per-epoch allocation. It performs the operations of
@@ -25,97 +32,75 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
-/// Schedule for a gate-regularization coefficient: `(initial, factor,
-/// limit)` — multiplied by `factor` each epoch until it crosses `limit`.
-#[derive(Clone, Copy, Debug)]
-pub struct LambdaSchedule {
-    /// Initial coefficient.
-    pub init: f64,
-    /// Per-epoch multiplicative factor.
-    pub factor: f64,
-    /// Saturation value.
-    pub limit: f64,
-}
+/// Clauses `m` in the conjunction layer.
+const NUM_CLAUSES: usize = 10;
+/// Literals `n` per disjunction clause.
+const LITERALS_PER_CLAUSE: usize = 2;
+/// Final Gaussian width σ (the paper's training value).
+const SIGMA: f64 = 0.1;
+/// Initial Gaussian width, annealed down to [`SIGMA`]. The original CLN
+/// gets the same effect by penalizing small sharpness B in the loss —
+/// starting smooth avoids the dead gradients of a near-delta Gaussian on
+/// L2-normalized data.
+const SIGMA_INIT: f64 = 5.0;
+/// Fraction of the epochs over which σ anneals to its final value.
+const ANNEAL_FRACTION: f64 = 0.6;
+/// L1 sparsity pressure on literal weights. Combined with the unit-L2
+/// projection this drives literals toward the *sparse* null-space
+/// directions (the human-readable invariants of §5.1.3) instead of dense
+/// linear combinations of them.
+const WEIGHT_L1: f64 = 2e-3;
+/// Decorrelation pressure between literal weight vectors (gradient of
+/// `½(wᵢ·wⱼ)²` per pair). Without it every literal collapses onto the
+/// easiest null-space direction and conjunctions of several equalities
+/// are never recovered.
+const DIVERSITY: f64 = 0.1;
+/// Early stop once the data loss falls below this and the gates are
+/// polarized.
+const LOSS_TOL: f64 = 1e-4;
+/// Adam settings (paper: lr 0.01, decay 0.9996).
+const OPTIMIZER: OptimizerConfig = OptimizerConfig { learning_rate: 0.01, decay: 0.9996 };
+/// λ₁ schedule `(initial, factor, limit)` for t-norm (clause) gates —
+/// pushes gates toward 1.
+const LAMBDA1: (f64, f64, f64) = (1.0, 0.999, 0.1);
+/// λ₂ schedule for t-conorm (literal) gates — pushes gates toward 0.
+const LAMBDA2: (f64, f64, f64) = (0.001, 1.001, 0.1);
 
-impl LambdaSchedule {
-    /// Value at a given epoch.
-    pub fn at(&self, epoch: usize) -> f64 {
-        let v = self.init * self.factor.powi(epoch as i32);
-        if self.factor < 1.0 {
-            v.max(self.limit)
-        } else {
-            v.min(self.limit)
-        }
+/// A gate-regularization coefficient at `epoch`: `initial` multiplied by
+/// `factor` each epoch until it crosses `limit`.
+fn lambda_at((init, factor, limit): (f64, f64, f64), epoch: usize) -> f64 {
+    let v = init * factor.powi(epoch as i32);
+    if factor < 1.0 {
+        v.max(limit)
+    } else {
+        v.min(limit)
     }
 }
 
-/// Hyperparameters for G-CLN training (§6 defaults).
+/// G-CLN training settings. Everything else about training is a §6
+/// constant of this module.
 #[derive(Clone, Debug)]
 pub struct GclnConfig {
-    /// Number of clauses `m` in the conjunction layer.
-    pub num_clauses: usize,
-    /// Literals `n` per disjunction clause.
-    pub literals_per_clause: usize,
-    /// Final Gaussian width σ (the paper's training value, 0.1).
-    pub sigma: f64,
-    /// Initial Gaussian width; annealed down to `sigma` during training.
-    /// The original CLN gets the same effect by penalizing small
-    /// sharpness B in the loss — starting smooth avoids the dead
-    /// gradients of a near-delta Gaussian on L2-normalized data.
-    pub sigma_init: f64,
-    /// Fraction of `max_epochs` over which σ anneals to its final value.
-    pub anneal_fraction: f64,
-    /// Term-dropout probability (0 disables).
-    pub dropout_rate: f64,
-    /// L1 sparsity pressure on literal weights. Combined with the unit-L2
-    /// projection this drives literals toward the *sparse* null-space
-    /// directions (the human-readable invariants of §5.1.3) instead of
-    /// dense linear combinations of them.
-    pub weight_l1: f64,
-    /// Decorrelation pressure between literal weight vectors
-    /// (gradient of `½(wᵢ·wⱼ)²` per pair). Without it every literal
-    /// collapses onto the easiest null-space direction and conjunctions
-    /// of several equalities are never recovered.
-    pub diversity: f64,
-    /// Unit-L2 weight projection (§5.1.2); disabling is the Table 3
-    /// "weight reg" ablation.
-    pub weight_reg: bool,
     /// Maximum training epochs.
     pub max_epochs: usize,
-    /// Early-stop when the data loss falls below this and gates are
-    /// polarized.
-    pub loss_tol: f64,
-    /// Adam settings (paper: lr 0.01, decay 0.9996).
-    pub optimizer: OptimizerConfig,
-    /// λ₁ schedule for t-norm (clause) gates — pushes gates toward 1.
-    pub lambda1: LambdaSchedule,
-    /// λ₂ schedule for t-conorm (literal) gates — pushes gates toward 0.
-    pub lambda2: LambdaSchedule,
-    /// RNG seed (weight init + dropout masks).
-    pub seed: u64,
 }
 
 impl Default for GclnConfig {
     fn default() -> Self {
-        GclnConfig {
-            num_clauses: 10,
-            literals_per_clause: 2,
-            sigma: 0.1,
-            sigma_init: 5.0,
-            anneal_fraction: 0.6,
-            dropout_rate: 0.3,
-            weight_l1: 2e-3,
-            diversity: 0.1,
-            weight_reg: true,
-            max_epochs: 2000,
-            loss_tol: 1e-4,
-            optimizer: OptimizerConfig::default(),
-            lambda1: LambdaSchedule { init: 1.0, factor: 0.999, limit: 0.1 },
-            lambda2: LambdaSchedule { init: 0.001, factor: 1.001, limit: 0.1 },
-            seed: 7,
-        }
+        GclnConfig { max_epochs: 2000 }
     }
 }
+
+/// The model's shape: the clause count and decorrelation pressure, the
+/// two §6 values that unit tests vary.
+#[derive(Clone, Copy)]
+struct Shape {
+    num_clauses: usize,
+    diversity: f64,
+}
+
+/// The §6 shape every training run uses.
+const SHAPE: Shape = Shape { num_clauses: NUM_CLAUSES, diversity: DIVERSITY };
 
 /// A trained G-CLN, ready for formula extraction.
 #[derive(Clone, Debug)]
@@ -133,17 +118,6 @@ pub struct TrainedGcln {
     pub final_loss: f64,
     /// Epochs actually run.
     pub epochs_run: usize,
-}
-
-impl TrainedGcln {
-    /// Whether training converged: small data loss and every gate within
-    /// 0.1 of {0, 1} (the premise of Theorem 4.1's extraction guarantee).
-    pub fn converged(&self, loss_tol: f64) -> bool {
-        let polar = |g: f64| g <= 0.1 || g >= 0.9;
-        self.final_loss <= loss_tol
-            && self.clause_gates.iter().copied().all(polar)
-            && self.literal_gates.iter().flatten().copied().all(polar)
-    }
 }
 
 struct LiteralSlot {
@@ -166,15 +140,19 @@ type KeptTerms = (Vec<Vec<Vec<usize>>>, Vec<Vec<Vec<bool>>>);
 /// Term-dropout draws (§5.1.3) — the **first RNG phase**, before
 /// [`init_params`]. Keeps at least two terms per literal so a constraint
 /// stays expressible.
-fn draw_kept_terms(num_terms: usize, config: &GclnConfig, rng: &mut StdRng) -> KeptTerms {
-    let mut masks =
-        vec![vec![vec![false; num_terms]; config.literals_per_clause]; config.num_clauses];
-    let mut kept_all = Vec::with_capacity(config.num_clauses);
+fn draw_kept_terms(
+    num_terms: usize,
+    num_clauses: usize,
+    dropout_rate: f64,
+    rng: &mut StdRng,
+) -> KeptTerms {
+    let mut masks = vec![vec![vec![false; num_terms]; LITERALS_PER_CLAUSE]; num_clauses];
+    let mut kept_all = Vec::with_capacity(num_clauses);
     for clause_masks in masks.iter_mut() {
-        let mut clause_kept = Vec::with_capacity(config.literals_per_clause);
+        let mut clause_kept = Vec::with_capacity(LITERALS_PER_CLAUSE);
         for literal_mask in clause_masks.iter_mut() {
             let mut kept: Vec<usize> =
-                (0..num_terms).filter(|_| rng.gen::<f64>() >= config.dropout_rate).collect();
+                (0..num_terms).filter(|_| rng.gen::<f64>() >= dropout_rate).collect();
             while kept.len() < 2.min(num_terms) {
                 let t = rng.gen_range(0..num_terms);
                 if !kept.contains(&t) {
@@ -564,8 +542,8 @@ fn init_params(params: &mut [f64], clauses: &[ClauseSlot], rng: &mut StdRng) {
     }
 }
 
-/// Gate regularization (λ₁ Σ (1 − g_clause) + λ₂ Σ g_literal) and L1
-/// weight sparsity gradients, applied outside the loss graph.
+/// Gate regularization (λ₁ Σ (1 − g_clause) + λ₂ Σ g_literal) and
+/// [`WEIGHT_L1`] weight sparsity gradients, applied outside the loss graph.
 ///
 /// The L1 term uses the zero-at-zero subgradient ([`l1_subgrad`]) rather
 /// than `signum` — `signum(±0) = ±1` would turn the sign of a zero (the
@@ -577,16 +555,13 @@ fn apply_gate_weight_reg(
     clauses: &[ClauseSlot],
     l1: f64,
     l2: f64,
-    weight_l1: f64,
 ) {
     for clause in clauses {
         grads[clause.gate_param] -= l1;
         for lit in &clause.literals {
             grads[lit.gate_param] += l2;
-            if weight_l1 > 0.0 {
-                for p in lit.weight_params.clone() {
-                    grads[p] += weight_l1 * l1_subgrad(params[p]);
-                }
+            for p in lit.weight_params.clone() {
+                grads[p] += WEIGHT_L1 * l1_subgrad(params[p]);
             }
         }
     }
@@ -650,11 +625,11 @@ fn gates_polar(params: &[f64], clauses: &[ClauseSlot]) -> bool {
     })
 }
 
-/// σ annealing schedule: geometric from `sigma_init` to `sigma` over the
-/// anneal window.
-fn sigma_at(config: &GclnConfig, anneal_epochs: f64, epoch: usize) -> f64 {
+/// σ annealing schedule: geometric from [`SIGMA_INIT`] to [`SIGMA`] over
+/// the anneal window.
+fn sigma_at(anneal_epochs: f64, epoch: usize) -> f64 {
     let t = (epoch as f64 / anneal_epochs).min(1.0);
-    config.sigma_init * (config.sigma / config.sigma_init).powf(t)
+    SIGMA_INIT * (SIGMA / SIGMA_INIT).powf(t)
 }
 
 /// Reads a trained model out of a parameter vector.
@@ -663,13 +638,11 @@ fn read_back(
     clauses: &[ClauseSlot],
     masks: Vec<Vec<Vec<bool>>>,
     num_terms: usize,
-    config: &GclnConfig,
     final_loss: f64,
     epochs_run: usize,
 ) -> TrainedGcln {
-    let mut weights =
-        vec![vec![vec![0.0; num_terms]; config.literals_per_clause]; config.num_clauses];
-    let mut literal_gates = vec![Vec::new(); config.num_clauses];
+    let mut weights = vec![vec![vec![0.0; num_terms]; LITERALS_PER_CLAUSE]; clauses.len()];
+    let mut literal_gates = vec![Vec::new(); clauses.len()];
     let mut clause_gates = Vec::new();
     for (ci, clause) in clauses.iter().enumerate() {
         clause_gates.push(params[clause.gate_param]);
@@ -683,7 +656,11 @@ fn read_back(
     TrainedGcln { clause_gates, literal_gates, weights, masks, final_loss, epochs_run }
 }
 
-/// Trains a G-CLN with Gaussian (equality) literals on term columns.
+/// Trains a G-CLN with Gaussian (equality) literals on term columns, at
+/// term-dropout probability `dropout_rate` (0 disables), with the unit-L2
+/// weight projection of §5.1.2 when `weight_reg` (off is the Table 3
+/// "weight reg" ablation), and weight init and dropout masks drawn from
+/// `seed`.
 ///
 /// `columns[t]` is the batch vector of term `t` over all samples (use
 /// [`crate::data::Dataset::columns`]).
@@ -691,24 +668,34 @@ fn read_back(
 /// # Panics
 ///
 /// Panics if `columns` is empty or the columns are ragged.
-pub fn train_equality_gcln(columns: &[Vec<f64>], config: &GclnConfig) -> TrainedGcln {
-    train_with(columns, config, |clauses, num_params| {
+pub fn train_equality_gcln(
+    columns: &[Vec<f64>],
+    config: &GclnConfig,
+    dropout_rate: f64,
+    weight_reg: bool,
+    seed: u64,
+) -> TrainedGcln {
+    train_with(columns, config, dropout_rate, weight_reg, seed, SHAPE, |clauses, num_params| {
         EqualityKernel::new(columns, clauses, num_params)
     })
 }
 
-/// The training loop, over the loss that `make_loss` builds for the
-/// attempt's parameter layout.
+/// The training loop for a G-CLN of the given `shape`, over the loss that
+/// `make_loss` builds for the attempt's parameter layout.
 fn train_with<L: DataLoss>(
     columns: &[Vec<f64>],
     config: &GclnConfig,
+    dropout_rate: f64,
+    weight_reg: bool,
+    seed: u64,
+    shape: Shape,
     make_loss: impl FnOnce(&[ClauseSlot], usize) -> L,
 ) -> TrainedGcln {
     assert!(!columns.is_empty(), "need at least one term column");
     let num_terms = columns.len();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
-    let (kept, masks) = draw_kept_terms(num_terms, config, &mut rng);
+    let (kept, masks) = draw_kept_terms(num_terms, shape.num_clauses, dropout_rate, &mut rng);
     let (clauses, num_params) = compact_slots(kept);
     let mut loss = make_loss(&clauses, num_params);
 
@@ -716,40 +703,39 @@ fn train_with<L: DataLoss>(
     init_params(&mut params, &clauses, &mut rng);
 
     // --- training loop ---
-    let mut adam = Adam::new(num_params, config.optimizer);
+    let mut adam = Adam::new(num_params, OPTIMIZER);
     let mut grads = vec![0.0; num_params];
-    let mut dense = vec![0.0; config.num_clauses * config.literals_per_clause * num_terms];
+    let mut dense = vec![0.0; shape.num_clauses * LITERALS_PER_CLAUSE * num_terms];
     let mut epochs_run = 0;
-    let anneal_epochs = (config.max_epochs as f64 * config.anneal_fraction).max(1.0);
+    let anneal_epochs = (config.max_epochs as f64 * ANNEAL_FRACTION).max(1.0);
     for epoch in 0..config.max_epochs {
         epochs_run = epoch + 1;
-        let sigma = sigma_at(config, anneal_epochs, epoch);
+        let sigma = sigma_at(anneal_epochs, epoch);
         let loss_val = loss.eval(&clauses, &params, sigma, Some(&mut grads));
         apply_gate_weight_reg(
             &mut grads,
             &params,
             &clauses,
-            config.lambda1.at(epoch),
-            config.lambda2.at(epoch),
-            config.weight_l1,
+            lambda_at(LAMBDA1, epoch),
+            lambda_at(LAMBDA2, epoch),
         );
         // Decorrelation fades out with the annealing schedule so literals
         // spread early but settle to precise directions late.
-        let diversity = config.diversity * (1.0 - (epoch as f64 / anneal_epochs)).max(0.0);
+        let diversity = shape.diversity * (1.0 - (epoch as f64 / anneal_epochs)).max(0.0);
         if diversity > 0.0 {
             apply_diversity(&mut grads, &params, &clauses, num_terms, diversity, &mut dense);
         }
         adam.step(&mut params, &grads);
-        apply_projections(&mut params, &clauses, config.weight_reg);
+        apply_projections(&mut params, &clauses, weight_reg);
         let annealed = epoch as f64 >= anneal_epochs;
-        if annealed && loss_val < config.loss_tol && epoch > 100 && gates_polar(&params, &clauses) {
+        if annealed && loss_val < LOSS_TOL && epoch > 100 && gates_polar(&params, &clauses) {
             break;
         }
     }
 
     // Measure the final loss at the fully annealed σ.
-    let final_loss = loss.eval(&clauses, &params, config.sigma, None);
-    read_back(&params, &clauses, masks, num_terms, config, final_loss, epochs_run)
+    let final_loss = loss.eval(&clauses, &params, SIGMA, None);
+    read_back(&params, &clauses, masks, num_terms, final_loss, epochs_run)
 }
 
 #[cfg(test)]
@@ -878,6 +864,19 @@ mod tests {
         }
     }
 
+    /// [`train_equality_gcln`] without dropout at a test `shape`.
+    fn train_shaped(
+        columns: &[Vec<f64>],
+        max_epochs: usize,
+        seed: u64,
+        shape: Shape,
+    ) -> TrainedGcln {
+        let config = GclnConfig { max_epochs };
+        train_with(columns, &config, 0.0, true, seed, shape, |clauses, num_params| {
+            EqualityKernel::new(columns, clauses, num_params)
+        })
+    }
+
     /// Every float of a trained model as bits, plus its masks and epochs.
     fn model_bits(m: &TrainedGcln) -> (Vec<u64>, Vec<Vec<Vec<bool>>>, usize) {
         let floats = m
@@ -933,31 +932,38 @@ mod tests {
         ];
         for (t, n, dropout_rate, weight_reg) in cases {
             let columns = synthetic_columns(t, n);
-            let cfg = GclnConfig {
-                num_clauses: 3,
+            let cfg = GclnConfig { max_epochs: 60 };
+            let seed = (t * 100 + n) as u64;
+            let case = format!("T={t} n={n} dropout={dropout_rate} weight_reg={weight_reg}");
+            let kernel = train_equality_gcln(&columns, &cfg, dropout_rate, weight_reg, seed);
+            let tape = train_with(
+                &columns,
+                &cfg,
                 dropout_rate,
                 weight_reg,
-                max_epochs: 60,
-                seed: (t * 100 + n) as u64,
-                ..GclnConfig::default()
-            };
-            assert!(cfg.sigma_init != cfg.sigma, "σ annealing must be on");
-            let case = format!("T={t} n={n} dropout={dropout_rate} weight_reg={weight_reg}");
-            let kernel = train_equality_gcln(&columns, &cfg);
-            let tape = train_with(&columns, &cfg, |clauses, num_params| {
-                tape_loss(&columns, clauses, num_params)
-            });
+                seed,
+                SHAPE,
+                |clauses, num_params| tape_loss(&columns, clauses, num_params),
+            );
             assert_eq!(model_bits(&kernel), model_bits(&tape), "{case}");
             // Every epoch's loss and gradients, not only where training
             // ends: clamped gates and Adam's normalized steps can absorb a
             // one-ulp gradient difference.
-            train_with(&columns, &cfg, |clauses, num_params| Lockstep {
-                kernel: EqualityKernel::new(&columns, clauses, num_params),
-                tape: tape_loss(&columns, clauses, num_params),
-                tape_grads: vec![0.0; num_params],
-                calls: 0,
-                case,
-            });
+            train_with(
+                &columns,
+                &cfg,
+                dropout_rate,
+                weight_reg,
+                seed,
+                SHAPE,
+                |clauses, num_params| Lockstep {
+                    kernel: EqualityKernel::new(&columns, clauses, num_params),
+                    tape: tape_loss(&columns, clauses, num_params),
+                    tape_grads: vec![0.0; num_params],
+                    calls: 0,
+                    case,
+                },
+            );
         }
     }
 
@@ -969,12 +975,10 @@ mod tests {
 
     #[test]
     fn lambda_schedules_move_toward_limits() {
-        let l1 = LambdaSchedule { init: 1.0, factor: 0.999, limit: 0.1 };
-        assert_eq!(l1.at(0), 1.0);
-        assert!(l1.at(5000) >= 0.1 - 1e-12);
-        let l2 = LambdaSchedule { init: 0.001, factor: 1.001, limit: 0.1 };
-        assert!(l2.at(0) < 0.002);
-        assert!((l2.at(100_000) - 0.1).abs() < 1e-12);
+        assert_eq!(lambda_at(LAMBDA1, 0), 1.0);
+        assert!(lambda_at(LAMBDA1, 5000) >= 0.1 - 1e-12);
+        assert!(lambda_at(LAMBDA2, 0) < 0.002);
+        assert!((lambda_at(LAMBDA2, 100_000) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -994,13 +998,8 @@ mod tests {
                 r
             })
             .collect();
-        let cfg = GclnConfig {
-            num_clauses: 4,
-            dropout_rate: 0.0,
-            max_epochs: 1500,
-            ..GclnConfig::default()
-        };
-        let model = train_equality_gcln(&columns_from_rows(rows), &cfg);
+        let shape = Shape { num_clauses: 4, ..SHAPE };
+        let model = train_shaped(&columns_from_rows(rows), 1500, 7, shape);
         assert!(model.final_loss < 0.05, "loss: {}", model.final_loss);
         // Some active literal must align with (3, 2, -1) up to sign/scale.
         let target = {
@@ -1042,8 +1041,8 @@ mod tests {
                 r
             })
             .collect();
-        let cfg = GclnConfig { num_clauses: 3, max_epochs: 1200, ..GclnConfig::default() };
-        let model = train_equality_gcln(&columns_from_rows(rows), &cfg);
+        let cfg = GclnConfig { max_epochs: 1200 };
+        let model = train_equality_gcln(&columns_from_rows(rows), &cfg, 0.3, true, 7);
         // With nothing learnable, the loss can only go low by closing
         // clause gates.
         if model.final_loss < 0.05 {
@@ -1059,15 +1058,15 @@ mod tests {
     fn dropout_masks_zero_dropped_weights() {
         let rows: Vec<Vec<f64>> =
             (0..10).map(|i| vec![1.0, i as f64, (2 * i) as f64, (3 * i) as f64]).collect();
-        let cfg = GclnConfig {
-            dropout_rate: 0.5,
-            num_clauses: 6,
-            max_epochs: 50,
-            ..GclnConfig::default()
-        };
-        let model = train_equality_gcln(&columns_from_rows(rows), &cfg);
-        for ci in 0..cfg.num_clauses {
-            for li in 0..cfg.literals_per_clause {
+        let model = train_equality_gcln(
+            &columns_from_rows(rows),
+            &GclnConfig { max_epochs: 50 },
+            0.5,
+            true,
+            7,
+        );
+        for ci in 0..NUM_CLAUSES {
+            for li in 0..LITERALS_PER_CLAUSE {
                 for (t, &kept) in model.masks[ci][li].iter().enumerate() {
                     if !kept {
                         assert_eq!(model.weights[ci][li][t], 0.0);
@@ -1082,15 +1081,15 @@ mod tests {
     #[test]
     fn weight_projection_keeps_unit_norm() {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![1.0, i as f64, (5 * i) as f64]).collect();
-        let cfg = GclnConfig {
-            num_clauses: 2,
-            dropout_rate: 0.0,
-            max_epochs: 200,
-            ..GclnConfig::default()
-        };
-        let model = train_equality_gcln(&columns_from_rows(rows), &cfg);
-        for ci in 0..2 {
-            for li in 0..cfg.literals_per_clause {
+        let model = train_equality_gcln(
+            &columns_from_rows(rows),
+            &GclnConfig { max_epochs: 200 },
+            0.0,
+            true,
+            7,
+        );
+        for ci in 0..NUM_CLAUSES {
+            for li in 0..LITERALS_PER_CLAUSE {
                 let norm: f64 = model.weights[ci][li].iter().map(|w| w * w).sum::<f64>().sqrt();
                 assert!((norm - 1.0).abs() < 1e-6, "norm {norm}");
             }
@@ -1117,17 +1116,10 @@ mod tests {
         let cols = columns_from_rows(rows);
         // Try a few seeds; at least one must converge with an open clause
         // whose two literals align with (0,1,-1) and (0,1,1).
+        let shape = Shape { num_clauses: 6, diversity: 0.02 };
         let mut success = false;
         for seed in 0..10 {
-            let cfg = GclnConfig {
-                num_clauses: 6,
-                dropout_rate: 0.0,
-                max_epochs: 2500,
-                diversity: 0.02,
-                seed,
-                ..GclnConfig::default()
-            };
-            let model = train_equality_gcln(&cols, &cfg);
+            let model = train_shaped(&cols, 2500, seed, shape);
             if model.final_loss > 0.05 {
                 continue;
             }

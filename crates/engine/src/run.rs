@@ -33,15 +33,17 @@ use std::time::{Duration, Instant};
 
 /// Pipeline settings; the defaults mirror the paper's §6 configuration
 /// with the ablation switches of Table 3. The stage settings no caller
-/// varies are constants of their stage modules: PBQU training in
-/// [`crate::bounds`], rounding in [`crate::extract`], sampling in
-/// [`crate::fractional`], and the checker in `gcln_checker::check`.
+/// varies are constants of their stage modules: G-CLN training in
+/// [`crate::model`], PBQU training in [`crate::bounds`], rounding in
+/// [`crate::extract`], sampling in [`crate::fractional`], and the
+/// checker in `gcln_checker::check`.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Equality-model hyperparameters. Each training attempt derives its
-    /// own `seed`, `dropout_rate` and `weight_reg` from [`Self::seed`],
-    /// the attempt, and the two ablation switches below, so the values
-    /// given here for those three fields are ignored.
+    /// The equality model's epoch count; its other §6 hyperparameters are
+    /// constants of [`crate::model`]. Each training attempt derives its
+    /// own seed and dropout rate from [`Self::seed`], the attempt and
+    /// [`Self::enable_dropout`], and takes the weight projection from
+    /// [`Self::enable_weight_reg`].
     pub gcln: GclnConfig,
     /// Input tuples sampled for trace collection.
     pub max_inputs: usize,
@@ -84,7 +86,7 @@ impl PipelineConfig {
     /// first check finds a counterexample.
     pub fn fast() -> PipelineConfig {
         PipelineConfig {
-            gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 800 },
             max_attempts: 2,
             ..PipelineConfig::default()
         }
@@ -421,13 +423,13 @@ pub(crate) fn learn_fractional(
     if ds.is_empty() {
         return None;
     }
-    let gcln_cfg = GclnConfig {
-        dropout_rate: if config.enable_dropout { 0.2 } else { 0.0 },
-        weight_reg: config.enable_weight_reg,
-        seed: config.seed.wrapping_add(0xF4AC ^ loop_id as u64),
-        ..config.gcln.clone()
-    };
-    let model = train_equality_gcln(&ds.columns(), &gcln_cfg);
+    let model = train_equality_gcln(
+        &ds.columns(),
+        &config.gcln,
+        if config.enable_dropout { 0.2 } else { 0.0 },
+        config.enable_weight_reg,
+        config.seed.wrapping_add(0xF4AC ^ loop_id as u64),
+    );
     let relaxed = extract_formula(&model, &space, &data.points);
 
     // Pin V0: substitution mapping [V..., V0...] into the extended space.
@@ -513,7 +515,7 @@ mod tests {
     fn quick_job(name: &str) -> Job {
         let spec = ProblemSpec::from_registry(name).unwrap();
         Job::new(spec).with_config(PipelineConfig {
-            gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 1000 },
             max_inputs: 60,
             max_attempts: 2,
             cegis_rounds: 1,
@@ -526,7 +528,7 @@ mod tests {
     fn solve(name: &str) -> InferenceOutcome {
         let spec = ProblemSpec::from_registry(name).unwrap();
         Engine::new().run(&Job::new(spec).with_config(PipelineConfig {
-            gcln: GclnConfig { max_epochs: 1200, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 1200 },
             max_inputs: 60,
             cegis_rounds: 1,
             ..PipelineConfig::default()
@@ -775,7 +777,7 @@ mod tests {
     fn parallel_attempts_are_deterministic() {
         let problem = nla_problem("ps2").unwrap();
         let job = Job::new(problem.clone()).with_config(PipelineConfig {
-            gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 800 },
             max_inputs: 40,
             cegis_rounds: 1,
             ..PipelineConfig::default()

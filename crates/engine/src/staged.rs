@@ -41,7 +41,7 @@ use crate::events::{Event, Stage, StopReason};
 use crate::extract::extract_formula;
 use crate::fractional::INTERVAL;
 use crate::kernel::kernel_equalities;
-use crate::model::{train_equality_gcln, GclnConfig, TrainedGcln};
+use crate::model::{train_equality_gcln, TrainedGcln};
 use crate::run::{
     absorb, bound_direction, collect_trace, learn_fractional, prune_falsified_conjuncts,
     CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig, TraceCollection,
@@ -833,17 +833,19 @@ impl StagedJob {
             }
             let dropout =
                 if config.enable_dropout { (0.3 - 0.1 * attempt as f64).max(0.0) } else { 0.0 };
-            let gcln = GclnConfig {
-                dropout_rate: dropout,
-                weight_reg: config.enable_weight_reg,
-                seed: config
-                    .seed
-                    .wrapping_add((attempt as u64) * 7919)
-                    .wrapping_add((loop_id as u64) * 104_729)
-                    .wrapping_add((round as u64) * 15_485_863),
-                ..config.gcln.clone()
-            };
-            let model = Some(Arc::new(train_equality_gcln(&columns, &gcln)));
+            let seed = config
+                .seed
+                .wrapping_add((attempt as u64) * 7919)
+                .wrapping_add((loop_id as u64) * 104_729)
+                .wrapping_add((round as u64) * 15_485_863);
+            let model = train_equality_gcln(
+                &columns,
+                &config.gcln,
+                dropout,
+                config.enable_weight_reg,
+                seed,
+            );
+            let model = Some(Arc::new(model));
             Out::Train { loop_id, attempt, model }
         })
     }
@@ -979,12 +981,13 @@ impl StagedJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::GclnConfig;
     use crate::spec::ProblemSpec;
 
     fn quick_job() -> Job {
         let spec = ProblemSpec::from_registry("ps2").unwrap();
         Job::new(spec).with_config(PipelineConfig {
-            gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 800 },
             max_inputs: 40,
             max_attempts: 2,
             cegis_rounds: 1,

@@ -11,7 +11,7 @@ use gcln_problems::{find_problem, nla::nla_problem, sample_inputs, Problem};
 
 fn quick_config() -> PipelineConfig {
     PipelineConfig {
-        gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
+        gcln: GclnConfig { max_epochs: 1000 },
         max_attempts: 2,
         cegis_rounds: 1,
         max_inputs: 60,

@@ -304,11 +304,6 @@ impl CompiledFormula {
         }
     }
 
-    /// Number of compiled atoms.
-    pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
-    }
-
     /// Evaluates at an integer point.
     ///
     /// Returns `None` where [`Formula::eval_i128`] would panic on `i128`

@@ -326,11 +326,6 @@ impl JobTicket {
         self.job.cancel.cancel();
     }
 
-    /// The outcome, if the job has finished.
-    pub fn try_outcome(&self) -> Option<Arc<InferenceOutcome>> {
-        self.job.inner.lock().unwrap().outcome.clone()
-    }
-
     /// Blocks until the job finishes and returns its outcome.
     pub fn wait(&self) -> Arc<InferenceOutcome> {
         let mut inner = self.job.inner.lock().unwrap();
@@ -832,7 +827,7 @@ mod tests {
     fn quick_job(name: &str) -> Job {
         let spec = ProblemSpec::from_registry(name).unwrap();
         Job::new(spec).with_config(PipelineConfig {
-            gcln: GclnConfig { max_epochs: 600, ..GclnConfig::default() },
+            gcln: GclnConfig { max_epochs: 600 },
             max_inputs: 40,
             max_attempts: 2,
             cegis_rounds: 1,

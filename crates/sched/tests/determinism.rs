@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 /// path — its event stream includes budget-skipped attempts).
 fn batch() -> Vec<Job> {
     let cfg = |epochs: usize, attempts: usize| PipelineConfig {
-        gcln: GclnConfig { max_epochs: epochs, ..GclnConfig::default() },
+        gcln: GclnConfig { max_epochs: epochs },
         max_inputs: 30,
         max_attempts: attempts,
         cegis_rounds: 1,
