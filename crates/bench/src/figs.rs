@@ -3,7 +3,7 @@
 //! output its standalone binary did.
 
 use gcln_engine::bounds::learn_bounds;
-use gcln_engine::data::{normalize_row, Dataset};
+use gcln_engine::data::normalize_row;
 use gcln_engine::fractional::{fractional_points, INTERVAL};
 use gcln_engine::terms::TermSpace;
 use gcln_lang::interp::{run_program, RunConfig};
@@ -177,8 +177,7 @@ pub fn fig10() {
     let space = TermSpace::enumerate(names.clone(), 2);
     let points: Vec<Vec<f64>> =
         (0..60).map(|n| vec![n as f64, (n as f64).sqrt().floor()]).collect();
-    let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-    let bounds = learn_bounds(&space, &points, &ds.columns());
+    let bounds = learn_bounds(&space, &points);
     println!("kept bounds (tight fits):");
     for b in &bounds {
         let score: f64 = points.iter().map(|p| pbqu_ge(b.poly.eval_f64(p), 1.0, 50.0)).sum::<f64>()

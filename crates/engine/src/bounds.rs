@@ -1,60 +1,49 @@
-//! Inequality-bound learning with PBQU activations (paper §4.2, §5.2.2).
+//! Inequality-bound learning (paper §4.2, §5.2.2).
 //!
 //! Candidate inequalities are linear forms over small term subsets — all
 //! single terms of degree ≤ 2, pairs of such terms, and triples of
 //! degree-1 terms (the paper considers "all possible combinations of
-//! variables up to 3 terms and 2nd degree"). For each subset a PBQU
-//! neuron `S(w·t + b ≥ 0)` is trained; Theorem 4.2 guarantees the learned
-//! bound is tight on the data. Weights are rounded to small rationals,
-//! the bias is recomputed exactly as the tightest valid value, and bounds
-//! whose mean PBQU activation falls below a threshold (loose fits,
-//! Fig. 10's dashed lines) are discarded.
+//! variables up to 3 terms and 2nd degree"). The paper trains a PBQU
+//! neuron `S(w·t + b ≥ 0)` per subset, and Theorem 4.2 says the trained
+//! bound is a tight supporting hyperplane of the data. On integer traces
+//! those hyperplanes are convex-hull facets, so they are computed exactly
+//! here instead of trained:
 //!
-//! At most 64 bounds are kept, one subset's
-//! best at a time in subset order before any second bounds. Subsets are
-//! therefore learned in order and learning stops once the cap is full:
-//! on wide term spaces the single-term subsets alone fill it.
+//! - a single term takes the directions ±1;
+//! - a pair takes the inward normals of its points' 2-D convex hull
+//!   (exact `i128` arithmetic), next to the canonical directions: every
+//!   ±1 sign pattern and every `{1,2}`-ratio pattern, with both signs;
+//! - a triple takes the canonical directions only.
+//!
+//! Each direction's weights are rounded to small rationals, the bias is
+//! recomputed exactly as the tightest valid value, and bounds whose mean
+//! PBQU activation falls below a threshold (loose fits, Fig. 10's dashed
+//! lines) are discarded.
+//!
+//! At most 64 bounds are kept, one subset's best at a time in subset
+//! order before any second bounds. Subsets are therefore learned in order
+//! and learning stops once the cap is full: on wide term spaces the
+//! single-term subsets alone fill it.
 
 use crate::terms::TermSpace;
 use gcln_logic::relax::pbqu_ge;
 use gcln_logic::{Atom, Pred};
+use gcln_numeric::rat::gcd_i128;
 use gcln_numeric::{Poly, Rat};
-use gcln_tensor::fastmath::{fma64, reduce_blocked4, reduce_fma_blocked4};
-use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gcln_tensor::optim::project_unit_l2;
 use rayon::prelude::*;
 
 /// PBQU below-boundary constant (§6 training value).
 const C1: f64 = 1.0;
 /// PBQU above-boundary constant (§6 training value).
 const C2: f64 = 50.0;
-/// Adam settings for bound training.
-const OPTIMIZER: OptimizerConfig = OptimizerConfig { learning_rate: 0.05, decay: 0.999 };
 /// Keep a bound only if its mean PBQU activation reaches this.
 const ACTIVATION_THRESHOLD: f64 = 0.55;
 /// Denominator budgets for rounding weights.
 const DENOMINATORS: [i128; 3] = [1, 2, 4];
-/// RNG seed for weight initialization.
-const SEED: u64 = 11;
-
-/// The bound-learning settings this module's tests vary; the pipeline
-/// always learns at the default.
-#[derive(Clone, Debug)]
-struct BoundsConfig {
-    /// Epochs per candidate subset.
-    epochs: usize,
-    /// Hard cap on emitted bounds: each subset's tightest bound first, in
-    /// subset order, then each one's second, and so on (see
-    /// [`learn_bounds`]).
-    max_bounds: usize,
-}
-
-impl Default for BoundsConfig {
-    fn default() -> Self {
-        BoundsConfig { epochs: 150, max_bounds: 64 }
-    }
-}
+/// Hard cap on emitted bounds: each subset's tightest bound first, in
+/// subset order, then each one's second, and so on (see [`learn_bounds`]).
+const MAX_BOUNDS: usize = 64;
 
 /// A learned bound with its tightness score.
 #[derive(Clone, Debug)]
@@ -66,10 +55,8 @@ pub struct LearnedBound {
     pub score: f64,
 }
 
-/// Learns tight inequality bounds over the data.
-///
-/// `points` are raw (unnormalized) term-space points; `columns` are the
-/// normalized per-term columns used for gradient training.
+/// Learns tight inequality bounds over the raw (unnormalized) term-space
+/// `points`.
 ///
 /// At most 64 bounds are returned, deduplicated by
 /// polynomial and allocated **round-robin across subsets**: every
@@ -81,36 +68,33 @@ pub struct LearnedBound {
 /// Subsets are learned in order, a chunk at a time, and the first pass
 /// of the round-robin is taken as the chunks arrive, so learning stops
 /// at the subset that fills the cap. Wide term spaces fill it within
-/// their single-term subsets, which need no training; later subsets
-/// could only have contributed past the cap. Only when every subset has
-/// been learned without filling the cap does the round-robin go on to
-/// second and later bounds. The output equals learning every subset
-/// first (see the `early_stop_matches_full_round_robin` test).
-pub fn learn_bounds(space: &TermSpace, points: &[Vec<f64>], columns: &[Vec<f64>]) -> Vec<Atom> {
-    learn_bounds_with(space, points, columns, &BoundsConfig::default())
+/// their single-term subsets; later subsets could only have contributed
+/// past the cap. Only when every subset has been learned without filling
+/// the cap does the round-robin go on to second and later bounds. The
+/// output equals learning every subset first (see the
+/// `early_stop_matches_full_round_robin` test).
+pub fn learn_bounds(space: &TermSpace, points: &[Vec<f64>]) -> Vec<Atom> {
+    learn_bounds_capped(space, points, MAX_BOUNDS)
 }
 
-/// [`learn_bounds`] at the given settings.
-fn learn_bounds_with(
-    space: &TermSpace,
-    points: &[Vec<f64>],
-    columns: &[Vec<f64>],
-    config: &BoundsConfig,
-) -> Vec<Atom> {
+/// [`learn_bounds`] with at most `max_bounds` bounds.
+fn learn_bounds_capped(space: &TermSpace, points: &[Vec<f64>], max_bounds: usize) -> Vec<Atom> {
     if points.is_empty() {
         return Vec::new();
     }
-    let candidates = Candidates::new(space, points, columns, config.epochs);
-    let n = candidates.subsets.len();
+    let subsets = candidate_subsets(space);
+    let n = subsets.len();
     let chunk = rayon::current_num_threads() * SUBSETS_PER_THREAD;
     let mut out = Vec::new();
     let mut learned: Vec<Vec<LearnedBound>> = Vec::with_capacity(n);
     for start in (0..n).step_by(chunk) {
-        let chunk_results: Vec<Vec<LearnedBound>> =
-            (start..n.min(start + chunk)).into_par_iter().map(|si| candidates.learn(si)).collect();
+        let chunk_results: Vec<Vec<LearnedBound>> = (start..n.min(start + chunk))
+            .into_par_iter()
+            .map(|si| learn_subset(space, points, &subsets[si]))
+            .collect();
         for subset_bounds in chunk_results {
             if let Some(best) = subset_bounds.first() {
-                if admit(&mut out, best, config.max_bounds) {
+                if admit(&mut out, best, max_bounds) {
                     return out;
                 }
             }
@@ -123,7 +107,7 @@ fn learn_bounds_with(
         for subset_bounds in &learned {
             let Some(b) = subset_bounds.get(rank) else { continue };
             any = true;
-            if admit(&mut out, b, config.max_bounds) {
+            if admit(&mut out, b, max_bounds) {
                 return out;
             }
         }
@@ -136,9 +120,9 @@ fn learn_bounds_with(
 
 /// Subsets learned per rayon thread between two looks at the cap. Each
 /// chunk is one fan-out, which the rayon shim runs on freshly scoped
-/// threads; a few subsets per thread keep that cost and the wait for a
-/// chunk's slowest subset small next to the training, while a loop that
-/// fills the cap learns no more than the rest of the chunk that fills it.
+/// threads. Wider chunks spread that cost over more subsets but learn
+/// more of them past the cap: at 32 per thread, egcd2's loop 0 (which
+/// fills the cap within its single terms) took 4× as long at 2 threads.
 const SUBSETS_PER_THREAD: usize = 8;
 
 /// Appends `bound` unless an admitted bound has the same polynomial, and
@@ -151,140 +135,71 @@ fn admit(out: &mut Vec<Atom>, bound: &LearnedBound, max_bounds: usize) -> bool {
     out.len() >= max_bounds
 }
 
-/// The candidate term subsets of one [`learn_bounds`] call, each with its
-/// pre-drawn random values, and the data they are learned on.
-struct Candidates<'a> {
-    space: &'a TermSpace,
-    points: &'a [Vec<f64>],
-    columns: &'a [Vec<f64>],
-    /// Training epochs per subset.
-    epochs: usize,
-    subsets: Vec<Vec<usize>>,
-    draw_plans: Vec<Vec<f64>>,
-}
-
-impl<'a> Candidates<'a> {
-    fn new(
-        space: &'a TermSpace,
-        points: &'a [Vec<f64>],
-        columns: &'a [Vec<f64>],
-        epochs: usize,
-    ) -> Self {
-        // Term indices by degree (excluding the constant term).
-        let deg1: Vec<usize> =
-            (0..space.len()).filter(|&i| space.monomials[i].degree() == 1).collect();
-        let deg12: Vec<usize> =
-            (0..space.len()).filter(|&i| (1..=2).contains(&space.monomials[i].degree())).collect();
-
-        let mut subsets: Vec<Vec<usize>> = Vec::new();
-        for &i in &deg12 {
-            subsets.push(vec![i]);
-        }
-        for (a, &i) in deg12.iter().enumerate() {
-            for &j in deg12.iter().skip(a + 1) {
-                if space.monomials[i].degree() + space.monomials[j].degree() <= 3 {
-                    subsets.push(vec![i, j]);
-                }
+/// The candidate term subsets, in learning order: single terms of degree
+/// 1–2, then pairs of them of total degree ≤ 3, then triples of degree-1
+/// terms (the constant term is never part of one).
+fn candidate_subsets(space: &TermSpace) -> Vec<Vec<usize>> {
+    let deg1: Vec<usize> = (0..space.len()).filter(|&i| space.monomials[i].degree() == 1).collect();
+    let deg12: Vec<usize> =
+        (0..space.len()).filter(|&i| (1..=2).contains(&space.monomials[i].degree())).collect();
+    let mut subsets: Vec<Vec<usize>> = deg12.iter().map(|&i| vec![i]).collect();
+    for (a, &i) in deg12.iter().enumerate() {
+        for &j in deg12.iter().skip(a + 1) {
+            if space.monomials[i].degree() + space.monomials[j].degree() <= 3 {
+                subsets.push(vec![i, j]);
             }
         }
-        for (a, &i) in deg1.iter().enumerate() {
-            for (b, &j) in deg1.iter().enumerate().skip(a + 1) {
-                for &k in deg1.iter().skip(b + 1) {
-                    subsets.push(vec![i, j, k]);
-                }
+    }
+    for (a, &i) in deg1.iter().enumerate() {
+        for (b, &j) in deg1.iter().enumerate().skip(a + 1) {
+            for &k in deg1.iter().skip(b + 1) {
+                subsets.push(vec![i, j, k]);
             }
         }
-
-        // Random draws are taken up-front for every subset from one
-        // sequential stream (the exact order the historical per-subset
-        // loop consumed them), so a subset's draws depend neither on
-        // which thread learns it nor on where learning stops. A trained
-        // subset of size `k` draws `2k` values for its two random inits
-        // plus one bias initialization per init (`2^k + 2` inits).
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let draw_plans: Vec<Vec<f64>> = subsets
-            .iter()
-            .map(|subset| {
-                let k = subset.len();
-                if k == 1 {
-                    return Vec::new();
-                }
-                let num_inits = (1usize << k) + 2;
-                (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect()
-            })
-            .collect();
-        Candidates { space, points, columns, epochs, subsets, draw_plans }
     }
-
-    /// Learns subset `si`'s bounds that pass the activation threshold,
-    /// tightest first.
-    fn learn(&self, si: usize) -> Vec<LearnedBound> {
-        let subset = &self.subsets[si];
-        // Single terms admit the two fixed directions ±1 directly.
-        let directions: Vec<Vec<f64>> = if subset.len() == 1 {
-            vec![vec![1.0], vec![-1.0]]
-        } else {
-            train_directions(subset, self.columns, self.epochs, &self.draw_plans[si])
-        };
-        // Raw term columns for this subset, evaluated once — every
-        // direction × denominator rounding below reuses them.
-        let raw_cols: Vec<Vec<f64>> = subset
-            .iter()
-            .map(|&t| self.points.iter().map(|p| self.space.monomials[t].eval_f64(p)).collect())
-            .collect();
-        let mut subset_bounds: Vec<LearnedBound> = directions
-            .iter()
-            .filter_map(|dir| round_and_tighten(subset, dir, &raw_cols, self.space))
-            .filter(|bound| bound.score >= ACTIVATION_THRESHOLD)
-            .collect();
-        subset_bounds.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
-        subset_bounds
-    }
+    subsets
 }
 
-/// Trains PBQU neurons (a couple of restarts) on the subset's normalized
-/// columns and returns the learned weight directions.
+/// Learns one subset's bounds that pass the activation threshold,
+/// tightest first.
+fn learn_subset(space: &TermSpace, points: &[Vec<f64>], subset: &[usize]) -> Vec<LearnedBound> {
+    // Raw term columns for this subset, evaluated once — the hull and
+    // every direction × denominator rounding below reuse them.
+    let raw_cols: Vec<Vec<f64>> = subset
+        .iter()
+        .map(|&t| points.iter().map(|p| space.monomials[t].eval_f64(p)).collect())
+        .collect();
+    let mut directions = canonical_directions(subset.len());
+    if let [xs, ys] = raw_cols.as_slice() {
+        // Non-integer or overflowing columns keep the canonical
+        // directions only.
+        let normals = hull_normals(xs, ys).unwrap_or_default();
+        directions.extend(normals.into_iter().map(|[a, b]| vec![a as f64, b as f64]));
+    }
+    let mut subset_bounds: Vec<LearnedBound> = directions
+        .iter()
+        .filter_map(|dir| round_and_tighten(subset, dir, &raw_cols, space))
+        .filter(|bound| bound.score >= ACTIVATION_THRESHOLD)
+        .collect();
+    subset_bounds.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
+    subset_bounds
+}
+
+/// The fixed directions of a `k`-term subset: every sign pattern of
+/// every `{1,2}^k` magnitude pattern, each with both global signs. All-2
+/// is skipped (it is all-1 scaled), so one term gets just ±1. Tight
+/// directions of integer loops often have 2:1 coefficient ratios (e.g.
+/// dijkstra's `r < 2p + q`), and rounding with exact-bias recomputation
+/// keeps only the ones the data supports.
 ///
-/// `draws` supplies the subset's pre-drawn random values (see
-/// [`Candidates::new`]) in the order the draws historically happened: two
-/// random init vectors first, then one bias value per init.
-fn train_directions(
-    subset: &[usize],
-    columns: &[Vec<f64>],
-    epochs: usize,
-    draws: &[f64],
-) -> Vec<Vec<f64>> {
-    let k = subset.len();
-    let mut draws = draws.iter().copied();
-    let mut next_draw = move || draws.next().expect("draw plan covers all inits");
-    // Restarts: every sign pattern up to global sign (canonical tight
-    // directions), plus two random initializations.
-    let mut inits: Vec<Vec<f64>> = Vec::new();
-    for bits in 0..(1u32 << (k - 1)) {
-        let mut w: Vec<f64> =
-            (0..k).map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 }).collect();
-        project_unit_l2(&mut w);
-        inits.push(w.clone());
-        inits.push(w.iter().map(|x| -x).collect());
-    }
-    for _ in 0..2 {
-        let mut w: Vec<f64> = (0..k).map(|_| next_draw() * 2.0 - 1.0).collect();
-        project_unit_l2(&mut w);
-        inits.push(w);
-    }
-    // The canonical directions themselves are kept as candidates too:
-    // gradient refinement finds data-specific slopes, while the ±1
-    // patterns guarantee the octahedral family survives training noise.
-    let mut out = inits.clone();
-    // Small-integer ratio candidates `{1,2}^k × signs`: tight directions
-    // of integer loops often have 2:1 coefficient ratios (e.g. dijkstra's
-    // `r < 2p + q`), which gradient training from ±1 inits does not
-    // reliably reach. Snapping them in as fixed candidates makes that
-    // family deterministic regardless of the RNG stream; rounding and
-    // exact-bias recomputation keep only the ones the data supports.
-    // `mags == 0` (all-1) and `mags == 2^k - 1` (all-2) normalize to the
-    // ±1 sign patterns already in `inits`, so both are skipped.
-    for mags in 1u32..((1 << k) - 1) {
+/// Each direction is scaled to unit L2 norm. That scaling puts a 2:1
+/// pattern's small weight just below half the large one, so its
+/// denominator-1 rounding keeps the large term alone instead of turning
+/// into a ±1 pattern, which is a direction of its own; lin-branch-07's
+/// invariant is valid only with that rounding.
+fn canonical_directions(k: usize) -> Vec<Vec<f64>> {
+    let mut out = Vec::new();
+    for mags in 0u32..((1 << k) - 1) {
         for bits in 0..(1u32 << (k - 1)) {
             let mut w: Vec<f64> = (0..k)
                 .map(|i| {
@@ -298,49 +213,57 @@ fn train_directions(
             out.push(w.iter().map(|x| -x).collect());
         }
     }
-    // Each restart trains one PBQU neuron `S(w·t + b ≥ 0)` to completion
-    // before the next starts. The arithmetic follows the scalar tape's
-    // `affine` → `pbqu_loss` graph operation for operation (see the
-    // `direct_directions_match_tape_reference` test), so the learned
-    // directions are bit-identical to training that graph.
-    let xs: Vec<&[f64]> = subset.iter().map(|&t| columns[t].as_slice()).collect();
-    let n = xs[0].len();
-    // ∂loss/∂act for `loss = mean(1 − act)`.
-    let g_act = -(1.0 / n as f64);
-    let (c1sq, c2sq) = (C1 * C1, C2 * C2);
-    let mut z = vec![0.0; n];
-    let mut gz = vec![0.0; n];
-    let mut grads = vec![0.0; k + 1];
-    for init in &inits {
-        let mut params = init.clone();
-        params.push(next_draw() * 0.1);
-        let mut adam = Adam::new(k + 1, OPTIMIZER);
-        for _ in 0..epochs {
-            z.fill(params[k]);
-            for (&w, x) in params.iter().zip(&xs) {
-                for (zj, &xj) in z.iter_mut().zip(*x) {
-                    *zj = fma64(w, xj, *zj);
-                }
-            }
-            // Adjoint of `mean(1 − act)` at `z`, in the tape's order
-            // (mean → sub → select → div → add → square).
-            for (g, &zj) in gz.iter_mut().zip(&z) {
-                let c = if zj >= 0.0 { c2sq } else { c1sq };
-                let d = zj * zj + c;
-                *g = 2.0 * (-g_act * c / (d * d)) * zj;
-            }
-            // `0.0 +` matches the tape, which accumulates parameter
-            // gradients into a zeroed buffer (so −0.0 reads as +0.0).
-            for (gw, x) in grads.iter_mut().zip(&xs) {
-                *gw = 0.0 + reduce_fma_blocked4(n, |j| (gz[j], x[j]));
-            }
-            grads[k] = 0.0 + reduce_blocked4(n, |j| gz[j]);
-            adam.step(&mut params, &grads);
-            project_unit_l2(&mut params[..k]);
-        }
-        out.push(params[..k].to_vec());
-    }
     out
+}
+
+/// The inward normals of the convex hull of the points `(xs[j], ys[j])`,
+/// gcd-normalized, one per hull edge in counter-clockwise order.
+///
+/// Andrew's monotone chain in exact `i128` arithmetic. Collinear points
+/// (fewer than three hull vertices) have no facets: their one direction
+/// is an equality, which the equality learner owns. `None` when a value
+/// is not an integer or the arithmetic would overflow.
+fn hull_normals(xs: &[f64], ys: &[f64]) -> Option<Vec<[i128; 2]>> {
+    // Below 2^126, no coordinate difference reaches `i128::MIN`, whose
+    // magnitude `gcd_i128` could not return.
+    let to_int = |v: f64| (v.fract() == 0.0 && v.abs() < 2f64.powi(126)).then_some(v as i128);
+    let mut pts: Vec<[i128; 2]> =
+        xs.iter().zip(ys).map(|(&x, &y)| Some([to_int(x)?, to_int(y)?])).collect::<Option<_>>()?;
+    pts.sort_unstable();
+    pts.dedup();
+    // `(a − o) × (b − o)`: positive when `o → a → b` turns left.
+    let cross = |o: [i128; 2], a: [i128; 2], b: [i128; 2]| -> Option<i128> {
+        let lhs = a[0].checked_sub(o[0])?.checked_mul(b[1].checked_sub(o[1])?)?;
+        let rhs = a[1].checked_sub(o[1])?.checked_mul(b[0].checked_sub(o[0])?)?;
+        lhs.checked_sub(rhs)
+    };
+    // Lower hull left to right, then upper hull right to left, keeping
+    // only strict left turns; the upper pass never pops the lower hull.
+    let mut hull: Vec<[i128; 2]> = Vec::with_capacity(pts.len() + 1);
+    let mut floor = 1;
+    for (i, &p) in pts.iter().chain(pts.iter().rev().skip(1)).enumerate() {
+        if i == pts.len() {
+            floor = hull.len();
+        }
+        while hull.len() > floor && cross(hull[hull.len() - 2], hull[hull.len() - 1], p)? <= 0 {
+            hull.pop();
+        }
+        hull.push(p);
+    }
+    // The upper pass ends where the lower one started.
+    hull.pop();
+    if hull.len() < 3 {
+        return Some(Vec::new());
+    }
+    let mut normals = Vec::with_capacity(hull.len());
+    for (i, &p) in hull.iter().enumerate() {
+        let q = hull[(i + 1) % hull.len()];
+        // The interior lies left of `p → q`: normal (−dy, dx).
+        let (dx, dy) = (q[0].checked_sub(p[0])?, q[1].checked_sub(p[1])?);
+        let g = gcd_i128(dx, dy);
+        normals.push([dy.checked_neg()? / g, dx / g]);
+    }
+    Some(normals)
 }
 
 /// Rounds a direction to small rationals, recomputes the bias exactly as
@@ -424,7 +347,6 @@ fn scale_to_integer_coeffs(poly: Poly) -> Poly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Dataset;
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -440,28 +362,28 @@ mod tests {
         out
     }
 
+    fn shown(bounds: &[Atom], space: &TermSpace) -> Vec<String> {
+        bounds.iter().map(|b| b.display(&space.names).to_string()).collect()
+    }
+
     #[test]
     fn learns_tight_sqrt_bound() {
         // Figure 1b / 10b: among bounds over (n, a^2) the tight one is
         // n - a^2 >= 0.
         let space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let points = sqrt_points();
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns());
+        let bounds = learn_bounds(&space, &points);
         assert!(!bounds.is_empty());
         let target = gcln_logic::parse_poly("n - a^2", &space.names).unwrap();
         let found = bounds.iter().any(|b| b.poly.normalize_content() == target.normalize_content());
-        let shown: Vec<String> =
-            bounds.iter().map(|b| b.display(&space.names).to_string()).collect();
-        assert!(found, "expected n - a^2 >= 0 among {shown:?}");
+        assert!(found, "expected n - a^2 >= 0 among {:?}", shown(&bounds, &space));
     }
 
     #[test]
     fn all_learned_bounds_are_valid_on_data() {
         let space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let points = sqrt_points();
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns());
+        let bounds = learn_bounds(&space, &points);
         for b in &bounds {
             assert!(
                 crate::extract::atom_fits(&b.poly, Pred::Ge, &points, 1e-9),
@@ -476,89 +398,87 @@ mod tests {
         // Directly exercise the scoring: slack-0 data scores 1.
         let space = TermSpace::enumerate(names(&["x"]), 1);
         let points: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns());
+        let bounds = learn_bounds(&space, &points);
         // x >= 0 should be found (bias 0, tight at x=0).
         let target = gcln_logic::parse_poly("x", &space.names).unwrap();
         assert!(
             bounds.iter().any(|b| b.poly == target),
             "x >= 0 missing from {:?}",
-            bounds.iter().map(|b| b.display(&space.names).to_string()).collect::<Vec<_>>()
+            shown(&bounds, &space)
+        );
+    }
+
+    /// The triangle (0,0), (4,0), (0,2) with interior and edge points.
+    fn triangle_points() -> Vec<Vec<f64>> {
+        let mut out = Vec::new();
+        for x in 0..=4 {
+            for y in 0..=2 {
+                if x + 2 * y <= 4 {
+                    out.push(vec![x as f64, y as f64]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hull_normals_of_a_triangle() {
+        let points = triangle_points();
+        let xs: Vec<f64> = points.iter().map(|p| p[0]).collect();
+        let ys: Vec<f64> = points.iter().map(|p| p[1]).collect();
+        let mut normals = hull_normals(&xs, &ys).unwrap();
+        normals.sort_unstable();
+        assert_eq!(normals, vec![[-1, -2], [0, 1], [1, 0]]);
+
+        let space = TermSpace::enumerate(names(&["x", "y"]), 1);
+        let bounds = learn_bounds(&space, &points);
+        let target = gcln_logic::parse_poly("4 - x - 2*y", &space.names).unwrap();
+        assert!(
+            bounds.iter().any(|b| b.poly == target),
+            "expected 4 - x - 2*y >= 0 among {:?}",
+            shown(&bounds, &space)
         );
     }
 
     #[test]
-    fn direct_directions_match_tape_reference() {
-        // Re-derive train_directions' learned directions by training the
-        // scalar tape's `affine` → `pbqu_loss` graph, one Adam per init,
-        // and require bitwise equality. Two cases: a 2-term subset on 40
-        // samples, and a 3-term subset on 23 samples (not a multiple of
-        // 4, so the blocked reductions' tail is exercised).
-        use gcln_tensor::tape::Tape;
-        let sqrt_space = TermSpace::enumerate(names(&["n", "a"]), 2);
-        let triple_space = TermSpace::enumerate(names(&["x", "y", "z"]), 1);
-        let triple_points: Vec<Vec<f64>> =
-            (0..23).map(|i| vec![i as f64, (i % 5) as f64, 30.0 - 2.0 * (i % 7) as f64]).collect();
-        let deg1 = |space: &TermSpace| -> Vec<usize> {
-            (0..space.len()).filter(|&i| space.monomials[i].degree() == 1).collect()
-        };
-        let cases = [
-            (&sqrt_space, sqrt_points(), deg1(&sqrt_space)),
-            (&triple_space, triple_points, deg1(&triple_space)),
-        ];
-        for (space, points, subset) in cases {
-            let ds = Dataset::from_points(points, space, Some(10.0));
-            let columns = ds.columns();
-            let epochs = 40;
-            let k = subset.len();
-            let num_inits = (1usize << k) + 2;
-            let mut rng = StdRng::seed_from_u64(SEED);
-            let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
-            let direct = train_directions(&subset, &columns, epochs, &draws);
+    fn collinear_data_has_no_facet_bound() {
+        // y = 2x + 1: the one direction across the data is an equality.
+        let points: Vec<Vec<f64>> = (0..10).map(|x| vec![x as f64, 2.0 * x as f64 + 1.0]).collect();
+        let xs: Vec<f64> = points.iter().map(|p| p[0]).collect();
+        let ys: Vec<f64> = points.iter().map(|p| p[1]).collect();
+        assert_eq!(hull_normals(&xs, &ys), Some(Vec::new()));
+        let space = TermSpace::enumerate(names(&["x", "y"]), 1);
+        let bounds = learn_bounds(&space, &points);
+        assert!(!bounds.is_empty());
+        for b in &bounds {
+            let values: Vec<f64> = points.iter().map(|p| b.poly.eval_f64(p)).collect();
+            let spread = values.iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v))
+                - values.iter().fold(f64::INFINITY, |a, &v| a.min(v));
+            assert!(spread > 0.0, "equality {} emitted as a bound", b.display(&space.names));
+        }
+    }
 
-            // Tape reference: same init construction, same draw order.
-            let mut draws_it = draws.iter().copied();
-            let mut next_draw = move || draws_it.next().unwrap();
-            let mut tape = Tape::new();
-            let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
-            let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
-            let bias = tape.param(k);
-            let z = tape.affine(&ws, &xs, Some(bias));
-            let loss = tape.pbqu_loss(z, C1, C2);
-            let sub_columns: Vec<Vec<f64>> = subset.iter().map(|&t| columns[t].clone()).collect();
-            let mut inits: Vec<Vec<f64>> = Vec::new();
-            for bits in 0..(1u32 << (k - 1)) {
-                let mut w: Vec<f64> = (0..k)
-                    .map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 })
-                    .collect();
-                project_unit_l2(&mut w);
-                inits.push(w.clone());
-                inits.push(w.iter().map(|x| -x).collect());
-            }
-            for _ in 0..2 {
-                let mut w: Vec<f64> = (0..k).map(|_| next_draw() * 2.0 - 1.0).collect();
-                project_unit_l2(&mut w);
-                inits.push(w);
-            }
-            let mut trained = Vec::new();
-            for init in inits {
-                let mut params: Vec<f64> = init;
-                params.push(next_draw() * 0.1);
-                let mut adam = Adam::new(k + 1, OPTIMIZER);
-                for _ in 0..epochs {
-                    let (_, grads) = tape.eval_with_grad(loss, &sub_columns, &params);
-                    adam.step(&mut params, &grads);
-                    project_unit_l2(&mut params[..k]);
-                }
-                trained.push(params[..k].to_vec());
-            }
-            // Trained directions occupy the tail of the output (after the
-            // fixed canonical + small-integer-ratio candidates).
-            let tail = &direct[direct.len() - trained.len()..];
-            for (got, want) in tail.iter().zip(&trained) {
-                for (a, b) in got.iter().zip(want) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k}: direct direction diverged");
-                }
+    #[test]
+    fn unusable_hull_input_falls_back_to_canonical_directions() {
+        let space = TermSpace::enumerate(names(&["x", "y"]), 1);
+        let mut fractional = triangle_points();
+        fractional.push(vec![0.5, 0.25]);
+        let mut huge = triangle_points();
+        // A right triangle with legs of 2^100: the hull's cross products
+        // reach 2^200.
+        huge.extend([vec![2f64.powi(100), 0.0], vec![0.0, 2f64.powi(100)]]);
+        for points in [fractional, huge] {
+            let xs: Vec<f64> = points.iter().map(|p| p[0]).collect();
+            let ys: Vec<f64> = points.iter().map(|p| p[1]).collect();
+            assert_eq!(hull_normals(&xs, &ys), None);
+            let bounds = learn_bounds(&space, &points);
+            assert!(!bounds.is_empty());
+            for b in &bounds {
+                assert!(
+                    crate::extract::atom_fits(&b.poly, Pred::Ge, &points, 1e-9),
+                    "bound {} violated on data",
+                    b.display(&space.names)
+                );
             }
         }
     }
@@ -569,13 +489,12 @@ mod tests {
     fn learn_bounds_reference(
         space: &TermSpace,
         points: &[Vec<f64>],
-        config: &BoundsConfig,
+        max_bounds: usize,
     ) -> (Vec<Atom>, Option<(usize, usize)>) {
-        let ds = Dataset::from_points(points.to_vec(), space, Some(10.0));
-        let columns = ds.columns();
-        let candidates = Candidates::new(space, points, &columns, config.epochs);
-        let results: Vec<Vec<LearnedBound>> =
-            (0..candidates.subsets.len()).map(|si| candidates.learn(si)).collect();
+        let results: Vec<Vec<LearnedBound>> = candidate_subsets(space)
+            .iter()
+            .map(|subset| learn_subset(space, points, subset))
+            .collect();
         let mut seen: Vec<Poly> = Vec::new();
         let mut out = Vec::new();
         let mut rank = 0;
@@ -589,7 +508,7 @@ mod tests {
                 }
                 seen.push(b.atom.poly.clone());
                 out.push(b.atom.clone());
-                if out.len() >= config.max_bounds {
+                if out.len() >= max_bounds {
                     return (out, Some((rank, si)));
                 }
             }
@@ -613,21 +532,19 @@ mod tests {
                 vec![x, y, x * y + 2.0 * x + 1.0]
             })
             .collect();
-        let with_cap = |max_bounds| BoundsConfig { epochs: 40, max_bounds };
-        let sqrt_config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
         let sqrt_space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let cases = [
             // The cap fills inside the single-term subsets.
-            ("singles", &space, points.clone(), with_cap(5)),
+            ("singles", &space, points.clone(), 5),
             // It fills partway through the pairs.
-            ("pairs", &space, points.clone(), with_cap(singles + 6)),
+            ("pairs", &space, points.clone(), singles + 6),
             // The sqrt1 data never fills the default cap on the first pass.
-            ("sqrt1", &sqrt_space, sqrt_points(), sqrt_config),
+            ("sqrt1", &sqrt_space, sqrt_points(), MAX_BOUNDS),
             // The cap exceeds the number of bounds found.
-            ("uncapped", &space, points, with_cap(10_000)),
+            ("uncapped", &space, points, 10_000),
         ];
-        for (name, space, points, config) in cases {
-            let (want, filled) = learn_bounds_reference(space, &points, &config);
+        for (name, space, points, max_bounds) in cases {
+            let (want, filled) = learn_bounds_reference(space, &points, max_bounds);
             match name {
                 "singles" => assert!(matches!(filled, Some((0, si)) if si < singles), "{filled:?}"),
                 "pairs" => assert!(
@@ -635,10 +552,9 @@ mod tests {
                     "{filled:?}"
                 ),
                 "sqrt1" => assert!(!matches!(filled, Some((0, _))), "{filled:?}"),
-                _ => assert!(filled.is_none() && want.len() < config.max_bounds),
+                _ => assert!(filled.is_none() && want.len() < max_bounds),
             }
-            let ds = Dataset::from_points(points.clone(), space, Some(10.0));
-            let got = learn_bounds_with(space, &points, &ds.columns(), &config);
+            let got = learn_bounds_capped(space, &points, max_bounds);
             assert_eq!(got, want, "{name}: early stop changed the bounds");
         }
     }
@@ -646,7 +562,7 @@ mod tests {
     #[test]
     fn empty_data_yields_no_bounds() {
         let space = TermSpace::enumerate(names(&["x"]), 1);
-        let bounds = learn_bounds(&space, &[], &[]);
+        let bounds = learn_bounds(&space, &[]);
         assert!(bounds.is_empty());
     }
 
@@ -668,13 +584,12 @@ mod tests {
                 }
             }
         }
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns());
+        let bounds = learn_bounds(&space, &points);
         let target = gcln_logic::parse_poly("2*p + q - r - 1", &space.names).unwrap();
         assert!(
             bounds.iter().any(|b| b.poly.normalize_content() == target.normalize_content()),
             "expected 2p + q - r - 1 >= 0 among {:?}",
-            bounds.iter().map(|b| b.display(&space.names).to_string()).collect::<Vec<_>>()
+            shown(&bounds, &space)
         );
     }
 }

@@ -11,7 +11,7 @@
 //!   attempts.
 //! - **Extract** — formula extraction ([`extract`]), exact kernel
 //!   completion ([`kernel`]), the fractional-sampling fallback
-//!   ([`fractional`]), and PBQU bound learning ([`bounds`]).
+//!   ([`fractional`]), and convex-hull bound learning ([`bounds`]).
 //! - **Check** — the invariant checker (`gcln-checker`).
 //! - **Cegis** — counterexample feedback into the training data.
 //!

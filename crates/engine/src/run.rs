@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 /// Pipeline settings; the defaults mirror the paper's §6 configuration
 /// with the ablation switches of Table 3. The stage settings no caller
 /// varies are constants of their stage modules: G-CLN training in
-/// [`crate::model`], PBQU training in [`crate::bounds`], rounding in
+/// [`crate::model`], bound scoring in [`crate::bounds`], rounding in
 /// [`crate::extract`], sampling in [`crate::fractional`], and the
 /// checker in `gcln_checker::check`.
 #[derive(Clone, Debug)]

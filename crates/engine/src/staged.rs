@@ -68,7 +68,7 @@ pub enum TaskKind {
     Extract,
     /// Exact kernel completion of one loop's equalities.
     Kernel,
-    /// PBQU inequality-bound learning for one loop.
+    /// Inequality-bound learning for one loop.
     Bounds,
     /// One fractional-sampling fallback run for one loop.
     Fractional,
@@ -875,11 +875,8 @@ impl StagedJob {
 
     fn bounds_task(&mut self, loop_id: usize, setup: &LoopSetup) -> Task {
         let space = setup.space.clone();
-        let columns = setup.columns.clone();
         let points = self.points[loop_id].clone();
-        self.task(TaskKind::Bounds, move || Out::Bounds {
-            atoms: learn_bounds(&space, &points, &columns),
-        })
+        self.task(TaskKind::Bounds, move || Out::Bounds { atoms: learn_bounds(&space, &points) })
     }
 
     fn fractional_task(&mut self, loop_id: usize, interval: f64) -> Task {

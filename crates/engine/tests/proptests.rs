@@ -2,7 +2,7 @@
 //! validity, normalization invariances, and term-space combinatorics.
 
 use gcln_engine::bounds::learn_bounds;
-use gcln_engine::data::{normalize_row, Dataset};
+use gcln_engine::data::normalize_row;
 use gcln_engine::extract::{atom_fits, round_equality};
 use gcln_engine::terms::{growth_filter_with_duplicates, TermSpace};
 use gcln_logic::Pred;
@@ -93,8 +93,7 @@ proptest! {
             ((state >> 33) % 41) as f64 - 20.0
         };
         let points: Vec<Vec<f64>> = (0..n_points).map(|_| vec![next(), next()]).collect();
-        let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
-        let bounds = learn_bounds(&space, &points, &ds.columns());
+        let bounds = learn_bounds(&space, &points);
         for b in &bounds {
             prop_assert!(
                 atom_fits(&b.poly, Pred::Ge, &points, 1e-9),

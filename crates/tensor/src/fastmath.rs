@@ -3,10 +3,10 @@
 //!
 //! Every execution engine that must agree bit for bit — the tape
 //! ([`crate::tape`]) and the engine crate's direct G-CLN equality kernel
-//! and PBQU bound trainer — routes the *same* floating-point operations
-//! through the *same* inlined helpers below. That single source of truth
-//! is what makes them bit-identical to each other: there is exactly one
-//! `exp` implementation and exactly one summation order.
+//! — routes the *same* floating-point operations through the *same*
+//! inlined helpers below. That single source of truth is what makes them
+//! bit-identical to each other: there is exactly one `exp`
+//! implementation and exactly one summation order.
 //!
 //! # Why not `f64::exp`?
 //!
@@ -150,8 +150,8 @@ pub fn exp64(x: f64) -> f64 {
 /// `4·⌊n/4⌋` indices plus a sequential tail, combined as
 /// `((a₀+a₁)+(a₂+a₃)) + tail`.
 ///
-/// Every batch reduction in this crate — `SumBatch`, `MeanBatch`, the
-/// fused PBQU loss, and the backward accumulation of a batch gradient
+/// Every batch reduction in this crate — `SumBatch`, `MeanBatch` and the
+/// backward accumulation of a batch gradient
 /// into a broadcast scalar — uses exactly this order, in the tape and
 /// the engine's direct kernels alike, so their results agree
 /// bit-for-bit.

@@ -127,70 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn checks_fused_pbqu_loss() {
-        // The bound-learning loss: pbqu_loss(affine(w, x) + b, c1, c2),
-        // exactly how bounds.rs wires the PBQU neuron. Points chosen so no
-        // z crosses the select kink within the finite-difference step.
-        let mut t = Tape::new();
-        let x0 = t.input(0);
-        let x1 = t.input(1);
-        let w0 = t.param(0);
-        let w1 = t.param(1);
-        let b = t.param(2);
-        let z = t.affine(&[w0, w1], &[x0, x1], Some(b));
-        let loss = t.pbqu_loss(z, 1.0, 50.0);
-        let report = check_gradients(
-            &mut t,
-            loss,
-            &[vec![0.5, -1.0, 2.0, 4.0], vec![1.0, 3.0, -2.0, 0.5]],
-            &[0.7, -0.4, 0.9],
-            1e-5,
-        );
-        assert!(report.max_rel_error < 1e-5, "report: {report:?}");
-    }
-
-    #[test]
-    fn pbqu_loss_matches_unfused_chain() {
-        // The fused op must be bit-identical (values and gradients) to the
-        // square → add → div → select → sub → mean graph it replaces.
-        let build_unfused = |t: &mut Tape, z: Var, c1: f64, c2: f64| -> Var {
-            let z2 = t.square(z);
-            let c1sq = t.constant(c1 * c1);
-            let c2sq = t.constant(c2 * c2);
-            let d1 = t.add(z2, c1sq);
-            let d2 = t.add(z2, c2sq);
-            let below = t.div(c1sq, d1);
-            let above = t.div(c2sq, d2);
-            let act = t.select_nonneg(z, above, below);
-            let one = t.constant(1.0);
-            let dis = t.sub(one, act);
-            t.mean_batch(dis)
-        };
-        let columns = vec![vec![0.5, -1.0, 2.0, 4.0, -0.25], vec![1.0, 3.0, -2.0, 0.5, 2.0]];
-        let params = [0.7, -0.4, 0.9];
-        let mut fused = Tape::new();
-        let mut unfused = Tape::new();
-        let wire = |t: &mut Tape| -> Var {
-            let x0 = t.input(0);
-            let x1 = t.input(1);
-            let w0 = t.param(0);
-            let w1 = t.param(1);
-            let b = t.param(2);
-            t.affine(&[w0, w1], &[x0, x1], Some(b))
-        };
-        let zf = wire(&mut fused);
-        let lf = fused.pbqu_loss(zf, 1.0, 50.0);
-        let zu = wire(&mut unfused);
-        let lu = build_unfused(&mut unfused, zu, 1.0, 50.0);
-        let (vf, gf) = fused.eval_with_grad(lf, &columns, &params);
-        let (vu, gu) = unfused.eval_with_grad(lu, &columns, &params);
-        assert_eq!(vf.to_bits(), vu.to_bits(), "forward values differ");
-        for (a, b) in gf.iter().zip(&gu) {
-            assert_eq!(a.to_bits(), b.to_bits(), "gradients differ: {gf:?} vs {gu:?}");
-        }
-    }
-
-    #[test]
     fn checks_fused_affine_into_gaussian() {
         // The full G-CLN literal: gaussian(affine(w, x), −1/2σ²).
         let mut t = Tape::new();

@@ -3,9 +3,9 @@
 //! A from-scratch substitute for the slice of PyTorch the paper uses:
 //!
 //! - [`tape`]: a batched tape-based reverse-mode autodiff engine with
-//!   fused `affine`, `gaussian` and `pbqu_loss` nodes. It trains the CLN
-//!   baseline, and it is the bitwise reference that the engine's direct
-//!   G-CLN and PBQU training kernels are tested against.
+//!   fused `affine` and `gaussian` nodes. It trains the CLN baseline, and
+//!   it is the bitwise reference that the engine's direct G-CLN training
+//!   kernel is tested against.
 //! - [`fastmath`]: the shared `exp` and canonical reductions that keep
 //!   the tape and those kernels bit-identical.
 //! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996),

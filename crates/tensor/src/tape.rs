@@ -1,11 +1,10 @@
 //! A batched, tape-based reverse-mode automatic differentiation engine.
 //!
 //! This is the CLN baseline's trainer (`gcln_baselines::cln`, behind
-//! `gcln table4`) and the bitwise reference for the engine's two direct
-//! training kernels: G-CLN equality training (`gcln_engine::model`) and
-//! PBQU bound training (`gcln_engine::bounds`) each replay a graph
-//! recorded here operation for operation, and tests pin them to it bit
-//! for bit. The design is specialized for CLN graphs:
+//! `gcln table4`) and the bitwise reference for the engine's direct
+//! G-CLN equality training kernel (`gcln_engine::model`), which replays
+//! a graph recorded here operation for operation; a test pins it to the
+//! tape bit for bit. The design is specialized for CLN graphs:
 //!
 //! - Every tape node carries a *batch vector* of values: either one value
 //!   per training sample (length `B`) or a single broadcast scalar
@@ -17,9 +16,8 @@
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
 //!   `exp`, powers, a piecewise selector for the PBQU activation, and
 //!   **fused nodes**: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one node instead
-//!   of `2k` mul/add nodes), [`Tape::gaussian`] (`exp(c·z²)`, the
-//!   equality relaxation) and [`Tape::pbqu_loss`] (the mean PBQU
-//!   tightness loss).
+//!   of `2k` mul/add nodes) and [`Tape::gaussian`] (`exp(c·z²)`, the
+//!   equality relaxation).
 //!
 //! # Execution model
 //!
@@ -114,16 +112,6 @@ enum Op {
         z: Var,
         coeff: Var,
     },
-    /// Fused PBQU tightness loss `mean_j(1 − act(z_j))` with
-    /// `act(z) = if z ≥ 0 { c2²/(z²+c2²) } else { c1²/(z²+c1²) }` —
-    /// one scalar node instead of the 8-node
-    /// square → add/add → div/div → select → sub → mean chain that bound
-    /// learning builds per candidate subset (paper §4.2).
-    PbquLoss {
-        z: Var,
-        c1sq: f64,
-        c2sq: f64,
-    },
 }
 
 /// A computation graph with batched reverse-mode differentiation.
@@ -200,7 +188,6 @@ impl Tape {
                 self.scalar[z.0] && self.scalar[coeff.0],
                 self.requires_grad[z.0] || self.requires_grad[coeff.0],
             ),
-            Op::PbquLoss { z, .. } => (true, self.requires_grad[z.0]),
         };
         self.ops.push(op);
         self.scalar.push(scalar);
@@ -308,16 +295,6 @@ impl Tape {
         self.push(Op::Gaussian { z, coeff })
     }
 
-    /// Fused PBQU tightness loss `mean(1 − act(z))` over the batch, with
-    /// `act(z) = select(z ≥ 0, c2²/(z²+c2²), c1²/(z²+c1²))` (paper §4.2).
-    ///
-    /// Collapses the per-element square/add/div/select/sub chain plus the
-    /// mean reduction into one scalar node; the arithmetic matches the
-    /// unfused graph operation-for-operation, so values are bit-identical.
-    pub fn pbqu_loss(&mut self, z: Var, c1: f64, c2: f64) -> Var {
-        self.push(Op::PbquLoss { z, c1sq: c1 * c1, c2sq: c2 * c2 })
-    }
-
     /// Runs a forward pass, returning the scalar value of `output`.
     ///
     /// `inputs[i]` is the batch column for [`Tape::input`] index `i`; all
@@ -386,21 +363,6 @@ impl Tape {
                         let z = bget(zv, j);
                         exp64(z * z * bget(cv, j))
                     }));
-                }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    // Per-element order mirrors the unfused
-                    // square → add → div → select → sub chain, and the
-                    // mean reduces in the crate's canonical blocked order
-                    // — bit-identical to the graph this op replaces.
-                    let zv = v(z);
-                    let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    let sum = reduce_blocked4(zv.len(), |j| {
-                        let zj = zv[j];
-                        let z2 = zj * zj;
-                        let act = if zj >= 0.0 { c2sq / (z2 + c2sq) } else { c1sq / (z2 + c1sq) };
-                        1.0 - act
-                    });
-                    out.push(sum / zv.len() as f64);
                 }
             }
         }
@@ -524,23 +486,6 @@ impl Tape {
                     acc!(coeff, |j, g| {
                         let z = bget(zv, j);
                         g * out[j] * (z * z)
-                    });
-                }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    // The unfused chain's adjoints in the same operation
-                    // order (mean → sub → select → div → add → square),
-                    // so gradients match the replaced graph bit-for-bit.
-                    let zv = v(z);
-                    let n = zv.len() as f64;
-                    let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    acc!(z, |j, g| {
-                        let zj = zv[j];
-                        let z2 = zj * zj;
-                        let g_act = -(g / n);
-                        let k = if zj >= 0.0 { c2sq } else { c1sq };
-                        let d = z2 + k;
-                        let g_d = -g_act * k / (d * d);
-                        2.0 * g_d * zj
                     });
                 }
             }
