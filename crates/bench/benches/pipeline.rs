@@ -6,13 +6,15 @@ use gcln_bench::mixed::mixed_jobs;
 use gcln_checker::{check, Candidate};
 use gcln_engine::bounds::learn_bounds;
 use gcln_engine::data::{collect_loop_states, Dataset};
-use gcln_engine::model::{train_equality_gcln, GclnConfig};
+use gcln_engine::fractional::{fractional_points, INTERVAL};
+use gcln_engine::model::{train_equality_gcln, GclnConfig, TermTiles};
 use gcln_engine::terms::{growth_filter, TermSpace};
 use gcln_engine::{Engine, Job, PipelineConfig};
 use gcln_lang::interp::{run_program, RunConfig};
 use gcln_logic::{parse_formula, CompiledFormula};
 use gcln_numeric::groebner::{groebner_basis, normal_form, GroebnerLimits};
 use gcln_numeric::Poly;
+use gcln_problems::find_problem;
 use gcln_problems::nla::nla_problem;
 use gcln_sched::{SchedConfig, Scheduler};
 
@@ -32,13 +34,12 @@ fn bench_training_epochs(c: &mut Criterion) {
     let space = TermSpace::enumerate(problem.extended_names(), 2);
     let keep = growth_filter(&space, &points, 1e10);
     let space = space.select(&keep);
-    let ds = Dataset::from_points(points, &space, Some(10.0));
-    let columns = ds.columns();
+    let data = TermTiles::from_rows(&Dataset::from_points(points, &space, Some(10.0)).rows);
     // Dropout 0.3, weight projection on and seed 7, as in every recorded
     // run of these rows, so their history stays comparable.
     let cfg = GclnConfig { max_epochs: 100 };
     c.bench_function("gcln_training_100_epochs_ps2", |b| {
-        b.iter(|| train_equality_gcln(&columns, &cfg, 0.3, true, 7))
+        b.iter(|| train_equality_gcln(&data, &cfg, 0.3, true, 7))
     });
 
     // Loop 0 of egcd2 at its own degree: a wide term space, where each
@@ -48,9 +49,33 @@ fn bench_training_epochs(c: &mut Criterion) {
     let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
     let keep = growth_filter(&space, &points, 1e10);
     let space = space.select(&keep);
-    let columns = Dataset::from_points(points, &space, Some(10.0)).columns();
+    let data = TermTiles::from_rows(&Dataset::from_points(points, &space, Some(10.0)).rows);
     c.bench_function("gcln_training_100_epochs_egcd2", |b| {
-        b.iter(|| train_equality_gcln(&columns, &cfg, 0.3, true, 7))
+        b.iter(|| train_equality_gcln(&data, &cfg, 0.3, true, 7))
+    });
+
+    // A linear-suite loop: 5 terms over 337 states, the shape most of
+    // the 124 linear problems train on.
+    let problem = find_problem("lin-branch-07").unwrap();
+    let points = collect_loop_states(&problem, 0, 120, 2);
+    let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
+    let keep = growth_filter(&space, &points, 1e10);
+    let space = space.select(&keep);
+    let data = TermTiles::from_rows(&Dataset::from_points(points, &space, Some(10.0)).rows);
+    c.bench_function("gcln_training_100_epochs_linear", |b| {
+        b.iter(|| train_equality_gcln(&data, &cfg, 0.3, true, 7))
+    });
+
+    // ps6's fractional samples (§4.3) at their dropout rate: 171 terms
+    // over 150 relaxed states, the widest shape any suite run trains on.
+    let problem = nla_problem("ps6").unwrap();
+    let frac = fractional_points(&problem, 0, INTERVAL).unwrap();
+    let space = TermSpace::enumerate(frac.names.clone(), problem.max_degree);
+    let keep = growth_filter(&space, &frac.points, 1e10);
+    let space = space.select(&keep);
+    let data = TermTiles::from_rows(&Dataset::from_points(frac.points, &space, Some(10.0)).rows);
+    c.bench_function("gcln_training_100_epochs_ps6_fractional", |b| {
+        b.iter(|| train_equality_gcln(&data, &cfg, 0.2, true, 7))
     });
 }
 

@@ -283,6 +283,7 @@ fn round_and_tighten(
     }
     let num_points = raw_cols.first().map_or(0, Vec::len);
     let mut best: Option<LearnedBound> = None;
+    let mut tried: Vec<Vec<Rat>> = Vec::with_capacity(DENOMINATORS.len());
     for den in DENOMINATORS {
         let Some(coeffs) = direction
             .iter()
@@ -291,9 +292,13 @@ fn round_and_tighten(
         else {
             continue;
         };
-        if coeffs.iter().all(Rat::is_zero) {
+        // A rounding equal to an earlier denominator's (every ±1 or {1, 2}
+        // direction at 2 and 4) would score the same and never replace
+        // `best`, which needs a strictly higher score.
+        if coeffs.iter().all(Rat::is_zero) || tried.contains(&coeffs) {
             continue;
         }
+        tried.push(coeffs.clone());
         // Evaluate w·t over the cached raw columns.
         let float_coeffs: Vec<f64> = coeffs.iter().map(Rat::to_f64).collect();
         let mut values: Vec<f64> = Vec::with_capacity(num_points);

@@ -229,7 +229,7 @@ pub fn extract_formula(model: &TrainedGcln, space: &TermSpace, points: &[Vec<f64
 mod tests {
     use super::*;
     use crate::data::Dataset;
-    use crate::model::{train_equality_gcln, GclnConfig};
+    use crate::model::{train_equality_gcln, GclnConfig, TermTiles};
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -272,8 +272,8 @@ mod tests {
         let space = TermSpace::enumerate(names(&["n", "z"]), 1);
         let raw: Vec<Vec<f64>> = (0..10).map(|n| vec![n as f64, 6.0 * n as f64 + 6.0]).collect();
         let ds = Dataset::from_points(raw.clone(), &space, Some(10.0));
-        let model =
-            train_equality_gcln(&ds.columns(), &GclnConfig { max_epochs: 1500 }, 0.0, true, 7);
+        let data = TermTiles::from_rows(&ds.rows);
+        let model = train_equality_gcln(&data, &GclnConfig { max_epochs: 1500 }, 0.0, true, 7);
         let formula = extract_formula(&model, &space, &raw);
         let expected = gcln_logic::parse_formula("z == 6 * n + 6", &space.names).unwrap();
         // Every extracted conjunct must hold on data; the expected

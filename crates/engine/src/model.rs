@@ -25,6 +25,9 @@
 //! the loss graph on `gcln_tensor::tape` in the tape's order, reductions
 //! included, so training is bit-identical to training on the tape; the
 //! `kernel_training_matches_tape_bitwise` test pins it against that graph.
+//! The decorrelation gradients come from one Gram matrix of the literal
+//! weights per epoch, summed in the order of the pairwise formula it
+//! replaces (`diversity_gram_matches_pairwise_sums`).
 
 use gcln_tensor::fastmath::{exp64, fma64, l1_subgrad};
 use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};
@@ -211,6 +214,45 @@ const TILE: usize = 32;
 
 type Tile = [f64; TILE];
 
+/// Training samples' term values in the layout the training kernel
+/// reads: tiles of 32 samples, tile-major (tile `b` of term `t` at
+/// `b · T + t`), so the terms one tile reads lie in one block of memory.
+/// The last tile is zero-padded past the batch end. Built once per
+/// dataset and shared by every training attempt on it.
+#[derive(Debug)]
+pub struct TermTiles {
+    n: usize,
+    num_terms: usize,
+    tiles: Vec<Tile>,
+}
+
+impl TermTiles {
+    /// The tiles of `rows` (samples × terms, the layout of
+    /// [`crate::data::Dataset::rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are ragged.
+    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+        let n = rows.len();
+        let num_terms = rows.first().map_or(0, Vec::len);
+        assert!(rows.iter().all(|r| r.len() == num_terms), "ragged rows");
+        let mut tiles = vec![[0.0; TILE]; n.div_ceil(TILE) * num_terms];
+        for (i, row) in rows.iter().enumerate() {
+            let b = i / TILE * num_terms;
+            for (tile, &x) in tiles[b..b + num_terms].iter_mut().zip(row) {
+                tile[i % TILE] = x;
+            }
+        }
+        TermTiles { n, num_terms, tiles }
+    }
+
+    /// Samples `base..base + TILE` of every term.
+    fn tile(&self, base: usize) -> &[Tile] {
+        &self.tiles[base / TILE * self.num_terms..][..self.num_terms]
+    }
+}
+
 /// The fused forward and backward pass of the G-CLN loss graph
 /// `mean(1 − Π_clauses(1 + g·((1 − Π_literals(1 − g·act)) − 1)))`,
 /// walked over the batch in tiles of [`TILE`] samples.
@@ -229,12 +271,20 @@ type Tile = [f64; TILE];
 /// its zeroed gradient buffer. Loss and gradients are therefore
 /// bit-identical to evaluating the graph on `gcln_tensor::tape` (the
 /// `kernel_training_matches_tape_bitwise` test).
+///
+/// The two FMA loops are register-blocked. The forward `z` of a literal
+/// accumulates in eight blocks of four samples, one vector register
+/// each, over its kept terms in order. The weight gradients take eight
+/// kept terms at a time, each term's four lanes in one register: eight
+/// independent FMA chains per pass over `dz`. The samples come
+/// tile-major ([`TermTiles`]), so the terms one tile reads are one block
+/// of memory. Blocking and layout only choose which independent sums
+/// run side by side and where operands are read from.
+/// Each sample's `z` still adds its terms in kept order, and each
+/// gradient lane still adds samples `j ≡ s (mod 4)` in ascending order,
+/// so the bits do not change.
 struct EqualityKernel<'a> {
-    columns: &'a [Vec<f64>],
-    n: usize,
-    /// The trailing partial tile of every column, zero-padded (unused
-    /// when `TILE` divides `n`).
-    last: Vec<Tile>,
+    data: &'a TermTiles,
     /// Per literal, clause-major: `z`, the Gaussian activation, and the
     /// running product of its clause's literal factors through it.
     z: Vec<Tile>,
@@ -250,29 +300,12 @@ struct EqualityKernel<'a> {
 }
 
 impl<'a> EqualityKernel<'a> {
-    /// Buffers for `clauses` over `columns`, allocated once per attempt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns are ragged.
-    fn new(columns: &'a [Vec<f64>], clauses: &[ClauseSlot], num_params: usize) -> Self {
-        let n = columns[0].len();
-        assert!(columns.iter().all(|c| c.len() == n), "ragged term columns");
-        let rest = n % TILE;
-        let last = columns
-            .iter()
-            .map(|c| {
-                let mut tile = [0.0; TILE];
-                tile[..rest].copy_from_slice(&c[n - rest..]);
-                tile
-            })
-            .collect();
+    /// Buffers for `clauses` over `data`, allocated once per attempt.
+    fn new(data: &'a TermTiles, clauses: &[ClauseSlot], num_params: usize) -> Self {
         let num_lits = clauses.iter().map(|c| c.literals.len()).sum();
         let tiles = |k: usize| vec![[0.0; TILE]; k];
         EqualityKernel {
-            columns,
-            n,
-            last,
+            data,
             z: tiles(num_lits),
             act: tiles(num_lits),
             prod: tiles(num_lits),
@@ -285,17 +318,22 @@ impl<'a> EqualityKernel<'a> {
 
     /// Forward pass over samples `base..base + TILE`.
     fn forward_tile(&mut self, clauses: &[ClauseSlot], params: &[f64], c: f64, base: usize) {
-        let Self { columns, last, z, act, prod, factor, conj, .. } = self;
+        let Self { data, z, act, prod, factor, conj, .. } = self;
+        let x_tiles = data.tile(base);
         let mut li = 0;
         for (ci, clause) in clauses.iter().enumerate() {
             for (k, lit) in clause.literals.iter().enumerate() {
-                let mut zt = [0.0; TILE];
+                // `z` in eight register blocks of four samples.
+                let mut zb = [[0.0; 4]; TILE / 4];
                 for (p, &t) in lit.weight_params.clone().zip(&lit.kept_terms) {
-                    let (w, x) = (params[p], column_tile(columns, last, t, base));
-                    for j in 0..TILE {
-                        zt[j] = fma64(w, x[j], zt[j]);
+                    let (w, x) = (params[p], &x_tiles[t]);
+                    for (zb, xb) in zb.iter_mut().zip(x.as_chunks::<4>().0) {
+                        for s in 0..4 {
+                            zb[s] = fma64(w, xb[s], zb[s]);
+                        }
                     }
                 }
+                let zt: Tile = std::array::from_fn(|j| zb[j / 4][j % 4]);
                 let g = params[lit.gate_param];
                 let mut at = [0.0; TILE];
                 let mut pt = [0.0; TILE];
@@ -346,7 +384,8 @@ impl<'a> EqualityKernel<'a> {
         split: usize,
         len: usize,
     ) {
-        let Self { columns, last, z, act, prod, factor, conj, lanes, tails, .. } = self;
+        let Self { data, z, act, prod, factor, conj, lanes, tails } = self;
+        let x_tiles = data.tile(base);
         // Adjoint of the running conjunction, from the last clause back.
         let mut g_conj = [g_out; TILE];
         let mut li_end = z.len();
@@ -392,14 +431,20 @@ impl<'a> EqualityKernel<'a> {
                 }
                 let gp = lit.gate_param;
                 add_lanes(&d_gate, split, len, &mut lanes[gp], &mut tails[gp]);
-                // Weight gradients four kept terms at a time, sharing one
-                // pass over `dz`.
+                // Weight gradients eight kept terms at a time (eight
+                // independent lane chains sharing one pass over `dz`),
+                // then four, then one.
                 let ws = lit.weight_params.clone();
                 let (w_lanes, w_tails) = (&mut lanes[ws.clone()], &mut tails[ws]);
                 let terms = &lit.kept_terms;
-                let x = |q: usize| column_tile(columns, last, terms[q], base);
+                let x = |q: usize| &x_tiles[terms[q]];
                 let mut q = 0;
-                while q + 4 <= terms.len() {
+                while q + 8 <= terms.len() {
+                    let xs: [&Tile; 8] = std::array::from_fn(|r| x(q + r));
+                    fma_lanes(&dz, xs, split, len, &mut w_lanes[q..q + 8], &mut w_tails[q..q + 8]);
+                    q += 8;
+                }
+                if q + 4 <= terms.len() {
                     let xs = [x(q), x(q + 1), x(q + 2), x(q + 3)];
                     fma_lanes(&dz, xs, split, len, &mut w_lanes[q..q + 4], &mut w_tails[q..q + 4]);
                     q += 4;
@@ -421,7 +466,7 @@ impl DataLoss for EqualityKernel<'_> {
         sigma: f64,
         grads: Option<&mut [f64]>,
     ) -> f64 {
-        let n = self.n;
+        let n = self.data.n;
         let n4 = n - n % 4;
         let c = -(1.0 / (2.0 * (sigma * sigma)));
         // ∂loss/∂conj: the mean's `1/n` through `1 − conj`.
@@ -449,15 +494,6 @@ impl DataLoss for EqualityKernel<'_> {
             }
         }
         combine(&loss_lanes, loss_tail) / n as f64
-    }
-}
-
-/// Samples `base..base + TILE` of term `t`, zero past the batch end.
-#[inline(always)]
-fn column_tile<'b>(columns: &'b [Vec<f64>], last: &'b [Tile], t: usize, base: usize) -> &'b Tile {
-    match columns[t].get(base..base + TILE) {
-        Some(s) => s.try_into().expect("slice of tile width"),
-        None => &last[t],
     }
 }
 
@@ -567,33 +603,89 @@ fn apply_gate_weight_reg(
     }
 }
 
+/// Literals in a model of [`NUM_CLAUSES`] clauses: the width of a
+/// [`Diversity`] row.
+const LITS: usize = NUM_CLAUSES * LITERALS_PER_CLAUSE;
+
+/// One value per literal, in clause-major literal order.
+type LitRow = [f64; LITS];
+
+/// Scratch for [`apply_diversity`], allocated once per attempt: per term,
+/// every literal's weight (zero where dropped) and weight gradient, and
+/// the pairwise coefficients `diversity · (wᵢ·wⱼ)`.
+struct Diversity {
+    weights: Vec<LitRow>,
+    grads: Vec<LitRow>,
+    coef: [LitRow; LITS],
+}
+
+impl Diversity {
+    fn new(num_terms: usize) -> Self {
+        Diversity {
+            weights: vec![[0.0; LITS]; num_terms],
+            grads: vec![[0.0; LITS]; num_terms],
+            coef: [[0.0; LITS]; LITS],
+        }
+    }
+}
+
 /// Pairwise decorrelation gradients `∂/∂wᵢ ½(wᵢ·wⱼ)² = (wᵢ·wⱼ)·wⱼ`,
-/// computed over the shared (full) term space. `dense` is scratch for
-/// every literal's weights over that space (`L × T`, row-major).
+/// computed over the shared (full) term space.
+///
+/// The literals' Gram matrix is built once per call, each pair's dot
+/// product once, term by term across the upper triangle. Every entry is
+/// the fold that `Iterator::sum` performs, products added in term order
+/// from `−0.0`, and `wᵢ·wⱼ = wⱼ·wᵢ` bit for bit. Each weight gradient then
+/// adds `(diversity · dot)·wⱼ` for the other literals `j` in ascending
+/// order, one term row at a time across all literals. The result is
+/// bit-identical to summing every ordered pair's dot product separately.
 fn apply_diversity(
     grads: &mut [f64],
     params: &[f64],
     clauses: &[ClauseSlot],
-    num_terms: usize,
     diversity: f64,
-    dense: &mut [f64],
+    scratch: &mut Diversity,
 ) {
     let lits = || clauses.iter().flat_map(|c| c.literals.iter());
-    dense.fill(0.0);
-    for (row, lit) in dense.chunks_exact_mut(num_terms).zip(lits()) {
+    let num_lits = lits().count();
+    assert!(num_lits <= LITS, "more literals than a diversity row holds");
+    let Diversity { weights, grads: rows, coef } = scratch;
+    weights.fill([0.0; LITS]);
+    rows.fill([0.0; LITS]);
+    for (i, lit) in lits().enumerate() {
         for (p, &t) in lit.weight_params.clone().zip(&lit.kept_terms) {
-            row[t] = params[p];
+            weights[t][i] = params[p];
+            rows[t][i] = grads[p];
         }
     }
-    let row = |i: usize| &dense[i * num_terms..(i + 1) * num_terms];
-    let num_lits = dense.len() / num_terms;
-    for (i, lit) in lits().enumerate() {
-        for j in (0..num_lits).filter(|&j| j != i) {
-            let (wi, wj) = (row(i), row(j));
-            let dot: f64 = wi.iter().zip(wj).map(|(a, b)| a * b).sum();
-            for (p, &t) in lit.weight_params.clone().zip(&lit.kept_terms) {
-                grads[p] += diversity * dot * wj[t];
+    let mut gram = [[-0.0; LITS]; LITS];
+    for w in weights.iter() {
+        for i in 0..num_lits {
+            let wi = w[i];
+            for (g, &wj) in gram[i][i + 1..num_lits].iter_mut().zip(&w[i + 1..num_lits]) {
+                *g += wi * wj;
             }
+        }
+    }
+    for i in 0..num_lits {
+        for j in i + 1..num_lits {
+            let c = diversity * gram[i][j];
+            coef[i][j] = c;
+            coef[j][i] = c;
+        }
+    }
+    for (w, g) in weights.iter().zip(rows.iter_mut()) {
+        for j in 0..num_lits {
+            let (wj, cj) = (w[j], &coef[j]);
+            for i in 0..LITS {
+                let v = g[i] + cj[i] * wj;
+                g[i] = if i == j { g[i] } else { v };
+            }
+        }
+    }
+    for (i, lit) in lits().enumerate() {
+        for (p, &t) in lit.weight_params.clone().zip(&lit.kept_terms) {
+            grads[p] = rows[t][i];
         }
     }
 }
@@ -656,34 +748,33 @@ fn read_back(
     TrainedGcln { clause_gates, literal_gates, weights, masks, final_loss, epochs_run }
 }
 
-/// Trains a G-CLN with Gaussian (equality) literals on term columns, at
-/// term-dropout probability `dropout_rate` (0 disables), with the unit-L2
-/// weight projection of §5.1.2 when `weight_reg` (off is the Table 3
-/// "weight reg" ablation), and weight init and dropout masks drawn from
-/// `seed`.
-///
-/// `columns[t]` is the batch vector of term `t` over all samples (use
-/// [`crate::data::Dataset::columns`]).
+/// Trains a G-CLN with Gaussian (equality) literals on the samples of
+/// `data`, at term-dropout probability `dropout_rate` (0 disables), with
+/// the unit-L2 weight projection of §5.1.2 when `weight_reg` (off is the
+/// Table 3 "weight reg" ablation), and weight init and dropout masks
+/// drawn from `seed`.
 ///
 /// # Panics
 ///
-/// Panics if `columns` is empty or the columns are ragged.
+/// Panics if `data` has no terms.
 pub fn train_equality_gcln(
-    columns: &[Vec<f64>],
+    data: &TermTiles,
     config: &GclnConfig,
     dropout_rate: f64,
     weight_reg: bool,
     seed: u64,
 ) -> TrainedGcln {
-    train_with(columns, config, dropout_rate, weight_reg, seed, SHAPE, |clauses, num_params| {
-        EqualityKernel::new(columns, clauses, num_params)
+    let num_terms = data.num_terms;
+    train_with(num_terms, config, dropout_rate, weight_reg, seed, SHAPE, |clauses, num_params| {
+        EqualityKernel::new(data, clauses, num_params)
     })
 }
 
-/// The training loop for a G-CLN of the given `shape`, over the loss that
-/// `make_loss` builds for the attempt's parameter layout.
+/// The training loop for a G-CLN of the given `shape` over `num_terms`
+/// terms, with the loss that `make_loss` builds for the attempt's
+/// parameter layout.
 fn train_with<L: DataLoss>(
-    columns: &[Vec<f64>],
+    num_terms: usize,
     config: &GclnConfig,
     dropout_rate: f64,
     weight_reg: bool,
@@ -691,8 +782,7 @@ fn train_with<L: DataLoss>(
     shape: Shape,
     make_loss: impl FnOnce(&[ClauseSlot], usize) -> L,
 ) -> TrainedGcln {
-    assert!(!columns.is_empty(), "need at least one term column");
-    let num_terms = columns.len();
+    assert!(num_terms > 0, "need at least one term column");
     let mut rng = StdRng::seed_from_u64(seed);
 
     let (kept, masks) = draw_kept_terms(num_terms, shape.num_clauses, dropout_rate, &mut rng);
@@ -705,7 +795,7 @@ fn train_with<L: DataLoss>(
     // --- training loop ---
     let mut adam = Adam::new(num_params, OPTIMIZER);
     let mut grads = vec![0.0; num_params];
-    let mut dense = vec![0.0; shape.num_clauses * LITERALS_PER_CLAUSE * num_terms];
+    let mut diversity_scratch = Diversity::new(num_terms);
     let mut epochs_run = 0;
     let anneal_epochs = (config.max_epochs as f64 * ANNEAL_FRACTION).max(1.0);
     for epoch in 0..config.max_epochs {
@@ -723,7 +813,7 @@ fn train_with<L: DataLoss>(
         // spread early but settle to precise directions late.
         let diversity = shape.diversity * (1.0 - (epoch as f64 / anneal_epochs)).max(0.0);
         if diversity > 0.0 {
-            apply_diversity(&mut grads, &params, &clauses, num_terms, diversity, &mut dense);
+            apply_diversity(&mut grads, &params, &clauses, diversity, &mut diversity_scratch);
         }
         adam.step(&mut params, &grads);
         apply_projections(&mut params, &clauses, weight_reg);
@@ -865,15 +955,10 @@ mod tests {
     }
 
     /// [`train_equality_gcln`] without dropout at a test `shape`.
-    fn train_shaped(
-        columns: &[Vec<f64>],
-        max_epochs: usize,
-        seed: u64,
-        shape: Shape,
-    ) -> TrainedGcln {
+    fn train_shaped(data: &TermTiles, max_epochs: usize, seed: u64, shape: Shape) -> TrainedGcln {
         let config = GclnConfig { max_epochs };
-        train_with(columns, &config, 0.0, true, seed, shape, |clauses, num_params| {
-            EqualityKernel::new(columns, clauses, num_params)
+        train_with(data.num_terms, &config, 0.0, true, seed, shape, |clauses, num_params| {
+            EqualityKernel::new(data, clauses, num_params)
         })
     }
 
@@ -890,8 +975,8 @@ mod tests {
 
     /// Normalized rows over `t` terms, `n` samples: a constant term, then
     /// mixed-sign values with a few exact linear relations among them.
-    fn synthetic_columns(t: usize, n: usize) -> Vec<Vec<f64>> {
-        let rows: Vec<Vec<f64>> = (0..n)
+    fn synthetic_rows(t: usize, n: usize) -> Vec<Vec<f64>> {
+        (0..n)
             .map(|i| {
                 let x = i as f64;
                 let mut r: Vec<f64> = (0..t)
@@ -905,39 +990,53 @@ mod tests {
                 crate::data::normalize_row(&mut r, 10.0);
                 r
             })
-            .collect();
-        columns_from_rows(rows)
+            .collect()
     }
 
     #[test]
     fn kernel_training_matches_tape_bitwise() {
         // (terms, samples, dropout, weight_reg). Batches of 1, 2, 3 and 5
         // samples; exactly one tile (32), one tile plus a lane-aligned
-        // remainder (36) and plus a tail (35, 37); several tiles (70).
-        // Without dropout the kept-term counts are the term counts: 4 and
-        // 8 (multiples of 4), 3, 5 and 6 (not); dropout 0.3 draws ragged
-        // counts, and 40 terms is a wide space.
+        // remainder (36) and plus a tail (33, 34, 35, 37, 39); several
+        // tiles (64, 70, 150). Without dropout the kept-term counts are the
+        // term counts: 2 to 15 cover every remainder of the weight
+        // gradients' blocks of eight, with and without a full block, and
+        // of the blocks of four after them; 40 (a multiple of eight) is a
+        // wide space. Dropout draws ragged counts, and 171 terms at
+        // dropout 0.2 over 150 samples is the shape of ps6's fractional
+        // data.
         let cases = [
             (3, 1, 0.0, true),
             (4, 2, 0.0, true),
             (5, 3, 0.3, true),
             (6, 5, 0.0, false),
+            (2, 4, 0.0, true),
             (8, 32, 0.0, true),
             (5, 35, 0.3, true),
             (4, 36, 0.0, true),
             (6, 37, 0.3, false),
+            (7, 39, 0.0, true),
+            (9, 33, 0.0, true),
+            (10, 34, 0.0, true),
+            (11, 64, 0.0, false),
+            (12, 35, 0.0, true),
+            (13, 36, 0.0, true),
+            (14, 37, 0.0, true),
+            (15, 70, 0.0, true),
             (40, 35, 0.3, true),
             (40, 70, 0.0, true),
             (9, 70, 0.3, false),
+            (171, 150, 0.2, true),
         ];
         for (t, n, dropout_rate, weight_reg) in cases {
-            let columns = synthetic_columns(t, n);
+            let rows = synthetic_rows(t, n);
+            let (data, columns) = (TermTiles::from_rows(&rows), columns_from_rows(&rows));
             let cfg = GclnConfig { max_epochs: 60 };
             let seed = (t * 100 + n) as u64;
             let case = format!("T={t} n={n} dropout={dropout_rate} weight_reg={weight_reg}");
-            let kernel = train_equality_gcln(&columns, &cfg, dropout_rate, weight_reg, seed);
+            let kernel = train_equality_gcln(&data, &cfg, dropout_rate, weight_reg, seed);
             let tape = train_with(
-                &columns,
+                t,
                 &cfg,
                 dropout_rate,
                 weight_reg,
@@ -949,26 +1048,101 @@ mod tests {
             // Every epoch's loss and gradients, not only where training
             // ends: clamped gates and Adam's normalized steps can absorb a
             // one-ulp gradient difference.
-            train_with(
-                &columns,
-                &cfg,
-                dropout_rate,
-                weight_reg,
-                seed,
-                SHAPE,
-                |clauses, num_params| Lockstep {
-                    kernel: EqualityKernel::new(&columns, clauses, num_params),
+            train_with(t, &cfg, dropout_rate, weight_reg, seed, SHAPE, |clauses, num_params| {
+                Lockstep {
+                    kernel: EqualityKernel::new(&data, clauses, num_params),
                     tape: tape_loss(&columns, clauses, num_params),
                     tape_grads: vec![0.0; num_params],
                     calls: 0,
                     case,
-                },
-            );
+                }
+            });
         }
     }
 
-    /// Columns for samples of a relation, given raw points.
-    fn columns_from_rows(rows: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    /// The pairwise formula [`apply_diversity`] replaced: for every
+    /// ordered pair, the dot product as an `Iterator::sum` over dense
+    /// rows, then `(diversity · dot)·wⱼ` into each kept weight's gradient.
+    fn apply_diversity_pairwise(
+        grads: &mut [f64],
+        params: &[f64],
+        clauses: &[ClauseSlot],
+        num_terms: usize,
+        diversity: f64,
+    ) {
+        let lits: Vec<&LiteralSlot> = clauses.iter().flat_map(|c| c.literals.iter()).collect();
+        let mut dense = vec![vec![0.0; num_terms]; lits.len()];
+        for (row, lit) in dense.iter_mut().zip(&lits) {
+            for (p, &t) in lit.weight_params.clone().zip(&lit.kept_terms) {
+                row[t] = params[p];
+            }
+        }
+        for (i, lit) in lits.iter().enumerate() {
+            for j in (0..lits.len()).filter(|&j| j != i) {
+                let (wi, wj) = (&dense[i], &dense[j]);
+                let dot: f64 = wi.iter().zip(wj).map(|(a, b)| a * b).sum();
+                for (p, &t) in lit.weight_params.clone().zip(&lit.kept_terms) {
+                    grads[p] += diversity * dot * wj[t];
+                }
+            }
+        }
+    }
+
+    /// [`apply_diversity`] against [`apply_diversity_pairwise`], bit for
+    /// bit, from the gradients `start`.
+    fn assert_diversity_matches(
+        clauses: &[ClauseSlot],
+        params: &[f64],
+        start: &[f64],
+        num_terms: usize,
+        case: &str,
+    ) {
+        let mut want = start.to_vec();
+        apply_diversity_pairwise(&mut want, params, clauses, num_terms, 0.07);
+        let mut got = start.to_vec();
+        apply_diversity(&mut got, params, clauses, 0.07, &mut Diversity::new(num_terms));
+        for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{case}: ∂param {p}");
+        }
+    }
+
+    #[test]
+    fn diversity_gram_matches_pairwise_sums() {
+        // (terms, clauses, dropout): full and reduced shapes, dense and
+        // ragged kept sets, down to two terms.
+        let cases = [(2, NUM_CLAUSES, 0.0), (5, 4, 0.3), (9, 6, 0.0), (40, NUM_CLAUSES, 0.3)];
+        for (t, num_clauses, dropout_rate) in cases {
+            let mut rng = StdRng::seed_from_u64(t as u64);
+            let (kept, _) = draw_kept_terms(t, num_clauses, dropout_rate, &mut rng);
+            let (clauses, num_params) = compact_slots(kept);
+            let mut params: Vec<f64> = (0..num_params).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            // All-zero weight rows, of either sign.
+            for (k, lit) in clauses.iter().flat_map(|c| &c.literals).enumerate().take(3) {
+                params[lit.weight_params.clone()].fill(if k == 1 { -0.0 } else { 0.0 });
+            }
+            let start: Vec<f64> = (0..num_params)
+                .map(|p| if p % 3 == 0 { -0.0 } else { rng.gen_range(-1.0..1.0) })
+                .collect();
+            let case = format!("T={t} clauses={num_clauses} dropout={dropout_rate}");
+            assert_diversity_matches(&clauses, &params, &start, t, &case);
+        }
+        // One clause over two terms, every gradient starting at `−0.0`,
+        // where the sign of a zero gradient shows the order of the sum.
+        // (+0, +0)·(−½, −¼) is `−0.0` only because the sum starts there,
+        // and it decides the sign of literal 0's gradients. With literal 0
+        // at (−0, +0), literal 1's gradient on term 0 stays `−0.0` only if
+        // its own (zero) self-pair coefficient is never added.
+        let (clauses, num_params) = compact_slots(vec![vec![vec![0, 1], vec![0, 1]]]);
+        for (w0, w1) in [([0.0, 0.0], [-0.5, -0.25]), ([-0.0, 0.0], [0.5, 0.25])] {
+            let params = [w0[0], w0[1], 1.0, w1[0], w1[1], 1.0, 1.0];
+            assert_eq!(num_params, params.len());
+            let case = format!("w0={w0:?} w1={w1:?}");
+            assert_diversity_matches(&clauses, &params, &[-0.0; 7], 2, &case);
+        }
+    }
+
+    /// The tape's layout of `rows`: one column per term.
+    fn columns_from_rows(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let t = rows[0].len();
         (0..t).map(|j| rows.iter().map(|r| r[j]).collect()).collect()
     }
@@ -999,7 +1173,7 @@ mod tests {
             })
             .collect();
         let shape = Shape { num_clauses: 4, ..SHAPE };
-        let model = train_shaped(&columns_from_rows(rows), 1500, 7, shape);
+        let model = train_shaped(&TermTiles::from_rows(&rows), 1500, 7, shape);
         assert!(model.final_loss < 0.05, "loss: {}", model.final_loss);
         // Some active literal must align with (3, 2, -1) up to sign/scale.
         let target = {
@@ -1042,7 +1216,7 @@ mod tests {
             })
             .collect();
         let cfg = GclnConfig { max_epochs: 1200 };
-        let model = train_equality_gcln(&columns_from_rows(rows), &cfg, 0.3, true, 7);
+        let model = train_equality_gcln(&TermTiles::from_rows(&rows), &cfg, 0.3, true, 7);
         // With nothing learnable, the loss can only go low by closing
         // clause gates.
         if model.final_loss < 0.05 {
@@ -1059,7 +1233,7 @@ mod tests {
         let rows: Vec<Vec<f64>> =
             (0..10).map(|i| vec![1.0, i as f64, (2 * i) as f64, (3 * i) as f64]).collect();
         let model = train_equality_gcln(
-            &columns_from_rows(rows),
+            &TermTiles::from_rows(&rows),
             &GclnConfig { max_epochs: 50 },
             0.5,
             true,
@@ -1082,7 +1256,7 @@ mod tests {
     fn weight_projection_keeps_unit_norm() {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![1.0, i as f64, (5 * i) as f64]).collect();
         let model = train_equality_gcln(
-            &columns_from_rows(rows),
+            &TermTiles::from_rows(&rows),
             &GclnConfig { max_epochs: 200 },
             0.0,
             true,
@@ -1113,13 +1287,13 @@ mod tests {
                 r
             })
             .collect();
-        let cols = columns_from_rows(rows);
+        let data = TermTiles::from_rows(&rows);
         // Try a few seeds; at least one must converge with an open clause
         // whose two literals align with (0,1,-1) and (0,1,1).
         let shape = Shape { num_clauses: 6, diversity: 0.02 };
         let mut success = false;
         for seed in 0..10 {
-            let model = train_shaped(&cols, 2500, seed, shape);
+            let model = train_shaped(&data, 2500, seed, shape);
             if model.final_loss > 0.05 {
                 continue;
             }

@@ -18,7 +18,7 @@ use crate::data::{collect_loop_states, Dataset};
 use crate::events::{Event, StopReason};
 use crate::extract::{extract_formula, FitPoints, FIT_TOL};
 use crate::fractional::fractional_points;
-use crate::model::{train_equality_gcln, GclnConfig};
+use crate::model::{train_equality_gcln, GclnConfig, TermTiles};
 use crate::spec::ProblemSpec;
 use crate::terms::{growth_filter, TermSpace};
 use gcln_checker::check::evenly_subsample;
@@ -424,7 +424,7 @@ pub(crate) fn learn_fractional(
         return None;
     }
     let model = train_equality_gcln(
-        &ds.columns(),
+        &TermTiles::from_rows(&ds.rows),
         &config.gcln,
         if config.enable_dropout { 0.2 } else { 0.0 },
         config.enable_weight_reg,

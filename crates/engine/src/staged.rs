@@ -41,7 +41,7 @@ use crate::events::{Event, Stage, StopReason};
 use crate::extract::extract_formula;
 use crate::fractional::INTERVAL;
 use crate::kernel::kernel_equalities;
-use crate::model::{train_equality_gcln, TrainedGcln};
+use crate::model::{train_equality_gcln, TermTiles, TrainedGcln};
 use crate::run::{
     absorb, bound_direction, collect_trace, learn_fractional, prune_falsified_conjuncts,
     CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig, TraceCollection,
@@ -211,8 +211,8 @@ struct LoopSetup {
     duplicates: Vec<(usize, usize)>,
     /// Growth-filtered term space the models train over.
     space: Arc<TermSpace>,
-    /// Term columns over the training points (empty iff `ds_empty`).
-    columns: Arc<Vec<Vec<f64>>>,
+    /// Term values over the training points (empty iff `ds_empty`).
+    data: Arc<TermTiles>,
     /// Whether the dataset came out empty (degenerate term space).
     ds_empty: bool,
 }
@@ -803,14 +803,14 @@ impl StagedJob {
             let space = space_all.select(&filtered.keep);
             let ds = Dataset::from_points((*points).clone(), &space, config.normalize);
             let ds_empty = ds.is_empty();
-            let columns = if ds_empty { Vec::new() } else { ds.columns() };
+            let data = TermTiles::from_rows(&ds.rows);
             Out::Setup {
                 loop_id,
                 setup: LoopSetup {
                     space_all,
                     duplicates: filtered.duplicates,
                     space: Arc::new(space),
-                    columns: Arc::new(columns),
+                    data: Arc::new(data),
                     ds_empty,
                 },
             }
@@ -823,8 +823,7 @@ impl StagedJob {
         let config = self.config.clone();
         let cancel = self.cancel.clone();
         let deadline_at = self.deadline_at;
-        let columns =
-            self.train[loop_id].as_ref().expect("loop round present").setup.columns.clone();
+        let data = self.train[loop_id].as_ref().expect("loop round present").setup.data.clone();
         self.task(TaskKind::Train, move || {
             // Cooperative stop at the task boundary: already-running
             // attempts finish, pending ones are skipped.
@@ -838,13 +837,8 @@ impl StagedJob {
                 .wrapping_add((attempt as u64) * 7919)
                 .wrapping_add((loop_id as u64) * 104_729)
                 .wrapping_add((round as u64) * 15_485_863);
-            let model = train_equality_gcln(
-                &columns,
-                &config.gcln,
-                dropout,
-                config.enable_weight_reg,
-                seed,
-            );
+            let model =
+                train_equality_gcln(&data, &config.gcln, dropout, config.enable_weight_reg, seed);
             let model = Some(Arc::new(model));
             Out::Train { loop_id, attempt, model }
         })

@@ -185,24 +185,4 @@ mod tests {
         let report = check_gradients(&mut t, out, &inputs, &params, 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
-
-    #[test]
-    fn checks_piecewise_graph_away_from_kink() {
-        // PBQU-like: select(z, c2^2/(z^2+c2^2), c1^2/(z^2+c1^2))
-        let mut t = Tape::new();
-        let x = t.input(0);
-        let w = t.param(0);
-        let z = t.mul(w, x);
-        let z2 = t.square(z);
-        let c1 = t.constant(0.25); // c1^2
-        let c2 = t.constant(25.0); // c2^2
-        let d1 = t.add(z2, c1);
-        let d2 = t.add(z2, c2);
-        let lo = t.div(c1, d1);
-        let hi = t.div(c2, d2);
-        let sel = t.select_nonneg(z, hi, lo);
-        let out = t.sum_batch(sel);
-        let report = check_gradients(&mut t, out, &[vec![1.0, -2.0, 0.5]], &[0.9], 1e-6);
-        assert!(report.max_rel_error < 1e-5, "report: {report:?}");
-    }
 }

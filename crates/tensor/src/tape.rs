@@ -14,10 +14,9 @@
 //!   [`Tape::eval_with_grad`]), so the graph size is `O(model)`, not
 //!   `O(model × epochs)`.
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
-//!   `exp`, powers, a piecewise selector for the PBQU activation, and
-//!   **fused nodes**: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one node instead
-//!   of `2k` mul/add nodes) and [`Tape::gaussian`] (`exp(c·z²)`, the
-//!   equality relaxation).
+//!   `exp`, powers, and **fused nodes**: [`Tape::affine`] (`Σ wᵢ·xᵢ + b`
+//!   as one node instead of `2k` mul/add nodes) and [`Tape::gaussian`]
+//!   (`exp(c·z²)`, the equality relaxation).
 //!
 //! # Execution model
 //!
@@ -86,15 +85,6 @@ enum Op {
     Exp(Var),
     Square(Var),
     Recip(Var),
-    /// Elementwise selection: `if cond >= 0 { a } else { b }`.
-    ///
-    /// The gradient flows only through the selected branch (the condition
-    /// is treated as non-differentiable, like a comparison).
-    SelectNonneg {
-        cond: Var,
-        nonneg: Var,
-        neg: Var,
-    },
     /// Reduce a batch vector to the scalar sum of its entries.
     SumBatch(Var),
     /// Reduce a batch vector to the scalar mean of its entries.
@@ -176,10 +166,6 @@ impl Tape {
             Op::Neg(a) | Op::Exp(a) | Op::Square(a) | Op::Recip(a) => {
                 (self.scalar[a.0], self.requires_grad[a.0])
             }
-            Op::SelectNonneg { cond, nonneg, neg } => (
-                self.scalar[cond.0] && self.scalar[nonneg.0] && self.scalar[neg.0],
-                self.requires_grad[nonneg.0] || self.requires_grad[neg.0],
-            ),
             Op::Affine { weights, xs, bias } => {
                 let all = || weights.iter().chain(xs.iter()).chain(bias.iter());
                 (all().all(|v| self.scalar[v.0]), all().any(|v| self.requires_grad[v.0]))
@@ -250,13 +236,6 @@ impl Tape {
     /// `1 / a` elementwise.
     pub fn recip(&mut self, a: Var) -> Var {
         self.push(Op::Recip(a))
-    }
-
-    /// Elementwise `if cond >= 0 { nonneg } else { neg }`.
-    ///
-    /// Gradient flows only through the branch that was selected.
-    pub fn select_nonneg(&mut self, cond: Var, nonneg: Var, neg: Var) -> Var {
-        self.push(Op::SelectNonneg { cond, nonneg, neg })
     }
 
     /// Sum over the batch dimension, producing a scalar node.
@@ -338,12 +317,6 @@ impl Tape {
                 Op::Exp(a) => out.extend(v(a).iter().map(|&x| exp64(x))),
                 Op::Square(a) => out.extend(v(a).iter().map(|x| x * x)),
                 Op::Recip(a) => out.extend(v(a).iter().map(|x| 1.0 / x)),
-                Op::SelectNonneg { cond, nonneg, neg } => {
-                    let (c, p, q) = (v(cond), v(nonneg), v(neg));
-                    out.extend(
-                        (0..n).map(|j| if bget(c, j) >= 0.0 { bget(p, j) } else { bget(q, j) }),
-                    );
-                }
                 Op::SumBatch(a) => out.push(sum_blocked(v(a))),
                 Op::MeanBatch(a) => out.push(sum_blocked(v(a)) / v(a).len() as f64),
                 Op::Affine { weights, xs, bias } => {
@@ -450,11 +423,6 @@ impl Tape {
                         let x = av[j];
                         -g / (x * x)
                     });
-                }
-                Op::SelectNonneg { cond, nonneg, neg } => {
-                    let cv = v(cond);
-                    acc!(nonneg, |j, g| if bget(cv, j) >= 0.0 { g } else { 0.0 });
-                    acc!(neg, |j, g| if bget(cv, j) >= 0.0 { 0.0 } else { g });
                 }
                 Op::SumBatch(a) => acc!(a, |_, g| g),
                 Op::MeanBatch(a) => {
@@ -594,23 +562,6 @@ mod tests {
         let sig = 1.0 / (1.0 + (-0.3f64).exp());
         assert!((v - sig).abs() < 1e-12);
         assert!((g[0] - sig * (1.0 - sig)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn select_nonneg_routes_values_and_grads() {
-        // f = select(x, w1*x, w2*x): piecewise linear.
-        let mut t = Tape::new();
-        let x = t.input(0);
-        let w1 = t.param(0);
-        let w2 = t.param(1);
-        let pos = t.mul(w1, x);
-        let neg = t.mul(w2, x);
-        let sel = t.select_nonneg(x, pos, neg);
-        let out = t.sum_batch(sel);
-        let xs = vec![-2.0, 3.0];
-        let (v, g) = t.eval_with_grad(out, &[xs], &[10.0, 100.0]);
-        assert_eq!(v, 10.0 * 3.0 + 100.0 * -2.0);
-        assert_eq!(g, vec![3.0, -2.0]);
     }
 
     #[test]
