@@ -242,7 +242,12 @@ pub fn main_with_args(args: &[String]) -> i32 {
             0
         }
         "table4" => {
-            tables::table4(flags.runs.unwrap_or(20));
+            let runs = flags.runs.unwrap_or(20);
+            if runs == 0 {
+                eprintln!("error: --runs must be at least 1");
+                return 1;
+            }
+            tables::table4(runs);
             0
         }
         "fig" => {

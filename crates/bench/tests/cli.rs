@@ -1,6 +1,6 @@
 //! End-to-end tests of the `gcln` binary: arbitrary (non-registry)
-//! programs through `gcln run`, JSON event output, deadline stops, and
-//! suite exit-code gating.
+//! programs through `gcln run`, JSON event output, deadline stops, usage
+//! errors, and suite exit-code gating.
 
 use std::process::{Command, Output};
 
@@ -158,6 +158,16 @@ fn run_rejects_surplus_and_empty_ranges() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.starts_with("error: "), "{flags:?}: {stderr}");
     }
+}
+
+#[test]
+fn table4_rejects_zero_runs() {
+    // Zero runs would print a 0/0 convergence rate in every cell.
+    let out = gcln(&["table4", "--runs", "0"]);
+    assert_eq!(out.status.code(), Some(1), "--runs 0 must be a usage error");
+    assert!(out.stdout.is_empty(), "no table is printed");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.starts_with("error: "), "{stderr}");
 }
 
 #[test]

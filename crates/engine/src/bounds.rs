@@ -25,12 +25,12 @@
 //! and learning stops once the cap is full: on wide term spaces the
 //! single-term subsets alone fill it.
 
+use crate::optim::project_unit_l2;
 use crate::terms::TermSpace;
 use gcln_logic::relax::pbqu_ge;
 use gcln_logic::{Atom, Pred};
 use gcln_numeric::rat::gcd_i128;
 use gcln_numeric::{Poly, Rat};
-use gcln_tensor::optim::project_unit_l2;
 use rayon::prelude::*;
 
 /// PBQU below-boundary constant (§6 training value).

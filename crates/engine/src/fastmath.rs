@@ -1,12 +1,10 @@
-//! Shared numeric kernels: a vectorizable `exp` and canonical blocked
-//! reductions.
+//! The training kernel's shared arithmetic: one fused multiply-add, a
+//! vectorizable `exp`, and a zero-safe L1 subgradient.
 //!
-//! Every execution engine that must agree bit for bit — the tape
-//! ([`crate::tape`]) and the engine crate's direct G-CLN equality kernel
-//! — routes the *same* floating-point operations through the *same*
-//! inlined helpers below. That single source of truth is what makes them
-//! bit-identical to each other: there is exactly one `exp`
-//! implementation and exactly one summation order.
+//! The G-CLN training kernel ([`crate::model`]) and the test-only tape it
+//! is pinned to route the *same* floating-point operations through these
+//! inlined helpers, so there is exactly one `exp` and one decision of
+//! what gets fused. That is what keeps the two bit-identical.
 //!
 //! # Why not `f64::exp`?
 //!
@@ -17,23 +15,12 @@
 //! turn a whole activation row into SIMD lanes. Accuracy is ~1–2 ulp over
 //! the training range (validated against libm in the tests), which is far
 //! below the noise floor of gradient descent.
-//!
-//! # Why blocked reductions?
-//!
-//! A sequential floating-point sum is a single dependency chain: one fused
-//! multiply-add every ~4 cycles, no matter how wide the machine is. The
-//! affine backward pass is dominated by exactly such sums
-//! (`∂w_i = Σ_j x_j·g_j`). [`reduce_blocked4`] fixes *one* canonical
-//! reassociation — four independent accumulators over the main blocks, a
-//! sequential tail, combined as `((a₀+a₁)+(a₂+a₃))+tail` — which breaks the
-//! latency chain (~3× faster) while remaining a deterministic, documented
-//! summation order shared by every engine.
 
 /// Fused multiply-add `a·b + c`, rounded once.
 ///
-/// The single canonical FMA entry point for the crate: every engine that
-/// fuses a product into a sum (the affine dot products, the [`exp64`]
-/// polynomial, [`reduce_fma_blocked4`]) goes through here, so "what gets
+/// The single canonical FMA entry point: everything that fuses a product
+/// into a sum (the kernel's and the tape's dot products and weight
+/// gradients, the [`exp64`] polynomial) goes through here, so "what gets
 /// fused" is decided in exactly one place. On hardware with FMA units
 /// (any x86-64 since Haswell, all aarch64) `mul_add` compiles to the
 /// single instruction; elsewhere it falls back to a correctly-rounded
@@ -42,38 +29,6 @@
 #[inline(always)]
 pub fn fma64(a: f64, b: f64, c: f64) -> f64 {
     a.mul_add(b, c)
-}
-
-/// Dot-product-style reduction with fused multiply-adds: accumulates
-/// `x(j)·y(j)` pairs in the same four-block pattern as
-/// [`reduce_blocked4`], but each accumulation step is a single rounded
-/// FMA. The canonical order for every weight-gradient reduction
-/// (`∂w = Σ_j x_j·g_j`) in the crate.
-#[inline(always)]
-pub fn reduce_fma_blocked4(n: usize, mut f: impl FnMut(usize) -> (f64, f64)) -> f64 {
-    let mut a0 = 0.0;
-    let mut a1 = 0.0;
-    let mut a2 = 0.0;
-    let mut a3 = 0.0;
-    let mut j = 0;
-    while j + 4 <= n {
-        let (x0, y0) = f(j);
-        let (x1, y1) = f(j + 1);
-        let (x2, y2) = f(j + 2);
-        let (x3, y3) = f(j + 3);
-        a0 = fma64(x0, y0, a0);
-        a1 = fma64(x1, y1, a1);
-        a2 = fma64(x2, y2, a2);
-        a3 = fma64(x3, y3, a3);
-        j += 4;
-    }
-    let mut tail = 0.0;
-    while j < n {
-        let (x, y) = f(j);
-        tail = fma64(x, y, tail);
-        j += 1;
-    }
-    ((a0 + a1) + (a2 + a3)) + tail
 }
 
 /// `1.5 × 2^52`: shifting magic constant for round-to-nearest-even via
@@ -99,15 +54,6 @@ const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 /// subnormals down to −745; flushing avoids feeding subnormals to the
 /// backward pass), and inputs above 709 saturate to `exp64(709)` rather
 /// than overflowing to `+∞`. NaN propagates.
-///
-/// # Examples
-///
-/// ```
-/// use gcln_tensor::fastmath::exp64;
-/// assert_eq!(exp64(0.0), 1.0);
-/// assert!((exp64(1.0) - std::f64::consts::E).abs() < 1e-15);
-/// assert_eq!(exp64(-1e4), 0.0);
-/// ```
 #[inline(always)]
 pub fn exp64(x: f64) -> f64 {
     // Clamp so the 2^k reconstruction below stays inside the normal range.
@@ -143,44 +89,6 @@ pub fn exp64(x: f64) -> f64 {
     } else {
         scaled
     }
-}
-
-/// The crate's canonical reassociated sum: `f(0) + f(1) + … + f(n−1)`
-/// accumulated as four independent partial sums over the leading
-/// `4·⌊n/4⌋` indices plus a sequential tail, combined as
-/// `((a₀+a₁)+(a₂+a₃)) + tail`.
-///
-/// Every batch reduction in this crate — `SumBatch`, `MeanBatch` and the
-/// backward accumulation of a batch gradient
-/// into a broadcast scalar — uses exactly this order, in the tape and
-/// the engine's direct kernels alike, so their results agree
-/// bit-for-bit.
-#[inline(always)]
-pub fn reduce_blocked4(n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
-    let mut a0 = 0.0;
-    let mut a1 = 0.0;
-    let mut a2 = 0.0;
-    let mut a3 = 0.0;
-    let mut j = 0;
-    while j + 4 <= n {
-        a0 += f(j);
-        a1 += f(j + 1);
-        a2 += f(j + 2);
-        a3 += f(j + 3);
-        j += 4;
-    }
-    let mut tail = 0.0;
-    while j < n {
-        tail += f(j);
-        j += 1;
-    }
-    ((a0 + a1) + (a2 + a3)) + tail
-}
-
-/// [`reduce_blocked4`] over a slice.
-#[inline(always)]
-pub fn sum_blocked(v: &[f64]) -> f64 {
-    reduce_blocked4(v.len(), |j| v[j])
 }
 
 /// L1 subgradient with `0` at zero.
@@ -245,58 +153,6 @@ mod tests {
         for x in [-708.1, -720.0, -744.9, -745.1, -1e6] {
             let v = exp64(x);
             assert!(v == 0.0 || v.is_normal(), "subnormal {v:e} at {x}");
-        }
-    }
-
-    #[test]
-    fn reduce_blocked4_matches_slice_helper_bitwise() {
-        for n in 0..23 {
-            let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37 - 1.0).sin()).collect();
-            let a = reduce_blocked4(n, |j| v[j]);
-            let b = sum_blocked(&v);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn reduce_blocked4_is_accurate() {
-        let v: Vec<f64> = (0..1001).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let blocked = sum_blocked(&v);
-        let kahan = {
-            let (mut s, mut c) = (0.0f64, 0.0f64);
-            for &x in &v {
-                let y = x - c;
-                let t = s + y;
-                c = (t - s) - y;
-                s = t;
-            }
-            s
-        };
-        assert!((blocked - kahan).abs() <= 1e-12 * kahan.abs());
-    }
-
-    #[test]
-    fn reduce_fma_blocked4_matches_manual_order() {
-        for n in 0..23usize {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41 - 1.3).cos()).collect();
-            let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29 + 0.7).sin()).collect();
-            let got = reduce_fma_blocked4(n, |j| (x[j], y[j]));
-            // Re-derive via the documented order with explicit fma64.
-            let mut a = [0.0f64; 4];
-            let mut j = 0;
-            while j + 4 <= n {
-                for (s, acc) in a.iter_mut().enumerate() {
-                    *acc = fma64(x[j + s], y[j + s], *acc);
-                }
-                j += 4;
-            }
-            let mut tail = 0.0;
-            while j < n {
-                tail = fma64(x[j], y[j], tail);
-                j += 1;
-            }
-            let want = ((a[0] + a[1]) + (a[2] + a[3])) + tail;
-            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
         }
     }
 

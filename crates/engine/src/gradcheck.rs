@@ -1,10 +1,6 @@
-//! Numeric gradient checking for [`Tape`] graphs.
-//!
-//! [`Tape`]: crate::tape::Tape
-//!
-//! Central finite differences validate the analytic gradients produced by
-//! the reverse pass; the property tests in `tests/` use this on randomly
-//! generated graphs.
+//! Numeric gradient checking for [`Tape`] graphs: central finite
+//! differences validate the analytic gradients of the reverse pass, on
+//! the graphs of the G-CLN loss and on random graphs.
 
 use crate::tape::{Tape, Var};
 
@@ -28,19 +24,6 @@ pub struct GradCheckReport {
 /// # Panics
 ///
 /// Panics if `forward` panics (e.g. missing inputs).
-///
-/// # Examples
-///
-/// ```
-/// use gcln_tensor::tape::Tape;
-/// use gcln_tensor::gradcheck::check_gradients;
-/// let mut t = Tape::new();
-/// let w = t.param(0);
-/// let sq = t.square(w);
-/// let out = t.sum_batch(sq);
-/// let report = check_gradients(&mut t, out, &[], &[1.5], 1e-5);
-/// assert!(report.max_rel_error < 1e-6);
-/// ```
 pub fn check_gradients(
     tape: &mut Tape,
     output: Var,
@@ -71,20 +54,24 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn checks_composite_graph() {
-        // f(w1, w2) = sum(exp(-(w1*x + w2)^2))
+        // f(w1, w2) = mean(1 / (1 + (w1*x + w2)^2)) − w1
         let mut t = Tape::new();
         let x = t.input(0);
         let w1 = t.param(0);
         let w2 = t.param(1);
+        let one = t.constant(1.0);
         let wx = t.mul(w1, x);
         let z = t.add(wx, w2);
         let z2 = t.square(z);
-        let nz2 = t.neg(z2);
-        let e = t.exp(nz2);
-        let out = t.sum_batch(e);
+        let d = t.add(one, z2);
+        let r = t.recip(d);
+        let m = t.mean_batch(r);
+        let nw1 = t.neg(w1);
+        let out = t.add(m, nw1);
         let report = check_gradients(&mut t, out, &[vec![0.5, -1.0, 2.0]], &[0.7, -0.2], 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
@@ -106,7 +93,7 @@ mod tests {
 
     #[test]
     fn checks_fused_gaussian() {
-        // f(w, s) = sum(exp(−(w·x)²/2s²)) with σ wired as a parameter,
+        // f(w, s) = mean(exp(−(w·x)²/2s²)) with σ wired as a parameter,
         // exactly how model.rs builds the equality relaxation.
         let mut t = Tape::new();
         let x = t.input(0);
@@ -121,7 +108,7 @@ mod tests {
         };
         let z = t.mul(w, x);
         let act = t.gaussian(z, coeff);
-        let out = t.sum_batch(act);
+        let out = t.mean_batch(act);
         let report = check_gradients(&mut t, out, &[vec![0.5, -1.0, 2.0]], &[0.7, 0.8], 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
     }
@@ -184,5 +171,103 @@ mod tests {
         let params = [0.5, 0.8, -0.3, 0.6, 0.9, -0.7, 0.2, 0.4, 0.85, 0.35];
         let report = check_gradients(&mut t, out, &inputs, &params, 1e-5);
         assert!(report.max_rel_error < 1e-6, "report: {report:?}");
+    }
+
+    /// A recipe for building a random (smooth) graph over `n_params`
+    /// params and one input column.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Add(usize, usize),
+        Sub(usize, usize),
+        Mul(usize, usize),
+        Square(usize),
+        /// Fused `w₀·a + w₁·b (+ bias)` over existing nodes.
+        Affine(usize, usize, bool),
+        /// Fused `exp(−z²·k)` with a fixed small positive curvature.
+        Gaussian(usize),
+    }
+
+    fn steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0..n, 0..n).prop_map(|(a, b)| Step::Add(a, b)),
+                (0..n, 0..n).prop_map(|(a, b)| Step::Sub(a, b)),
+                (0..n, 0..n).prop_map(|(a, b)| Step::Mul(a, b)),
+                (0..n).prop_map(Step::Square),
+                (0..n, 0..n, proptest::bool::ANY).prop_map(|(a, b, bias)| Step::Affine(a, b, bias)),
+                (0..n).prop_map(Step::Gaussian),
+            ],
+            1..8,
+        )
+    }
+
+    /// Builds the graph described by `ops` on top of base nodes
+    /// `[input, param0, param1, const 0.5]`, always reducing with mean.
+    fn build(tape: &mut Tape, ops: &[Step]) -> Var {
+        let x = tape.input(0);
+        let p0 = tape.param(0);
+        let p1 = tape.param(1);
+        let c = tape.constant(0.5);
+        let mut nodes = vec![x, p0, p1, c];
+        for op in ops {
+            let pick = |i: usize| nodes[i % nodes.len()];
+            let v = match *op {
+                Step::Add(a, b) => {
+                    let (a, b) = (pick(a), pick(b));
+                    tape.add(a, b)
+                }
+                Step::Sub(a, b) => {
+                    let (a, b) = (pick(a), pick(b));
+                    tape.sub(a, b)
+                }
+                Step::Mul(a, b) => {
+                    let (a, b) = (pick(a), pick(b));
+                    tape.mul(a, b)
+                }
+                Step::Square(a) => {
+                    let a = pick(a);
+                    tape.square(a)
+                }
+                Step::Affine(a, b, bias) => {
+                    let (a, b) = (pick(a), pick(b));
+                    let ws = [nodes[1], nodes[2]]; // p0, p1 as weights
+                    let bias = bias.then_some(nodes[3]); // const 0.5
+                    tape.affine(&ws, &[a, b], bias)
+                }
+                Step::Gaussian(a) => {
+                    // exp(-z^2 * 0.35): bounded, smooth.
+                    let z = pick(a);
+                    let coeff = tape.constant(-0.35);
+                    tape.gaussian(z, coeff)
+                }
+            };
+            nodes.push(v);
+        }
+        let last = *nodes.last().expect("nonempty");
+        tape.mean_batch(last)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Analytic gradients agree with finite differences on randomly
+        /// generated graphs.
+        #[test]
+        fn random_graphs_pass_gradcheck(
+            ops in steps(16),
+            p0 in -1.5f64..1.5,
+            p1 in -1.5f64..1.5,
+            xs in proptest::collection::vec(-2.0f64..2.0, 1..6),
+        ) {
+            let mut tape = Tape::new();
+            let out = build(&mut tape, &ops);
+            let (v, _) = tape.eval_with_grad(out, std::slice::from_ref(&xs), &[p0, p1]);
+            prop_assume!(v.is_finite() && v.abs() < 1e6);
+            let report = check_gradients(&mut tape, out, &[xs], &[p0, p1], 1e-5);
+            prop_assert!(
+                report.max_rel_error < 1e-4,
+                "gradient mismatch: {:?}", report
+            );
+        }
     }
 }

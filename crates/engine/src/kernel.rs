@@ -9,10 +9,11 @@
 //! space of the expanded data matrix *is* the space of equality
 //! invariants over the candidate terms.
 //!
-//! The pipeline runs this as a completion pass after G-CLN training
-//! (see `PipelineConfig::kernel_completion`); the stability study of
-//! Table 4 disables it to measure the pure neural path. EXPERIMENTS.md
-//! records this deviation from the paper.
+//! The pipeline runs this as its own Kernel task beside G-CLN training
+//! (see `PipelineConfig::kernel_completion`); the ablation of Table 3
+//! and the stability study of Table 4 disable it to measure the pure
+//! neural path. EXPERIMENTS.md ("Kernel completion: a deviation from
+//! the paper") records this deviation and the G-CLN-only solve counts.
 
 use crate::terms::TermSpace;
 use gcln_logic::{Atom, Pred};

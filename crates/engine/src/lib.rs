@@ -8,7 +8,11 @@
 //!   ([`data`]), plus widened-range validation states.
 //! - **Train** — the gated-CNF equality model ([`model`]) over the
 //!   enumerated term space ([`terms`]), fanned out across restart
-//!   attempts.
+//!   attempts. One fused kernel computes each epoch's loss and gradients;
+//!   Adam steps the parameters. The ungated template CLN of the Table 4
+//!   baseline trains through the same kernel ([`model::train_cln`]).
+//!   A reverse-mode tape exists only in the tests, as the bitwise oracle
+//!   the kernel is pinned to.
 //! - **Extract** — formula extraction ([`extract`]), exact kernel
 //!   completion ([`kernel`]), the fractional-sampling fallback
 //!   ([`fractional`]), and convex-hull bound learning ([`bounds`]).
@@ -26,8 +30,8 @@
 //! extended terms) that registry problems hand-tune.
 //!
 //! This crate is the one library entry point: the `gcln` CLI, the
-//! scheduler (`gcln-sched`), the HTTP service (`gcln-serve`), the
-//! baselines and the experiment harnesses all build [`Job`]s and drive
+//! scheduler (`gcln-sched`), the HTTP service (`gcln-serve`) and the
+//! experiment harnesses all build [`Job`]s and drive
 //! the same [`StagedJob`] machine. [`Engine::run`] is the solo driver
 //! (`Engine::new().run(&Job::new(problem).with_config(cfg))` solves one
 //! problem); `gcln-sched` interleaves many jobs over a shared pool.
@@ -54,12 +58,18 @@ pub mod cache;
 pub mod data;
 pub mod events;
 pub mod extract;
+mod fastmath;
 pub mod fractional;
+#[cfg(test)]
+mod gradcheck;
 pub mod kernel;
 pub mod model;
+mod optim;
 pub mod run;
 pub mod spec;
 pub mod staged;
+#[cfg(test)]
+mod tape;
 pub mod terms;
 
 pub use cache::{CacheStats, ContentCache, TraceCache, TraceData};

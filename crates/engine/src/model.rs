@@ -13,24 +13,31 @@
 //! `[0, 1]` after every step.
 //!
 //! The §6 hyperparameters are the constants below (`m` = 10, `n` = 2,
-//! σ annealed from 5 to 0.1, Adam at lr 0.01 and decay 0.9996, the λ₁/λ₂
-//! schedules). Only the epoch count is configured ([`GclnConfig`]); the
-//! dropout rate, the weight projection switch and the seed are arguments
-//! of [`train_equality_gcln`], because the engine derives them per
-//! training attempt.
+//! σ annealed from 5 to 0.1, the λ₁/λ₂ schedules) and Adam's (lr 0.01,
+//! decay 0.9996). Only the epoch count is configured ([`GclnConfig`]);
+//! the dropout rate, the weight projection switch and the seed are
+//! arguments of [`train_equality_gcln`], because the engine derives them
+//! per training attempt.
+//!
+//! [`train_cln`] trains the ungated template CLN of CLN2INV, the Table 4
+//! baseline, through the same loop and kernel: a fixed shape of clauses
+//! and literals whose gates stay at 1, with no gate regularization, L1,
+//! diversity, dropout or early stop. With the gates on and off, Table 4
+//! compares one network and one optimizer.
 //!
 //! Each epoch's data loss and gradients come from one fused kernel that
 //! walks the batch in tiles of 32 samples, forward then backward, with
 //! no graph and no per-epoch allocation. It performs the operations of
-//! the loss graph on `gcln_tensor::tape` in the tape's order, reductions
-//! included, so training is bit-identical to training on the tape; the
-//! `kernel_training_matches_tape_bitwise` test pins it against that graph.
+//! the loss graph recorded on the test-only tape (`crate::tape`) in the
+//! tape's order, reductions included, so training is bit-identical to
+//! training on the tape; the `kernel_training_matches_tape_bitwise` test
+//! pins it against that graph, gated and ungated.
 //! The decorrelation gradients come from one Gram matrix of the literal
 //! weights per epoch, summed in the order of the pairwise formula it
 //! replaces (`diversity_gram_matches_pairwise_sums`).
 
-use gcln_tensor::fastmath::{exp64, fma64, l1_subgrad};
-use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};
+use crate::fastmath::{exp64, fma64, l1_subgrad};
+use crate::optim::{project_unit_l2, Adam};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -61,8 +68,6 @@ const DIVERSITY: f64 = 0.1;
 /// Early stop once the data loss falls below this and the gates are
 /// polarized.
 const LOSS_TOL: f64 = 1e-4;
-/// Adam settings (paper: lr 0.01, decay 0.9996).
-const OPTIMIZER: OptimizerConfig = OptimizerConfig { learning_rate: 0.01, decay: 0.9996 };
 /// λ₁ schedule `(initial, factor, limit)` for t-norm (clause) gates —
 /// pushes gates toward 1.
 const LAMBDA1: (f64, f64, f64) = (1.0, 0.999, 0.1);
@@ -94,16 +99,25 @@ impl Default for GclnConfig {
     }
 }
 
-/// The model's shape: the clause count and decorrelation pressure, the
-/// two §6 values that unit tests vary.
+/// The model's shape: clause and literal counts, decorrelation pressure,
+/// and whether the gates train.
 #[derive(Clone, Copy)]
 struct Shape {
     num_clauses: usize,
+    literals_per_clause: usize,
     diversity: f64,
+    /// `false` is the template CLN of CLN2INV: every gate stays at 1, with
+    /// no gate regularization, no weight L1 and no early stop.
+    gated: bool,
 }
 
-/// The §6 shape every training run uses.
-const SHAPE: Shape = Shape { num_clauses: NUM_CLAUSES, diversity: DIVERSITY };
+/// The §6 shape every G-CLN training run uses.
+const SHAPE: Shape = Shape {
+    num_clauses: NUM_CLAUSES,
+    literals_per_clause: LITERALS_PER_CLAUSE,
+    diversity: DIVERSITY,
+    gated: true,
+};
 
 /// A trained G-CLN, ready for formula extraction.
 #[derive(Clone, Debug)]
@@ -145,14 +159,15 @@ type KeptTerms = (Vec<Vec<Vec<usize>>>, Vec<Vec<Vec<bool>>>);
 /// stays expressible.
 fn draw_kept_terms(
     num_terms: usize,
-    num_clauses: usize,
+    shape: Shape,
     dropout_rate: f64,
     rng: &mut StdRng,
 ) -> KeptTerms {
-    let mut masks = vec![vec![vec![false; num_terms]; LITERALS_PER_CLAUSE]; num_clauses];
-    let mut kept_all = Vec::with_capacity(num_clauses);
+    let mut masks =
+        vec![vec![vec![false; num_terms]; shape.literals_per_clause]; shape.num_clauses];
+    let mut kept_all = Vec::with_capacity(shape.num_clauses);
     for clause_masks in masks.iter_mut() {
-        let mut clause_kept = Vec::with_capacity(LITERALS_PER_CLAUSE);
+        let mut clause_kept = Vec::with_capacity(shape.literals_per_clause);
         for literal_mask in clause_masks.iter_mut() {
             let mut kept: Vec<usize> =
                 (0..num_terms).filter(|_| rng.gen::<f64>() >= dropout_rate).collect();
@@ -269,7 +284,7 @@ impl TermTiles {
 /// `4⌊n/4⌋` samples, a sequential tail for the rest, combined as
 /// `((a₀+a₁)+(a₂+a₃))+tail`, then added to `0.0` as the tape adds into
 /// its zeroed gradient buffer. Loss and gradients are therefore
-/// bit-identical to evaluating the graph on `gcln_tensor::tape` (the
+/// bit-identical to evaluating the graph on the test-only tape (the
 /// `kernel_training_matches_tape_bitwise` test).
 ///
 /// The two FMA loops are register-blocked. The forward `z` of a literal
@@ -690,6 +705,16 @@ fn apply_diversity(
     }
 }
 
+/// Zeroes every gate's gradient, for the ungated shape.
+fn freeze_gates(grads: &mut [f64], clauses: &[ClauseSlot]) {
+    for clause in clauses {
+        grads[clause.gate_param] = 0.0;
+        for lit in &clause.literals {
+            grads[lit.gate_param] = 0.0;
+        }
+    }
+}
+
 /// Post-step projections: gates clamped to `[0, 1]`, kept weights
 /// projected to the unit L2 sphere in place.
 fn apply_projections(params: &mut [f64], clauses: &[ClauseSlot], weight_reg: bool) {
@@ -724,16 +749,17 @@ fn sigma_at(anneal_epochs: f64, epoch: usize) -> f64 {
     SIGMA_INIT * (SIGMA / SIGMA_INIT).powf(t)
 }
 
-/// Reads a trained model out of a parameter vector.
+/// Reads a trained model of `shape` out of a parameter vector.
 fn read_back(
     params: &[f64],
     clauses: &[ClauseSlot],
+    shape: Shape,
     masks: Vec<Vec<Vec<bool>>>,
     num_terms: usize,
     final_loss: f64,
     epochs_run: usize,
 ) -> TrainedGcln {
-    let mut weights = vec![vec![vec![0.0; num_terms]; LITERALS_PER_CLAUSE]; clauses.len()];
+    let mut weights = vec![vec![vec![0.0; num_terms]; shape.literals_per_clause]; clauses.len()];
     let mut literal_gates = vec![Vec::new(); clauses.len()];
     let mut clause_gates = Vec::new();
     for (ci, clause) in clauses.iter().enumerate() {
@@ -764,10 +790,52 @@ pub fn train_equality_gcln(
     weight_reg: bool,
     seed: u64,
 ) -> TrainedGcln {
-    let num_terms = data.num_terms;
-    train_with(num_terms, config, dropout_rate, weight_reg, seed, SHAPE, |clauses, num_params| {
-        EqualityKernel::new(data, clauses, num_params)
-    })
+    train_on_kernel(data, config, dropout_rate, weight_reg, seed, SHAPE)
+}
+
+/// Trains the ungated template CLN of CLN2INV (the Table 4 baseline) on
+/// the samples of `data` for exactly `max_epochs` epochs: `clauses`
+/// clauses of `literals` Gaussian literals each, with every gate fixed at
+/// 1, no dropout, L1, diversity or early stop, and weight init drawn from
+/// `seed`. A conjunction of `n` equalities is `n` clauses of one literal;
+/// a disjunction of `n` is one clause of `n` literals.
+///
+/// # Panics
+///
+/// Panics if `data` has no terms.
+pub fn train_cln(
+    data: &TermTiles,
+    clauses: usize,
+    literals: usize,
+    max_epochs: usize,
+    seed: u64,
+) -> TrainedGcln {
+    train_on_kernel(data, &GclnConfig { max_epochs }, 0.0, true, seed, cln_shape(clauses, literals))
+}
+
+/// The ungated shape of [`train_cln`].
+fn cln_shape(clauses: usize, literals: usize) -> Shape {
+    Shape { num_clauses: clauses, literals_per_clause: literals, diversity: 0.0, gated: false }
+}
+
+/// [`train_with`] on [`EqualityKernel`] over `data`.
+fn train_on_kernel(
+    data: &TermTiles,
+    config: &GclnConfig,
+    dropout_rate: f64,
+    weight_reg: bool,
+    seed: u64,
+    shape: Shape,
+) -> TrainedGcln {
+    train_with(
+        data.num_terms,
+        config,
+        dropout_rate,
+        weight_reg,
+        seed,
+        shape,
+        |clauses, num_params| EqualityKernel::new(data, clauses, num_params),
+    )
 }
 
 /// The training loop for a G-CLN of the given `shape` over `num_terms`
@@ -785,7 +853,7 @@ fn train_with<L: DataLoss>(
     assert!(num_terms > 0, "need at least one term column");
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let (kept, masks) = draw_kept_terms(num_terms, shape.num_clauses, dropout_rate, &mut rng);
+    let (kept, masks) = draw_kept_terms(num_terms, shape, dropout_rate, &mut rng);
     let (clauses, num_params) = compact_slots(kept);
     let mut loss = make_loss(&clauses, num_params);
 
@@ -793,7 +861,7 @@ fn train_with<L: DataLoss>(
     init_params(&mut params, &clauses, &mut rng);
 
     // --- training loop ---
-    let mut adam = Adam::new(num_params, OPTIMIZER);
+    let mut adam = Adam::new(num_params);
     let mut grads = vec![0.0; num_params];
     let mut diversity_scratch = Diversity::new(num_terms);
     let mut epochs_run = 0;
@@ -802,13 +870,19 @@ fn train_with<L: DataLoss>(
         epochs_run = epoch + 1;
         let sigma = sigma_at(anneal_epochs, epoch);
         let loss_val = loss.eval(&clauses, &params, sigma, Some(&mut grads));
-        apply_gate_weight_reg(
-            &mut grads,
-            &params,
-            &clauses,
-            lambda_at(LAMBDA1, epoch),
-            lambda_at(LAMBDA2, epoch),
-        );
+        if shape.gated {
+            apply_gate_weight_reg(
+                &mut grads,
+                &params,
+                &clauses,
+                lambda_at(LAMBDA1, epoch),
+                lambda_at(LAMBDA2, epoch),
+            );
+        } else {
+            // A zero gradient leaves Adam's moments, and so the gate, as
+            // they are.
+            freeze_gates(&mut grads, &clauses);
+        }
         // Decorrelation fades out with the annealing schedule so literals
         // spread early but settle to precise directions late.
         let diversity = shape.diversity * (1.0 - (epoch as f64 / anneal_epochs)).max(0.0);
@@ -818,20 +892,25 @@ fn train_with<L: DataLoss>(
         adam.step(&mut params, &grads);
         apply_projections(&mut params, &clauses, weight_reg);
         let annealed = epoch as f64 >= anneal_epochs;
-        if annealed && loss_val < LOSS_TOL && epoch > 100 && gates_polar(&params, &clauses) {
+        if shape.gated
+            && annealed
+            && loss_val < LOSS_TOL
+            && epoch > 100
+            && gates_polar(&params, &clauses)
+        {
             break;
         }
     }
 
     // Measure the final loss at the fully annealed σ.
     let final_loss = loss.eval(&clauses, &params, SIGMA, None);
-    read_back(&params, &clauses, masks, num_terms, final_loss, epochs_run)
+    read_back(&params, &clauses, shape, masks, num_terms, final_loss, epochs_run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcln_tensor::tape::{Tape, Var};
+    use crate::tape::{Tape, Var};
 
     /// Records the G-CLN loss graph
     /// `mean(1 − Π_clauses(1 + g·((1 − Π_literals(1 − g·act)) − 1)))` on a
@@ -956,10 +1035,7 @@ mod tests {
 
     /// [`train_equality_gcln`] without dropout at a test `shape`.
     fn train_shaped(data: &TermTiles, max_epochs: usize, seed: u64, shape: Shape) -> TrainedGcln {
-        let config = GclnConfig { max_epochs };
-        train_with(data.num_terms, &config, 0.0, true, seed, shape, |clauses, num_params| {
-            EqualityKernel::new(data, clauses, num_params)
-        })
+        train_on_kernel(data, &GclnConfig { max_epochs }, 0.0, true, seed, shape)
     }
 
     /// Every float of a trained model as bits, plus its masks and epochs.
@@ -991,6 +1067,38 @@ mod tests {
                 r
             })
             .collect()
+    }
+
+    /// Trains a model of `shape` on `rows` through the kernel and through
+    /// the tape graph, requiring the same trained model bits, and the same
+    /// loss and gradient bits at every epoch: clamped gates and Adam's
+    /// normalized steps can absorb a one-ulp gradient difference, so the
+    /// end of training alone would not show one.
+    fn assert_kernel_matches_tape(
+        rows: &[Vec<f64>],
+        cfg: &GclnConfig,
+        dropout_rate: f64,
+        weight_reg: bool,
+        seed: u64,
+        shape: Shape,
+        case: &str,
+    ) -> TrainedGcln {
+        let (data, columns) = (TermTiles::from_rows(rows), columns_from_rows(rows));
+        let t = data.num_terms;
+        let kernel = train_on_kernel(&data, cfg, dropout_rate, weight_reg, seed, shape);
+        let tape =
+            train_with(t, cfg, dropout_rate, weight_reg, seed, shape, |clauses, num_params| {
+                tape_loss(&columns, clauses, num_params)
+            });
+        assert_eq!(model_bits(&kernel), model_bits(&tape), "{case}");
+        train_with(t, cfg, dropout_rate, weight_reg, seed, shape, |clauses, num_params| Lockstep {
+            kernel: EqualityKernel::new(&data, clauses, num_params),
+            tape: tape_loss(&columns, clauses, num_params),
+            tape_grads: vec![0.0; num_params],
+            calls: 0,
+            case: case.to_string(),
+        });
+        kernel
     }
 
     #[test]
@@ -1029,35 +1137,56 @@ mod tests {
             (171, 150, 0.2, true),
         ];
         for (t, n, dropout_rate, weight_reg) in cases {
-            let rows = synthetic_rows(t, n);
-            let (data, columns) = (TermTiles::from_rows(&rows), columns_from_rows(&rows));
             let cfg = GclnConfig { max_epochs: 60 };
             let seed = (t * 100 + n) as u64;
             let case = format!("T={t} n={n} dropout={dropout_rate} weight_reg={weight_reg}");
-            let kernel = train_equality_gcln(&data, &cfg, dropout_rate, weight_reg, seed);
-            let tape = train_with(
-                t,
-                &cfg,
-                dropout_rate,
-                weight_reg,
-                seed,
-                SHAPE,
-                |clauses, num_params| tape_loss(&columns, clauses, num_params),
-            );
-            assert_eq!(model_bits(&kernel), model_bits(&tape), "{case}");
-            // Every epoch's loss and gradients, not only where training
-            // ends: clamped gates and Adam's normalized steps can absorb a
-            // one-ulp gradient difference.
-            train_with(t, &cfg, dropout_rate, weight_reg, seed, SHAPE, |clauses, num_params| {
-                Lockstep {
-                    kernel: EqualityKernel::new(&data, clauses, num_params),
-                    tape: tape_loss(&columns, clauses, num_params),
-                    tape_grads: vec![0.0; num_params],
-                    calls: 0,
-                    case,
-                }
-            });
+            let rows = synthetic_rows(t, n);
+            assert_kernel_matches_tape(&rows, &cfg, dropout_rate, weight_reg, seed, SHAPE, &case);
         }
+        // The ungated template CLN of `train_cln`: (clauses, literals) of
+        // Conjunction(1), Conjunction(2) and Disjunction(2), each over two
+        // (terms, samples) shapes with a lane tail or a tile tail. The
+        // gates' gradients are compared before they are dropped.
+        let cln_cases = [
+            ((1, 1), 3, 5),
+            ((1, 1), 9, 70),
+            ((2, 1), 4, 36),
+            ((2, 1), 12, 35),
+            ((1, 2), 5, 33),
+            ((1, 2), 10, 64),
+        ];
+        for ((clauses, literals), t, n) in cln_cases {
+            let cfg = GclnConfig { max_epochs: 60 };
+            let seed = (t * 100 + n) as u64;
+            let case = format!("CLN {clauses}x{literals} T={t} n={n}");
+            let rows = synthetic_rows(t, n);
+            let shape = cln_shape(clauses, literals);
+            let model = assert_kernel_matches_tape(&rows, &cfg, 0.0, true, seed, shape, &case);
+            let cln = train_cln(&TermTiles::from_rows(&rows), clauses, literals, 60, seed);
+            assert_eq!(model_bits(&cln), model_bits(&model), "{case}");
+        }
+    }
+
+    #[test]
+    fn cln_keeps_gates_open_and_runs_every_epoch() {
+        // y = 2x + 3 over terms (1, x, y): one literal learns (3, 2, −1)
+        // well before the last epoch, and training still runs them all.
+        let rows: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                let x = i as f64;
+                let mut r = vec![1.0, x, 2.0 * x + 3.0];
+                crate::data::normalize_row(&mut r, 10.0);
+                r
+            })
+            .collect();
+        let model = train_cln(&TermTiles::from_rows(&rows), 1, 1, 1500, 7);
+        assert_eq!(model.epochs_run, 1500);
+        assert_eq!(model.clause_gates, vec![1.0]);
+        assert_eq!(model.literal_gates, vec![vec![1.0]]);
+        assert!(model.final_loss < 0.05, "loss: {}", model.final_loss);
+        let w = &model.weights[0][0];
+        let dot = (3.0 * w[0] + 2.0 * w[1] - w[2]) / 14f64.sqrt();
+        assert!(dot.abs() > 0.98, "literal not aligned with the invariant: {w:?}");
     }
 
     /// The pairwise formula [`apply_diversity`] replaced: for every
@@ -1113,7 +1242,8 @@ mod tests {
         let cases = [(2, NUM_CLAUSES, 0.0), (5, 4, 0.3), (9, 6, 0.0), (40, NUM_CLAUSES, 0.3)];
         for (t, num_clauses, dropout_rate) in cases {
             let mut rng = StdRng::seed_from_u64(t as u64);
-            let (kept, _) = draw_kept_terms(t, num_clauses, dropout_rate, &mut rng);
+            let shape = Shape { num_clauses, ..SHAPE };
+            let (kept, _) = draw_kept_terms(t, shape, dropout_rate, &mut rng);
             let (clauses, num_params) = compact_slots(kept);
             let mut params: Vec<f64> = (0..num_params).map(|_| rng.gen_range(-1.0..1.0)).collect();
             // All-zero weight rows, of either sign.
@@ -1290,7 +1420,7 @@ mod tests {
         let data = TermTiles::from_rows(&rows);
         // Try a few seeds; at least one must converge with an open clause
         // whose two literals align with (0,1,-1) and (0,1,1).
-        let shape = Shape { num_clauses: 6, diversity: 0.02 };
+        let shape = Shape { num_clauses: 6, diversity: 0.02, ..SHAPE };
         let mut success = false;
         for seed in 0..10 {
             let model = train_shaped(&data, 2500, seed, shape);
