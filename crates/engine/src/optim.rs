@@ -129,10 +129,14 @@ mod tests {
     }
 
     #[test]
-    fn projection_normalizes_and_recovers_zero() {
+    fn projection_scales_3_4_to_0_6_0_8() {
         let mut w = vec![3.0, 4.0];
         project_unit_l2(&mut w);
         assert!((w[0] - 0.6).abs() < 1e-12 && (w[1] - 0.8).abs() < 1e-12, "{w:?}");
+    }
+
+    #[test]
+    fn projection_normalizes_and_recovers_zero() {
         let mut w = vec![0.0, 0.0];
         project_unit_l2(&mut w);
         let norm: f64 = w.iter().map(|x| x * x).sum::<f64>().sqrt();
